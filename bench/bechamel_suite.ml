@@ -228,6 +228,41 @@ let test_zipf_sample =
   Test.make ~name:"zipf sample (100k ranks)"
     (Staged.stage (fun () -> ignore (Workload.Zipf.sample z rng)))
 
+(* --- Session-table series: Eve's per-batch verify and rollback ---
+
+   [Table.digest] is read once per batch and a savepoint is taken once
+   per batch; both must cost the same at 1k and 100k sessions (the
+   digest used to re-encode the whole table). *)
+let session_table n =
+  let t = Rex_core.Session.Table.create (Obs.create ()) ~stack:"bench" ~node:0 () in
+  for client = 1 to n do
+    for seq = 0 to 3 do
+      Rex_core.Session.Table.record t ~client ~seq ~reply:(string_of_int seq)
+    done
+  done;
+  t
+
+let tests_session_digest =
+  List.map
+    (fun n ->
+      let t = session_table n in
+      Test.make
+        ~name:(Printf.sprintf "session digest (%dk sessions)" (n / 1000))
+        (Staged.stage (fun () -> ignore (Rex_core.Session.Table.digest t))))
+    sizes
+
+let tests_session_savepoint =
+  List.map
+    (fun n ->
+      let t = session_table n in
+      Test.make
+        ~name:(Printf.sprintf "session savepoint+record+undo (%dk)" (n / 1000))
+        (Staged.stage (fun () ->
+             let undo = Rex_core.Session.Table.savepoint t in
+             Rex_core.Session.Table.record t ~client:(n / 2) ~seq:4 ~reply:"4";
+             undo ())))
+    sizes
+
 let tests =
   [
     test_event_encode;
@@ -240,6 +275,7 @@ let tests =
   @ tests_last_consistent @ tests_extract_tail @ tests_apply_window
   @ [ test_steady_state ] @ tests_wheel_drain @ tests_pqueue_drain
   @ [ test_zipf_create_cached; test_zipf_create_uncached; test_zipf_sample ]
+  @ tests_session_digest @ tests_session_savepoint
 
 let run () =
   Printf.printf "\n== Bechamel wall-clock micro-benchmarks ==\n%!";

@@ -59,7 +59,9 @@ type t = {
   node_id : int;
   pstore : Paxos.Store.t;
   app : R.App.t;  (* session-wrapped: see [create] *)
+  inner : R.App.t;  (* the same app unwrapped: its checkpoint is [app]'s minus [session] *)
   session : R.Session.Table.t;
+  snap : Codec.sink;  (* [inner]'s checkpoint at the start of the current batch *)
   conflict_keys : string -> string list;
   rng : Rng.t;
   mutable pax : Paxos.Replica.t option;
@@ -158,6 +160,8 @@ let decide t instance =
         | d :: rest -> if List.for_all (( = ) d) rest then Ok_batch else Rollback
       in
       Hashtbl.replace t.verdicts instance v;
+      (* [on_digest] consults only [verdicts] from here on *)
+      Hashtbl.remove t.collected instance;
       let payload =
         Codec.encode
           (fun (i, ok) b ->
@@ -292,31 +296,37 @@ let execute_serial t (reqs : string array) =
       r)
     reqs
 
+(* Folded per response: [Hashtbl.hash] over the whole array would stop
+   after ten strings, and batches hold up to [batch_max]. *)
+let response_digest responses =
+  string_of_int (Array.fold_left (fun h r -> Hashtbl.hash (h, r)) 0 responses)
+
 let process_batch t (instance, reqs) =
   t.executing <- true;
   Obs.Metric.incr t.c_batches;
   Obs.Metric.add t.c_batched_reqs (Array.length reqs);
   Obs.Histogram.observe t.h_batch_size (float_of_int (Array.length reqs));
   let batch_start = Engine.now () in
-  (* Snapshot for rollback (execute-verify requires marked state that can
-     be checkpointed, compared and rolled back, §5). *)
-  let snap = Codec.sink ~initial_capacity:4096 () in
-  t.app.R.App.write_checkpoint snap;
+  (* Mark the state for rollback (execute-verify requires marked state
+     that can be checkpointed, compared and rolled back, §5): a savepoint
+     logs the session entries the batch touches, and only the app proper
+     is checkpointed. *)
+  let undo = R.Session.Table.savepoint t.session in
+  Codec.clear t.snap;
+  t.inner.R.App.write_checkpoint t.snap;
   let responses = execute_parallel t reqs in
   (* Eve verifies outputs along with application state: conflicting
      requests whose state effects commute still produce divergent
      responses. *)
-  let digest =
-    Printf.sprintf "%s/%d" (t.app.R.App.digest ())
-      (Hashtbl.hash (Array.to_list responses))
-  in
+  let digest = t.app.R.App.digest () ^ "/" ^ response_digest responses in
   let verdict = await_verdict t instance digest in
   let responses =
     match verdict with
     | Ok_batch -> responses
     | Rollback ->
       Obs.Metric.incr t.c_rollbacks;
-      t.app.R.App.read_checkpoint (Codec.source (Codec.contents snap));
+      undo ();
+      t.inner.R.App.read_checkpoint (Codec.source (Codec.contents t.snap));
       execute_serial t reqs
   in
   let sp = Obs.spans t.obs in
@@ -425,7 +435,8 @@ let create net rpc cfg ~node ~paxos_store ~conflict_keys factory =
      per-client conflict key below keeps a client's requests in distinct
      batches, and batches are processed serially — which makes the
      in-execute check deterministic, mirroring the SMR argument. *)
-  let app = R.Session.wrap ~table:session ~dedup_in_execute:true (factory api) in
+  let inner = factory api in
+  let app = R.Session.wrap ~table:session ~dedup_in_execute:true inner in
   let conflict_keys =
     Sched.Conflict.with_session ~obs:(Engine.obs eng) ~subsystem:"eve" ~node
       conflict_keys
@@ -446,7 +457,9 @@ let create net rpc cfg ~node ~paxos_store ~conflict_keys factory =
       node_id = node;
       pstore = paxos_store;
       app;
+      inner;
       session;
+      snap = Codec.sink ~initial_capacity:4096 ();
       conflict_keys;
       rng = Rng.split (Engine.rng eng);
       pax = None;

@@ -5,10 +5,13 @@
     members are believed non-conflicting (using an application-supplied
     conflict-key oracle).  The batch itself goes through consensus; every
     replica then executes the batch {e concurrently and independently} on
-    its own thread pool, snapshots, and sends a state digest to the
-    leader.  If the digests diverge — a conflict the mixer missed — all
-    replicas roll the batch back and re-execute it {e sequentially}, which
-    is deterministic.
+    its own thread pool and sends a digest of its state and responses to
+    the leader.  If the digests diverge — a conflict the mixer missed —
+    all replicas roll the batch back and re-execute it {e sequentially},
+    which is deterministic.  Rollback restores a session-table
+    {!Rex_core.Session.Table.savepoint} and the application's own
+    checkpoint, both taken before the batch, so its cost follows the
+    batch and the app, not the number of client sessions.
 
     Faithful to the paper's critique, this implementation:
     - treats a whole request as the unit of parallelism (the f = 100%
@@ -88,6 +91,11 @@ val session_table : t -> Rex_core.Session.Table.t
 
 val frontend : t -> Rex_core.Frontend.t
 (** The replica's client-facing frontend, for history taps. *)
+
+val response_digest : string array -> string
+(** The responses' part of a batch digest: a hash folded over every
+    response in order, so replicas that disagree on any one response of
+    a batch disagree on the digest. *)
 
 val submit : t -> string -> (string option -> unit) -> unit
 val query : t -> string -> string

@@ -30,11 +30,20 @@ module Table = struct
   type entry = {
     mutable last_seq : int;
     mutable replies : (int * string) list; (* sorted by seq, descending *)
+    mutable cached : int;  (* List.length replies *)
+    mutable logged : int;  (* the undo-log epoch this entry was saved in *)
   }
 
   type t = {
     window : int;
     sessions : (int, entry) Hashtbl.t;
+    mutable sum : int;  (* the digest: see [term_last], [term_reply] *)
+    mutable savepoint : int;  (* the live savepoint's epoch; 0 = none *)
+    mutable epoch : int;  (* bumped whenever the undo log is emptied *)
+    mutable undo_log : (int * entry option) list;
+        (* since the savepoint: each changed client's entry before its
+           first change, [None] if it had none *)
+    mutable undo_sum : int;
     c_dup : Obs.Metric.counter;
     c_evict : Obs.Metric.counter;
     g_sessions : Obs.Metric.gauge;
@@ -42,16 +51,39 @@ module Table = struct
 
   type lookup = Hit of string | Stale | Miss
 
+  (* The digest is a sum (mod 2^63) of one term per [last_seq] and one
+     per cached reply, so it does not depend on the order records
+     arrived in and [record] updates it by difference.  [mix] is
+     SplitMix64's finalizer with its constants cut to OCaml's int. *)
+  let mix x =
+    let x = (x lxor (x lsr 31)) * 0x3f58476d1ce4e5b9 in
+    let x = (x lxor (x lsr 29)) * 0x14d049bb133111eb in
+    x lxor (x lsr 32)
+
+  let term_last client last_seq = mix (mix (client lxor 0x2545f4914f6cdd1d) + last_seq)
+
+  let term_reply client seq reply =
+    let h = (Hashtbl.seeded_hash 1 reply lsl 30) lxor Hashtbl.seeded_hash 2 reply in
+    mix (mix (mix client + seq) + h)
+
   let create ?(window = 64) obs ~stack ~node () =
     if window <= 0 then invalid_arg "Session.Table.create: window";
     let labels = [ ("stack", stack); ("node", string_of_int node) ] in
     {
       window;
       sessions = Hashtbl.create 64;
+      sum = 0;
+      savepoint = 0;
+      epoch = 0;
+      undo_log = [];
+      undo_sum = 0;
       c_dup = Obs.counter obs ~subsystem:"frontend" ~labels "dup_hits";
       c_evict = Obs.counter obs ~subsystem:"frontend" ~labels "cache_evictions";
       g_sessions = Obs.gauge obs ~subsystem:"frontend" ~labels "sessions";
     }
+
+  let set_gauge t =
+    Obs.Metric.set t.g_sessions (float_of_int (Hashtbl.length t.sessions))
 
   (* An executed seq missing from the cache was evicted, which requires
      at least [window] distinct higher executed seqs, so [last_seq >= seq
@@ -68,46 +100,101 @@ module Table = struct
       | Some reply -> Hit reply
       | None -> if seq <= e.last_seq - t.window then Stale else Miss)
 
+  (* Under a live savepoint, an entry is copied before its first change;
+     the reply list is immutable, so the copy is O(1). *)
   let entry t client =
     match Hashtbl.find_opt t.sessions client with
-    | Some e -> e
+    | Some e ->
+      if t.savepoint <> 0 && e.logged <> t.epoch then begin
+        t.undo_log <- (client, Some { e with logged = e.logged }) :: t.undo_log;
+        e.logged <- t.epoch
+      end;
+      e
     | None ->
-      let e = { last_seq = -1; replies = [] } in
+      if t.savepoint <> 0 then t.undo_log <- (client, None) :: t.undo_log;
+      let e = { last_seq = -1; replies = []; cached = 0; logged = t.epoch } in
+      t.sum <- t.sum + term_last client (-1);
       Hashtbl.replace t.sessions client e;
-      Obs.Metric.set t.g_sessions (float_of_int (Hashtbl.length t.sessions));
+      set_gauge t;
       e
 
   (* Insert preserving descending-seq order.  Replay on a recovering
      replica can apply records of distinct requests in any order, so this
-     must be a commutative merge, not an append. *)
+     must be a commutative merge, not an append.  Returns the reply
+     replaced at the same seq, if any. *)
   let insert_sorted seq reply l =
+    let replaced = ref None in
     let rec go = function
       | [] -> [ (seq, reply) ]
       | (s, _) :: _ as rest when seq > s -> (seq, reply) :: rest
-      | (s, _) :: rest when seq = s -> (s, reply) :: rest
+      | (s, old) :: rest when seq = s ->
+        replaced := Some old;
+        (s, reply) :: rest
       | p :: rest -> p :: go rest
     in
-    go l
+    let l = go l in
+    (l, !replaced)
+
+  (* The first [n] elements of [l], calling [drop] on each of the rest. *)
+  let rec keep n drop = function
+    | [] -> []
+    | l when n = 0 ->
+      List.iter drop l;
+      []
+    | x :: rest -> x :: keep (n - 1) drop rest
 
   let record t ~client ~seq ~reply =
     let e = entry t client in
-    if seq > e.last_seq then e.last_seq <- seq;
-    let replies = insert_sorted seq reply e.replies in
-    let rec keep n = function
-      | [] -> []
-      | _ :: _ when n = 0 -> []
-      | x :: rest -> x :: keep (n - 1) rest
-    in
-    let kept = keep t.window replies in
-    let dropped = List.length replies - List.length kept in
-    if dropped > 0 then Obs.Metric.add t.c_evict dropped;
-    e.replies <- kept
+    if seq > e.last_seq then begin
+      t.sum <- t.sum - term_last client e.last_seq + term_last client seq;
+      e.last_seq <- seq
+    end;
+    let replies, replaced = insert_sorted seq reply e.replies in
+    t.sum <- t.sum + term_reply client seq reply;
+    (match replaced with
+    | Some old -> t.sum <- t.sum - term_reply client seq old
+    | None -> e.cached <- e.cached + 1);
+    if e.cached > t.window then begin
+      let drop (s, r) = t.sum <- t.sum - term_reply client s r in
+      let kept = keep t.window drop replies in
+      Obs.Metric.add t.c_evict (e.cached - t.window);
+      e.cached <- t.window;
+      e.replies <- kept
+    end
+    else e.replies <- replies
 
   let note_dup t = Obs.Metric.incr t.c_dup
 
+  (* Replacing the whole content ends the live savepoint. *)
+  let forget_savepoint t =
+    t.savepoint <- 0;
+    t.undo_log <- []
+
+  let savepoint t =
+    t.epoch <- t.epoch + 1;
+    let id = t.epoch in
+    t.savepoint <- id;
+    t.undo_log <- [];
+    t.undo_sum <- t.sum;
+    fun () ->
+      if t.savepoint <> id then
+        invalid_arg "Session.Table.savepoint: undo of a superseded savepoint";
+      List.iter
+        (fun (client, prior) ->
+          match prior with
+          | None -> Hashtbl.remove t.sessions client
+          | Some e -> Hashtbl.replace t.sessions client e)
+        t.undo_log;
+      t.undo_log <- [];
+      t.sum <- t.undo_sum;
+      t.epoch <- t.epoch + 1;
+      set_gauge t
+
   let clear t =
     Hashtbl.reset t.sessions;
-    Obs.Metric.set t.g_sessions 0.
+    t.sum <- 0;
+    forget_savepoint t;
+    set_gauge t
 
   let dump t =
     Hashtbl.fold
@@ -142,16 +229,23 @@ module Table = struct
           (client, last_seq, replies))
     in
     Hashtbl.reset t.sessions;
+    forget_savepoint t;
     List.iter
       (fun (client, last_seq, replies) ->
-        Hashtbl.replace t.sessions client { last_seq; replies })
+        Hashtbl.replace t.sessions client
+          { last_seq; replies; cached = List.length replies; logged = -1 })
       rows;
-    Obs.Metric.set t.g_sessions (float_of_int (Hashtbl.length t.sessions))
+    t.sum <-
+      Hashtbl.fold
+        (fun client e sum ->
+          List.fold_left
+            (fun sum (seq, reply) -> sum + term_reply client seq reply)
+            (sum + term_last client e.last_seq)
+            e.replies)
+        t.sessions 0;
+    set_gauge t
 
-  let digest t =
-    let b = Codec.sink () in
-    write b t;
-    string_of_int (Hashtbl.hash (Codec.contents b))
+  let digest t = string_of_int t.sum
 
   let sessions t = Hashtbl.length t.sessions
   let dup_hits t = Obs.Metric.value t.c_dup

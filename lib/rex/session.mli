@@ -73,23 +73,43 @@ module Table : sig
   val record : t -> client:int -> seq:int -> reply:string -> unit
   (** Commutative: [last_seq] merges with [max] and the cache keeps the
       [window] highest sequence numbers, so concurrent replay may apply
-      records of distinct requests in any order and converge. *)
+      records of distinct requests in any order and converge.  Updates
+      the {!digest} by difference: O(1) hashes, plus one per evicted
+      reply. *)
 
   val note_dup : t -> unit
   (** Count an intercepted duplicate in [frontend/dup_hits]. *)
 
   val clear : t -> unit
-  (** Forget everything (a replica rebuilding its execution context). *)
+  (** Forget everything (a replica rebuilding its execution context).
+      Ends the live {!savepoint}. *)
 
   val write : Codec.sink -> t -> unit
   (** Deterministic (client-sorted) serialization — embedded in
       application checkpoints by {!wrap}. *)
 
   val read : Codec.source -> t -> unit
-  (** Replace the table's content with a previously {!write}n one. *)
+  (** Replace the table's content with a previously {!write}n one,
+      recomputing the {!digest} from scratch.  Ends the live
+      {!savepoint}. *)
 
   val digest : t -> string
-  (** Content hash, independent of insertion order. *)
+  (** Content hash, independent of insertion order, in O(1).  It is the
+      sum (mod 2{^63}) of one term [h(client, last_seq)] per client and
+      one term [h(client, seq, reply)] per cached reply, kept current by
+      {!record}; two tables with the same {!write} bytes have the same
+      digest. *)
+
+  val savepoint : t -> unit -> unit
+  (** [savepoint t] starts logging, for every client entry, its content
+      before its first change from now on; the returned undo restores
+      those entries (removing clients created since) and the digest, so
+      the table's {!write} bytes are again those at the savepoint.  Cost
+      is O(1) per changed entry, not O(table).  The savepoint stays live
+      after an undo, which may be called again.  A newer [savepoint],
+      {!clear} or {!read} ends it: its undo then raises
+      [Invalid_argument].  Eve rolls a batch's session records back this
+      way. *)
 
   val sessions : t -> int
   val dup_hits : t -> int

@@ -152,6 +152,71 @@ let imperfect_mixer_rolls_back () =
   (* Correctness despite rollbacks: the hot counter reached exactly 150. *)
   Alcotest.(check string) "exact count" "150" (Eve.query primary "GET hot")
 
+let enveloped_rollback_restores_sessions () =
+  (* As above, but through session envelopes from a few clients: a
+     rollback must also undo the batch's session records, or the serial
+     re-execution would be answered from the parallel run's cache. *)
+  let clients = 4 and per_client = 30 in
+  let n = clients * per_client in
+  let eng, servers, primary = mk_cluster ~seed:11 ~miss_rate:0.5 () in
+  let acked = ref [] and dropped = ref 0 in
+  ignore
+    (Engine.spawn eng ~node:3 (fun () ->
+         for seq = 0 to per_client - 1 do
+           for client = 1 to clients do
+             let request =
+               R.Session.Envelope.encode
+                 { R.Session.Envelope.client; seq; payload = "INC hot" }
+             in
+             Eve.submit primary request (function
+               | Some reply -> acked := ((client, seq), reply) :: !acked
+               | None -> incr dropped)
+           done
+         done));
+  let deadline = Engine.clock eng +. 120. in
+  let rec pump () =
+    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
+    if List.length !acked + !dropped < n && Engine.clock eng < deadline then
+      pump ()
+  in
+  pump ();
+  Alcotest.(check int) "all replied" n (List.length !acked);
+  Engine.run ~until:(Engine.clock eng +. 1.0) eng;
+  let s = Eve.stats primary in
+  Alcotest.(check bool)
+    (Printf.sprintf "rollbacks happened (%d)" s.Eve.rollbacks)
+    true (s.Eve.rollbacks > 0);
+  check_converged servers;
+  let session_digest s = R.Session.Table.digest (Eve.session_table s) in
+  Alcotest.(check string) "sessions 0=1" (session_digest servers.(0))
+    (session_digest servers.(1));
+  Alcotest.(check string) "sessions 0=2" (session_digest servers.(0))
+    (session_digest servers.(2));
+  Alcotest.(check string) "exact count" (string_of_int n)
+    (Eve.query primary "GET hot");
+  Array.iter
+    (fun srv ->
+      List.iter
+        (fun ((client, seq), reply) ->
+          if
+            R.Session.Table.lookup (Eve.session_table srv) ~client ~seq
+            <> R.Session.Table.Hit reply
+          then
+            Alcotest.failf "node %d: (%d, %d) not cached as %S" (Eve.node srv)
+              client seq reply)
+        !acked)
+    servers
+
+let response_digest_covers_every_response () =
+  let responses = Array.init 64 string_of_int in
+  let d = Eve.response_digest responses in
+  for i = 0 to 63 do
+    let changed = Array.copy responses in
+    changed.(i) <- "x";
+    if Eve.response_digest changed = d then
+      Alcotest.failf "response %d does not reach the digest" i
+  done
+
 let rejects_background_timers () =
   let eng = Engine.create ~num_nodes:1 () in
   let net = Net.create eng in
@@ -170,5 +235,9 @@ let suite =
     Alcotest.test_case "basic replication" `Quick basic_replication;
     Alcotest.test_case "conflicts shrink batches" `Quick conflicts_shrink_batches;
     Alcotest.test_case "imperfect mixer rolls back" `Quick imperfect_mixer_rolls_back;
+    Alcotest.test_case "rollback restores sessions" `Quick
+      enveloped_rollback_restores_sessions;
+    Alcotest.test_case "response digest covers every response" `Quick
+      response_digest_covers_every_response;
     Alcotest.test_case "rejects background timers" `Quick rejects_background_timers;
   ]

@@ -149,6 +149,69 @@ let table_codec_roundtrip =
       R.Session.Table.digest t = R.Session.Table.digest t'
       && R.Session.Table.sessions t = R.Session.Table.sessions t')
 
+(* Records over few clients and few seqs, so seqs repeat (a reply is
+   replaced) and a window of 2 evicts. *)
+let records_arb =
+  QCheck.(
+    list_of_size
+      (QCheck.Gen.int_bound 40)
+      (triple (int_bound 3) (int_bound 6) (string_of_size (QCheck.Gen.int_bound 4))))
+
+let record_all t =
+  List.iter (fun (client, seq, reply) -> R.Session.Table.record t ~client ~seq ~reply)
+
+let table_bytes t =
+  let b = Codec.sink () in
+  R.Session.Table.write b t;
+  Codec.contents b
+
+let table_incremental_digest =
+  (* The digest [record] keeps by difference equals the one [read]
+     recomputes from the written bytes. *)
+  QCheck.Test.make ~name:"session table incremental digest = from scratch"
+    ~count:300 records_arb (fun records ->
+      let t = mk_table ~window:2 () in
+      record_all t records;
+      let t' = mk_table ~window:2 () in
+      R.Session.Table.read (Codec.source (table_bytes t)) t';
+      R.Session.Table.digest t = R.Session.Table.digest t')
+
+let table_savepoint_undo =
+  QCheck.Test.make ~name:"session table savepoint undo restores bytes + digest"
+    ~count:300 (QCheck.pair records_arb records_arb) (fun (before, after) ->
+      let t = mk_table ~window:2 () in
+      record_all t before;
+      let bytes = table_bytes t and digest = R.Session.Table.digest t in
+      let undo = R.Session.Table.savepoint t in
+      record_all t after;
+      undo ();
+      let restored =
+        table_bytes t = bytes && R.Session.Table.digest t = digest
+      in
+      (* The savepoint stays live: more records, then a second undo. *)
+      record_all t after;
+      undo ();
+      restored && table_bytes t = bytes && R.Session.Table.digest t = digest)
+
+let table_superseded_undo () =
+  let t = mk_table () in
+  let undo = R.Session.Table.savepoint t in
+  R.Session.Table.record t ~client:1 ~seq:0 ~reply:"a";
+  let undo' = R.Session.Table.savepoint t in
+  Alcotest.check_raises "superseded by a newer savepoint"
+    (Invalid_argument "Session.Table.savepoint: undo of a superseded savepoint")
+    undo;
+  R.Session.Table.record t ~client:1 ~seq:1 ~reply:"b";
+  undo' ();
+  Alcotest.(check bool)
+    "newer undo still works" true
+    (R.Session.Table.lookup t ~client:1 ~seq:1 = R.Session.Table.Miss
+    && R.Session.Table.lookup t ~client:1 ~seq:0 = R.Session.Table.Hit "a");
+  R.Session.Table.clear t;
+  Alcotest.check_raises "ended by clear"
+    (Invalid_argument "Session.Table.savepoint: undo of a superseded savepoint")
+    undo'
+
 let table_codec_fuzz =
   QCheck.Test.make ~name:"session table decode fuzz" ~count:300
     QCheck.(string_of_size (QCheck.Gen.int_bound 64))
@@ -540,6 +603,10 @@ let suite =
     Alcotest.test_case "table updates commute" `Quick table_updates_commute;
     QCheck_alcotest.to_alcotest table_codec_roundtrip;
     QCheck_alcotest.to_alcotest table_codec_fuzz;
+    QCheck_alcotest.to_alcotest table_incremental_digest;
+    QCheck_alcotest.to_alcotest table_savepoint_undo;
+    Alcotest.test_case "table superseded undo raises" `Quick
+      table_superseded_undo;
     Alcotest.test_case "wrap dedups + checkpoints" `Quick
       wrap_dedups_and_checkpoints;
     Alcotest.test_case "crafted duplicate not re-executed" `Quick
