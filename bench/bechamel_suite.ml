@@ -202,9 +202,79 @@ let tests_pqueue_drain =
              let q = Sim.Pqueue.create () in
              Array.iter (fun at -> Sim.Pqueue.add q ~priority:at ()) times;
              let fired = ref 0 in
-             while Sim.Pqueue.pop q <> None do incr fired done;
+             while not (Sim.Pqueue.is_empty q) do
+               Sim.Pqueue.pop_value q;
+               incr fired
+             done;
              assert (!fired = n))))
     wheel_sizes
+
+(* --- Simulator substrate series ---
+
+   The per-event and per-message costs every simulated experiment pays.
+   Each run drives a fresh fiber through a fixed number of operations and
+   then runs the engine until they are done, so ns/run divided by the
+   count is the per-operation cost (the one spawn is amortized). *)
+
+let sim_ops = 1_000
+
+let run_fiber eng f =
+  ignore (Sim.Engine.spawn eng ~node:0 f);
+  Sim.Engine.run ~until:(Sim.Engine.clock eng +. 1.) eng
+
+(* [sim_ops] sleeps (schedule + pop + resume each) under a heap already
+   holding [pending] far-future events, so each pop sifts through a heap
+   of that depth. *)
+let tests_sim_sleep =
+  List.map
+    (fun pending ->
+      let eng = Sim.Engine.create ~num_nodes:1 () in
+      for i = 1 to pending do
+        Sim.Engine.schedule eng ~at:(1e12 +. float_of_int i) ignore
+      done;
+      Test.make
+        ~name:(Printf.sprintf "sim sleep x%d (%dk pending)" sim_ops (pending / 1000))
+        (Staged.stage (fun () ->
+             run_fiber eng (fun () ->
+                 for _ = 1 to sim_ops do
+                   Sim.Engine.sleep 1e-6
+                 done))))
+    [ 1_000; 100_000 ]
+
+let test_net_send =
+  let eng = Sim.Engine.create ~num_nodes:2 () in
+  let net = Sim.Net.create eng in
+  Sim.Net.register net ~node:1 ~port:"bench" (fun ~src:_ _ -> ());
+  Test.make
+    ~name:(Printf.sprintf "sim net send+deliver x%d" sim_ops)
+    (Staged.stage (fun () ->
+         run_fiber eng (fun () ->
+             for _ = 1 to sim_ops do
+               Sim.Net.send net ~src:0 ~dst:1 ~port:"bench" "0123456789abcdef"
+             done)))
+
+(* Request, reply, one park and one (no-op) timeout event per call. *)
+let test_rpc_call =
+  let eng = Sim.Engine.create ~num_nodes:2 () in
+  let rpc = Sim.Rpc.create (Sim.Net.create eng) in
+  Sim.Rpc.serve rpc ~node:1 ~port:"bench" (fun ~src:_ body -> body);
+  Test.make
+    ~name:(Printf.sprintf "sim rpc call round trip x%d" sim_ops)
+    (Staged.stage (fun () ->
+         run_fiber eng (fun () ->
+             for _ = 1 to sim_ops do
+               ignore (Sim.Rpc.call rpc ~src:0 ~dst:1 ~port:"bench" ~timeout:0.5 "ping")
+             done)))
+
+let test_engine_now =
+  let eng = Sim.Engine.create ~num_nodes:1 () in
+  Test.make
+    ~name:(Printf.sprintf "sim now in a fiber x%d" sim_ops)
+    (Staged.stage (fun () ->
+         run_fiber eng (fun () ->
+             for _ = 1 to sim_ops do
+               ignore (Sys.opaque_identity (Sim.Engine.now ()))
+             done)))
 
 (* The zipf CDF-rebuild fix: [create] memoizes the table per (n, theta),
    [create_uncached] is the old behavior — the per-instantiation cost the
@@ -274,6 +344,7 @@ let tests =
   ]
   @ tests_last_consistent @ tests_extract_tail @ tests_apply_window
   @ [ test_steady_state ] @ tests_wheel_drain @ tests_pqueue_drain
+  @ tests_sim_sleep @ [ test_net_send; test_rpc_call; test_engine_now ]
   @ [ test_zipf_create_cached; test_zipf_create_uncached; test_zipf_sample ]
   @ tests_session_digest @ tests_session_savepoint
 

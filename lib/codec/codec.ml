@@ -7,7 +7,7 @@ let decode_error fmt = Fmt.kstr (fun s -> raise (Decode_error s)) fmt
    wire size without allocating (or copying) the encoded string. *)
 type sink = Buf of Buffer.t | Count of { mutable n : int }
 
-let sink ?(initial_capacity = 256) () = Buf (Buffer.create initial_capacity)
+let sink ?(initial_capacity = 64) () = Buf (Buffer.create initial_capacity)
 let counting_sink () = Count { n = 0 }
 
 let contents = function
@@ -38,7 +38,10 @@ let rec write_uvarint b n =
     end
 
 (* Zig-zag maps small negative ints to small unsigned ints. *)
-let write_varint b n = write_uvarint b ((n lsl 1) lxor (n asr 62))
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let write_varint b n = write_uvarint b (zigzag n)
+let varint_size n = uvarint_size (zigzag n)
+let string_size s = uvarint_size (String.length s) + String.length s
 
 let write_float b f =
   match b with

@@ -15,6 +15,9 @@ exception Decode_error of string
 type sink
 
 val sink : ?initial_capacity:int -> unit -> sink
+(** Default capacity 64 bytes; the buffer grows as needed.  Pass the
+    exact size (see {!uvarint_size} and friends) for a message whose
+    length is known up front. *)
 
 val counting_sink : unit -> sink
 (** A sink that only counts bytes: run any encoder against it and read the
@@ -33,6 +36,15 @@ val write_uvarint : sink -> int -> unit
 
 val write_varint : sink -> int -> unit
 (** Signed varint (zig-zag). *)
+
+val uvarint_size : int -> int
+(** Bytes {!write_uvarint} writes for this value. *)
+
+val varint_size : int -> int
+(** Bytes {!write_varint} writes for this value. *)
+
+val string_size : string -> int
+(** Bytes {!write_string} writes for this string, length prefix included. *)
 
 val write_float : sink -> float -> unit
 (** IEEE-754 double, 8 bytes, little endian. *)

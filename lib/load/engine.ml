@@ -191,8 +191,8 @@ let run b ~node ?timeline ~target cfg =
         alldone.c_broadcast ();
         m.m_unlock ()
       | Some at ->
-        (* never sleep less than a wheel tick: next_due may under-estimate
-           while timers sit in upper levels, and a zero sleep would spin *)
+        (* never sleep less than a wheel tick: an arrival due in the past
+           fires on the next tick, and a zero sleep would spin *)
         E.sleep (Float.max (t_start +. at -. E.now ()) cfg.wheel_tick);
         loop ()
     in

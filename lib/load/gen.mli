@@ -41,8 +41,7 @@ val pull : t -> until:float -> (ev -> unit) -> int
 
 val next_due : t -> float option
 (** Relative time of the next pending arrival; [None] once the horizon is
-    exhausted.  May under-estimate (see {!Wheel.next_due}), never
-    over-estimates. *)
+    exhausted (see {!Wheel.next_due}). *)
 
 val generated : t -> int
 val finished : t -> bool

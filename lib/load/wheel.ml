@@ -107,33 +107,33 @@ let pop_until t ~now f =
   done;
   !popped
 
-exception Found of float
-
 let bucket_min best b = List.iter (fun it -> if it.at < !best then best := it.at) b
 
+(* Each level's earliest timer, minimised over every non-empty level: a
+   timer parked on a higher level before the cursor moved can be due
+   sooner than everything on a lower one. *)
 let next_due t =
   if t.n = 0 then None
-  else
-    try
-      for l = 0 to t.nlevels - 1 do
-        if t.counts.(l) > 0 then begin
-          let best = ref infinity in
-          if l = t.nlevels - 1 then
-            (* the top level may hold clamped far-future timers whose slot
-               order does not reflect time order: take the global min *)
-            Array.iter (bucket_min best) t.buckets.(l)
-          else begin
-            (* earliest non-empty bucket in circular order from the cursor
-               holds the level's earliest timers *)
-            let pos = t.cur / t.divs.(l) in
-            let i = ref 1 in
-            while !best = infinity && !i <= t.slots do
-              bucket_min best t.buckets.(l).((pos + !i) mod t.slots);
-              incr i
-            done
-          end;
-          raise (Found !best)
+  else begin
+    let best = ref infinity in
+    for l = 0 to t.nlevels - 1 do
+      if t.counts.(l) > 0 then
+        if l = t.nlevels - 1 then
+          (* the top level may hold clamped far-future timers whose slot
+             order does not reflect time order: take its global min *)
+          Array.iter (bucket_min best) t.buckets.(l)
+        else begin
+          (* the first non-empty bucket in circular order from the cursor
+             holds the level's earliest timers *)
+          let level = ref infinity in
+          let pos = t.cur / t.divs.(l) in
+          let i = ref 1 in
+          while !level = infinity && !i <= t.slots do
+            bucket_min level t.buckets.(l).((pos + !i) mod t.slots);
+            incr i
+          done;
+          if !level < !best then best := !level
         end
-      done;
-      None
-    with Found at -> Some at
+    done;
+    Some !best
+  end

@@ -35,10 +35,8 @@ val add : 'a t -> at:float -> 'a -> unit
 val length : 'a t -> int
 
 val next_due : 'a t -> float option
-(** Due time of the earliest pending timer ([None] when empty).  May
-    {e under}-estimate for timers still parked in upper levels (they
-    resolve on cascade), never over-estimates — so it is safe to sleep
-    until it. *)
+(** Due time of the earliest pending timer ([None] when empty), the
+    minimum over every level, so it is safe to sleep until it. *)
 
 val pop_until : 'a t -> now:float -> (float -> 'a -> unit) -> int
 (** Fire every timer due at or before [now] (per the ordering contract

@@ -75,18 +75,14 @@ let rec timer_loop t =
   let now = Clock.now t.clock in
   let due = ref [] in
   RawM.lock t.tm;
-  let rec collect () =
-    match Sim.Pqueue.peek_priority t.timers with
-    | Some at when at <= now -> (
-      match Sim.Pqueue.pop t.timers with
-      | Some (_, f) ->
-        due := f :: !due;
-        collect ()
-      | None -> ())
-    | Some _ | None -> ()
+  while
+    (not (Sim.Pqueue.is_empty t.timers)) && Sim.Pqueue.min_priority t.timers <= now
+  do
+    due := Sim.Pqueue.pop_value t.timers :: !due
+  done;
+  let next =
+    if Sim.Pqueue.is_empty t.timers then None else Some (Sim.Pqueue.min_priority t.timers)
   in
-  collect ();
-  let next = Sim.Pqueue.peek_priority t.timers in
   let stopping = t.timer_stop in
   RawM.unlock t.tm;
   List.iter (fun f -> try submit t f with Invalid_argument _ -> ()) (List.rev !due);

@@ -6,18 +6,21 @@ let client_port = "rex.client"
 let query_port = "rex.query"
 let read_port = "rex.read"
 
-let encode_reply r =
-  let b = Codec.sink () in
-  (match r with
+(* Each reply is encoded into a buffer of exactly its wire size. *)
+let encode_reply = function
   | Ok_reply s ->
+    let b = Codec.sink ~initial_capacity:(1 + Codec.string_size s) () in
     Codec.write_byte b 0;
-    Codec.write_string b s
+    Codec.write_string b s;
+    Codec.contents b
   | Not_leader hint ->
+    let h = Option.value hint ~default:(-1) in
+    let b = Codec.sink ~initial_capacity:(1 + Codec.varint_size h) () in
     Codec.write_byte b 1;
-    Codec.write_varint b (Option.value hint ~default:(-1))
-  | Dropped -> Codec.write_byte b 2
-  | Busy -> Codec.write_byte b 3);
-  Codec.contents b
+    Codec.write_varint b h;
+    Codec.contents b
+  | Dropped -> "\002"
+  | Busy -> "\003"
 
 let decode_reply s =
   let src = Codec.source s in

@@ -296,16 +296,20 @@ let decode_batch v =
   Codec.decode (fun s -> Codec.read_list s Codec.read_string) v
 
 module Flow = struct
+  (* The latest report of each secondary, updated in place; [ok] runs on
+     every request intake, so it scans these without allocating. *)
+  type report = { src : int; mutable count : int; mutable at : float }
+
   type t = {
     eng : Engine.t;
     window : int;
     staleness : float;
-    reports : (int, int * float) Hashtbl.t;
+    mutable reports : report array;
     mutable waiters : Engine.waker list;
   }
 
   let create eng ~window ~staleness =
-    { eng; window; staleness; reports = Hashtbl.create 8; waiters = [] }
+    { eng; window; staleness; reports = [||]; waiters = [] }
 
   let wake t =
     let ws = t.waiters in
@@ -313,23 +317,27 @@ module Flow = struct
     List.iter Engine.wake ws
 
   let note t ~src ~count =
-    Hashtbl.replace t.reports src (count, Engine.clock t.eng);
+    let at = Engine.clock t.eng in
+    (match Array.find_opt (fun r -> r.src = src) t.reports with
+    | Some r ->
+      r.count <- count;
+      r.at <- at
+    | None -> t.reports <- Array.append t.reports [| { src; count; at } |]);
     wake t
 
+  (* The slowest fresh report bounds how far ahead the primary may run;
+     with no fresh report it runs free. *)
   let ok t ~mine =
     let now = Engine.clock t.eng in
-    let slow =
-      Hashtbl.fold
-        (fun _ (count, at) acc ->
-          if now -. at <= t.staleness then
-            Some (match acc with None -> count | Some m -> min m count)
-          else acc)
-        t.reports None
-    in
-    match slow with None -> true | Some s -> mine - s <= t.window
+    let slow = ref max_int in
+    for i = 0 to Array.length t.reports - 1 do
+      let r = t.reports.(i) in
+      if now -. r.at <= t.staleness && r.count < !slow then slow := r.count
+    done;
+    !slow = max_int || mine - !slow <= t.window
 
   let park t = Engine.park (fun w -> t.waiters <- w :: t.waiters)
-  let reset t = Hashtbl.reset t.reports
+  let reset t = t.reports <- [||]
 end
 
 module Replies = struct

@@ -233,11 +233,7 @@ let drop_client_state t =
 
 (* --- Flow control (paper §6.3: the primary waits for live secondaries) --- *)
 
-let flow_ok t exec =
-  let mine =
-    Array.fold_left ( + ) 0 (Trace.Cut.to_array (Runtime.recorded_cut exec.rt))
-  in
-  Frontend.Flow.ok t.flow ~mine
+let flow_ok t exec = Frontend.Flow.ok t.flow ~mine:(Runtime.recorded_total exec.rt)
 
 (* --- Checkpoint: secondary barrier --- *)
 

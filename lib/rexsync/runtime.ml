@@ -404,6 +404,11 @@ let complete t (e : Event.t) =
 let executed_cut t = Scoreboard.cut t.sbd
 let recorded_cut t = guarded t (fun () -> Trace.end_cut t.tr)
 
+let recorded_total t =
+  match t.guard with
+  | None -> Trace.end_total t.tr
+  | Some g -> Par.Guard.with_ g (fun () -> Trace.end_total t.tr)
+
 (* Wrappers keep their edge-source bookkeeping warm during replay so that
    a promoted secondary records correct edges from its very first
    operation.  The vector clock attached is a sound under-approximation

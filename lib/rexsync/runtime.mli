@@ -168,6 +168,10 @@ val executed_cut : t -> Trace.Cut.t
 val recorded_cut : t -> Trace.Cut.t
 (** End of the recorded trace ({!Trace.end_cut} of {!trace}). *)
 
+val recorded_total : t -> int
+(** Events recorded so far, summed over slots ({!Trace.end_total} of
+    {!trace}); allocation-free on the simulator. *)
+
 (** {1 Trace memory bounds} *)
 
 val compact_trace : t -> upto:Trace.Cut.t -> unit

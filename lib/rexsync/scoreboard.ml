@@ -29,17 +29,9 @@ let advance t ~slot ~clock =
              slot t.executed.(slot) clock);
       t.executed.(slot) <- clock;
       let q = t.waiters.(slot) in
-      let rec wake_ready () =
-        match Pqueue.peek_priority q with
-        | Some threshold when int_of_float threshold <= clock -> (
-          match Pqueue.pop q with
-          | Some (_, w) ->
-            Engine.wake w;
-            wake_ready ()
-          | None -> ())
-        | Some _ | None -> ()
-      in
-      wake_ready ())
+      while (not (Pqueue.is_empty q)) && int_of_float (Pqueue.min_priority q) <= clock do
+        Engine.wake (Pqueue.pop_value q)
+      done)
 
 let wait_for t (id : Event.Id.t) =
   if locked t (fun () -> t.executed.(id.slot) >= id.clock) then false

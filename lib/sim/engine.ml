@@ -36,6 +36,7 @@ type fiber = {
   inc : int;
   mutable parked : (unit, unit) continuation option;
   mutable park_gen : int;
+  some : fiber option;  (* [Some self], preallocated for [t.running] *)
 }
 
 let tid_of fiber = fiber.info.Protocol.fi_tid
@@ -66,6 +67,7 @@ type t = {
   mutable next_tid : int;
   next_uid : int Atomic.t;
   mutable running : fiber option;
+  mutable handler : (unit, unit) handler option;  (* built on first spawn *)
   (* observability *)
   obs : Obs.t;
   g_ready : Obs.Metric.gauge;
@@ -106,6 +108,7 @@ let create ?(seed = 42) ?(cores_per_node = 16) ~num_nodes () =
       next_tid = 0;
       next_uid = Atomic.make 0;
       running = None;
+      handler = None;
       obs;
       g_ready = Obs.gauge obs ~subsystem:"sim" "ready_events";
       g_ready_max = Obs.gauge obs ~subsystem:"sim" "ready_events_max";
@@ -180,28 +183,50 @@ let busy_time t n = t.busy.(n)
 
 let jittered t at = at +. Rng.float t.jitter_rng 1e-9
 
-let schedule t ~at cb = Pqueue.add t.events ~priority:(max at t.time) cb
+let schedule t ~at cb =
+  Pqueue.add t.events ~priority:(if at >= t.time then at else t.time) cb
 
 let valid t fiber = t.alive.(node_of fiber) && fiber.inc = t.node_inc.(node_of fiber)
 
 let fiber_done t fiber = Hashtbl.remove t.fibers (tid_of fiber)
 
-(* Resume a suspended fiber from the event loop, tracking the "currently
-   running fiber" so that [self]-style effects can answer.  A fiber whose
-   node died while it was suspended is resumed with [Killed] instead. *)
-let resume t fiber k v =
-  let prev = t.running in
-  t.running <- Some fiber;
-  Fun.protect
-    ~finally:(fun () -> t.running <- prev)
-    (fun () -> if valid t fiber then continue k v else discontinue k Killed)
+(* The engine whose fiber runs on this domain, if any: [now] reads its
+   clock directly instead of performing [E_now].  [run] sets it for the
+   whole dispatch loop, so a fiber step only writes it when the step
+   happens outside its own engine's loop (test setup, or one engine's
+   fiber driving another engine). *)
+let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let kill t fiber k =
+(* Enter a step of [fiber]: make it [t.running] and [t] the domain's
+   current engine; return what [leave] restores.  Every step goes
+   through this pair rather than [Fun.protect], whose closures would be
+   allocated once per event. *)
+let[@inline] enter t fiber =
+  t.running <- fiber.some;
+  match Domain.DLS.get current with
+  | Some c as cur when c == t -> cur
+  | cur ->
+    Domain.DLS.set current (Some t);
+    cur
+
+let[@inline] leave t prev cur =
+  t.running <- prev;
+  match cur with Some c when c == t -> () | _ -> Domain.DLS.set current cur
+
+(* Run a suspended fiber's next step from the event loop: continue it, or
+   discontinue it with [Killed] when [kill] is set or its node died while
+   it was suspended. *)
+let step t fiber k ~kill =
   let prev = t.running in
-  t.running <- Some fiber;
-  Fun.protect
-    ~finally:(fun () -> t.running <- prev)
-    (fun () -> discontinue k Killed)
+  let cur = enter t fiber in
+  match if (not kill) && valid t fiber then continue k () else discontinue k Killed with
+  | () -> leave t prev cur
+  | exception e ->
+    leave t prev cur;
+    raise e
+
+let resume t fiber k = step t fiber k ~kill:false
+let kill t fiber k = step t fiber k ~kill:true
 
 (* CPU core accounting: a fiber holds a core exactly for the duration of an
    [E_work] effect; waiters queue FIFO per node. *)
@@ -217,7 +242,7 @@ let rec start_work t fiber d k =
           Obs.Span.complete sp ~cat:"work" ~pid:n ~tid:(tid_of fiber)
             ~name:(name_of fiber) ~ts:started ~dur:d ();
         release_core t n;
-        resume t fiber k ()
+        resume t fiber k
       end
       else
         (* The node crashed (resetting core counts) after this work began:
@@ -253,15 +278,20 @@ let do_park t fiber register k =
           | None -> ()
           | Some k ->
             fiber.parked <- None;
-            schedule t ~at:(jittered t t.time) (fun () -> resume t fiber k ()))
+            schedule t ~at:(jittered t t.time) (fun () -> resume t fiber k))
   in
   register w
 
 let wake = Protocol.wake
 
-let handler t fiber =
+(* One handler per engine, not per fiber: effects, returns and escaping
+   exceptions are all handled while the fiber is the one in [t.running]
+   (set around every [match_with], [continue] and [discontinue]). *)
+let handler t =
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-    function
+   fun eff ->
+    let fiber = Option.get t.running in
+    match eff with
     | Protocol.E_now ->
       Some (fun (k : (float, unit) continuation) -> continue k t.time)
     | Protocol.E_self ->
@@ -281,7 +311,7 @@ let handler t fiber =
           else
             schedule t
               ~at:(jittered t (t.time +. d))
-              (fun () -> resume t fiber k ()))
+              (fun () -> resume t fiber k))
     | Protocol.E_park register ->
       Some
         (fun (k : (unit, unit) continuation) ->
@@ -298,32 +328,41 @@ let handler t fiber =
               k)
     | _ -> None
   in
+  let finished () = fiber_done t (Option.get t.running) in
   {
-    retc = (fun () -> fiber_done t fiber);
+    retc = finished;
     exnc =
       (fun e ->
-        match e with
-        | Killed -> fiber_done t fiber
-        | e ->
-          fiber_done t fiber;
-          raise e);
+        finished ();
+        match e with Killed -> () | e -> raise e);
     effc;
   }
 
 let exec_fiber t fiber main =
+  let h =
+    match t.handler with
+    | Some h -> h
+    | None ->
+      let h = handler t in
+      t.handler <- Some h;
+      h
+  in
   let prev = t.running in
-  t.running <- Some fiber;
-  Fun.protect
-    ~finally:(fun () -> t.running <- prev)
-    (fun () -> match_with main () (handler t fiber))
+  let cur = enter t fiber in
+  match match_with main () h with
+  | () -> leave t prev cur
+  | exception e ->
+    leave t prev cur;
+    raise e
 
 let make_fiber t ~node ~name =
-  let fiber =
+  let rec fiber =
     {
       info = { Protocol.fi_tid = t.next_tid; fi_node = node; fi_name = name };
       inc = t.node_inc.(node);
       parked = None;
       park_gen = 0;
+      some = Some fiber;
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -352,23 +391,30 @@ let spawn_at t ~node ~at ?(name = "fiber") main =
   ignore (spawn_fiber t ~node ~at ~name main)
 
 let run ?(until = infinity) t =
+  let q = t.events in
   let rec loop () =
-    match Pqueue.peek_priority t.events with
-    | None -> ()
-    | Some at when at > until -> t.time <- until
-    | Some _ -> (
-      match Pqueue.pop t.events with
-      | None -> ()
-      | Some (at, cb) ->
+    if not (Pqueue.is_empty q) then begin
+      let at = Pqueue.min_priority q in
+      if at > until then t.time <- until
+      else begin
+        let cb = Pqueue.pop_value q in
         if at > t.time then t.time <- at;
         Obs.Metric.incr t.c_dispatched;
-        let depth = float_of_int (Pqueue.length t.events) in
+        let depth = float_of_int (Pqueue.length q) in
         Obs.Metric.set t.g_ready depth;
         Obs.Metric.set_max t.g_ready_max depth;
         cb ();
-        loop ())
+        loop ()
+      end
+    end
   in
-  loop ()
+  let prev = Domain.DLS.get current in
+  Domain.DLS.set current (Some t);
+  match loop () with
+  | () -> Domain.DLS.set current prev
+  | exception e ->
+    Domain.DLS.set current prev;
+    raise e
 
 let crash_node t n =
   if t.alive.(n) then begin
@@ -396,7 +442,13 @@ let crash_node t n =
 let restart_node t n = t.alive.(n) <- true
 
 (* Fiber-context operations. *)
-let now () = perform Protocol.E_now
+(* Inside a simulator fiber the answer is its engine's clock, read
+   directly; raw callbacks and fibers of other schedulers (the domains
+   backend runs its own on other domains) still perform the effect. *)
+let[@inline] now () =
+  match Domain.DLS.get current with
+  | Some t when t.running != None -> t.time
+  | Some _ | None -> perform Protocol.E_now
 let self () = (perform Protocol.E_self).Protocol.fi_tid
 
 let self_opt () =

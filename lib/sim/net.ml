@@ -1,9 +1,28 @@
 type handler = src:int -> string -> unit
 
-type link = {
+type link_counters = {
   l_msgs : Obs.Metric.counter;
   l_bytes : Obs.Metric.counter;
   l_drops : Obs.Metric.counter;
+}
+
+(* One record per directed pair, in [links.(src).(dst)].  Its counters are
+   registered on the first send, so a pair that is only ever partitioned
+   adds nothing to the metrics registry. *)
+type link = {
+  mutable counters : link_counters option;
+  mutable floor : float;  (* FIFO: the last delivery time on this pair *)
+  mutable blocked : bool;
+}
+
+(* A port name, interned on first use: its byte counter (registered on the
+   first send), its handler per node, and the fiber and span name of its
+   deliveries. *)
+type port = {
+  p_name : string;
+  p_fiber : string;
+  mutable p_bytes : Obs.Metric.counter option;
+  mutable p_handlers : handler option array;
 }
 
 type t = {
@@ -12,15 +31,12 @@ type t = {
   base_latency : float;
   jitter_mean : float;
   mutable latency_factor : float;
-  handlers : (int * string, handler) Hashtbl.t;
-  last_delivery : (int * int, float) Hashtbl.t;
-  blocked : (int * int, unit) Hashtbl.t;
   mutable drop_probability : float;
   c_msgs : Obs.Metric.counter;
   c_bytes : Obs.Metric.counter;
   c_drops : Obs.Metric.counter;
-  links : (int * int, link) Hashtbl.t;
-  port_bytes : (string, Obs.Metric.counter) Hashtbl.t;
+  mutable links : link array array;
+  ports : (string, port) Hashtbl.t;
 }
 
 let create ?(base_latency = 50e-6) ?(jitter_mean = 20e-6) eng =
@@ -31,19 +47,34 @@ let create ?(base_latency = 50e-6) ?(jitter_mean = 20e-6) eng =
     base_latency;
     jitter_mean;
     latency_factor = 1.;
-    handlers = Hashtbl.create 32;
-    last_delivery = Hashtbl.create 32;
-    blocked = Hashtbl.create 8;
     drop_probability = 0.;
     c_msgs = Obs.counter obs ~subsystem:"net" "messages";
     c_bytes = Obs.counter obs ~subsystem:"net" "bytes";
     c_drops = Obs.counter obs ~subsystem:"net" "drops";
-    links = Hashtbl.create 32;
-    port_bytes = Hashtbl.create 16;
+    links = [||];
+    ports = Hashtbl.create 16;
   }
 
 let engine t = t.eng
-let register t ~node ~port h = Hashtbl.replace t.handlers (node, port) h
+
+let port t name =
+  match Hashtbl.find t.ports name with
+  | p -> p
+  | exception Not_found ->
+    let p = { p_name = name; p_fiber = "net:" ^ name; p_bytes = None; p_handlers = [||] } in
+    Hashtbl.replace t.ports name p;
+    p
+
+let register t ~node ~port:name h =
+  let p = port t name in
+  let n = Array.length p.p_handlers in
+  if node >= n then begin
+    let a = Array.make (max (node + 1) (Engine.num_nodes t.eng)) None in
+    Array.blit p.p_handlers 0 a 0 n;
+    p.p_handlers <- a
+  end;
+  p.p_handlers.(node) <- Some h
+
 let set_drop_probability t p = t.drop_probability <- p
 
 let set_latency_factor t f =
@@ -52,100 +83,114 @@ let set_latency_factor t f =
 
 let latency_factor t = t.latency_factor
 
+(* The node set can grow at runtime ([Engine.add_node]): the link matrix
+   grows on first use of a new id. *)
 let link t ~src ~dst =
-  match Hashtbl.find_opt t.links (src, dst) with
-  | Some l -> l
+  let n = Array.length t.links in
+  if src >= n || dst >= n then begin
+    let m = max (max src dst + 1) (Engine.num_nodes t.eng) in
+    t.links <-
+      Array.init m (fun s ->
+          Array.init m (fun d ->
+              if s < n && d < n then t.links.(s).(d)
+              else { counters = None; floor = 0.; blocked = false }))
+  end;
+  t.links.(src).(dst)
+
+let link_counters t ~src ~dst l =
+  match l.counters with
+  | Some c -> c
   | None ->
     let obs = Engine.obs t.eng in
     let labels = [ ("src", string_of_int src); ("dst", string_of_int dst) ] in
-    let l =
+    let c =
       {
         l_msgs = Obs.counter obs ~subsystem:"net" ~labels "link_messages";
         l_bytes = Obs.counter obs ~subsystem:"net" ~labels "link_bytes";
         l_drops = Obs.counter obs ~subsystem:"net" ~labels "link_drops";
       }
     in
-    Hashtbl.replace t.links (src, dst) l;
-    l
+    l.counters <- Some c;
+    c
 
-let port_counter t port =
-  match Hashtbl.find_opt t.port_bytes port with
+let port_counter t p =
+  match p.p_bytes with
   | Some c -> c
   | None ->
     let c =
-      Obs.counter (Engine.obs t.eng) ~subsystem:"net"
-        ~labels:[ ("port", port) ] "port_bytes"
+      Obs.counter (Engine.obs t.eng) ~subsystem:"net" ~labels:[ ("port", p.p_name) ]
+        "port_bytes"
     in
-    Hashtbl.replace t.port_bytes port c;
+    p.p_bytes <- Some c;
     c
 
-let partition t a b =
-  Hashtbl.replace t.blocked (a, b) ();
-  Hashtbl.replace t.blocked (b, a) ()
+let set_blocked t a b v =
+  (link t ~src:a ~dst:b).blocked <- v;
+  (link t ~src:b ~dst:a).blocked <- v
 
-let heal t a b =
-  Hashtbl.remove t.blocked (a, b);
-  Hashtbl.remove t.blocked (b, a)
-
-let heal_all t = Hashtbl.reset t.blocked
+let partition t a b = set_blocked t a b true
+let heal t a b = set_blocked t a b false
+let heal_all t = Array.iter (Array.iter (fun l -> l.blocked <- false)) t.links
 let messages_sent t = Obs.Metric.value t.c_msgs
 let bytes_sent t = Obs.Metric.value t.c_bytes
 let messages_dropped t = Obs.Metric.value t.c_drops
 
-let bytes_sent_on_port t port =
-  match Hashtbl.find_opt t.port_bytes port with
-  | Some c -> Obs.Metric.value c
-  | None -> 0
+let bytes_sent_on_port t name =
+  match Hashtbl.find_opt t.ports name with
+  | Some { p_bytes = Some c; _ } -> Obs.Metric.value c
+  | Some { p_bytes = None; _ } | None -> 0
 
 let reset_stats t =
   Obs.Metric.reset t.c_msgs;
   Obs.Metric.reset t.c_bytes;
   Obs.Metric.reset t.c_drops;
-  Hashtbl.iter (fun _ l ->
-      Obs.Metric.reset l.l_msgs;
-      Obs.Metric.reset l.l_bytes;
-      Obs.Metric.reset l.l_drops)
+  Array.iter
+    (Array.iter (fun l ->
+         Option.iter
+           (fun c ->
+             Obs.Metric.reset c.l_msgs;
+             Obs.Metric.reset c.l_bytes;
+             Obs.Metric.reset c.l_drops)
+           l.counters))
     t.links;
-  Hashtbl.iter (fun _ c -> Obs.Metric.reset c) t.port_bytes
+  Hashtbl.iter (fun _ p -> Option.iter Obs.Metric.reset p.p_bytes) t.ports
 
-let send t ~src ~dst ~port payload =
+let deliver t ~src ~dst p ~sent payload =
+  if Engine.node_alive t.eng dst && dst < Array.length p.p_handlers then
+    match p.p_handlers.(dst) with
+    | None -> ()
+    | Some h ->
+      let sp = Obs.spans (Engine.obs t.eng) in
+      (* Delivery runs at exactly its scheduled arrival time. *)
+      if Obs.Span.enabled sp then
+        Obs.Span.complete sp ~cat:"net" ~pid:dst ~name:p.p_fiber ~ts:sent
+          ~dur:(Engine.clock t.eng -. sent) ();
+      Engine.spawn_immediate t.eng ~node:dst ~name:p.p_fiber (fun () -> h ~src payload)
+
+let send t ~src ~dst ~port:name payload =
   let len = String.length payload in
   let l = link t ~src ~dst in
+  let c = link_counters t ~src ~dst l in
+  let p = port t name in
   Obs.Metric.incr t.c_msgs;
   Obs.Metric.add t.c_bytes len;
-  Obs.Metric.incr l.l_msgs;
-  Obs.Metric.add l.l_bytes len;
-  Obs.Metric.add (port_counter t port) len;
+  Obs.Metric.incr c.l_msgs;
+  Obs.Metric.add c.l_bytes len;
+  Obs.Metric.add (port_counter t p) len;
   let dropped =
-    Hashtbl.mem t.blocked (src, dst)
-    || (t.drop_probability > 0. && Rng.float t.rng 1.0 < t.drop_probability)
+    l.blocked || (t.drop_probability > 0. && Rng.float t.rng 1.0 < t.drop_probability)
   in
   if dropped then begin
     Obs.Metric.incr t.c_drops;
-    Obs.Metric.incr l.l_drops
+    Obs.Metric.incr c.l_drops
   end
   else begin
     let latency =
-      t.latency_factor
-      *. (t.base_latency +. Rng.exponential t.rng ~mean:t.jitter_mean)
+      t.latency_factor *. (t.base_latency +. Rng.exponential t.rng ~mean:t.jitter_mean)
     in
     let sent = Engine.clock t.eng in
-    let arrival = sent +. latency in
     (* FIFO per directed pair: never deliver before an earlier message. *)
-    let floor =
-      Option.value (Hashtbl.find_opt t.last_delivery (src, dst)) ~default:0.
-    in
-    let at = Float.max arrival (floor +. 1e-12) in
-    Hashtbl.replace t.last_delivery (src, dst) at;
-    Engine.schedule t.eng ~at (fun () ->
-        if Engine.node_alive t.eng dst then
-          match Hashtbl.find_opt t.handlers (dst, port) with
-          | None -> ()
-          | Some h ->
-            let sp = Obs.spans (Engine.obs t.eng) in
-            if Obs.Span.enabled sp then
-              Obs.Span.complete sp ~cat:"net" ~pid:dst ~name:("net:" ^ port)
-                ~ts:sent ~dur:(at -. sent) ();
-            Engine.spawn_immediate t.eng ~node:dst ~name:("net:" ^ port)
-              (fun () -> h ~src payload))
+    let at = Float.max (sent +. latency) (l.floor +. 1e-12) in
+    l.floor <- at;
+    Engine.schedule t.eng ~at (fun () -> deliver t ~src ~dst p ~sent payload)
   end

@@ -2,7 +2,11 @@
 
     The sequence number makes the pop order total and deterministic: two
     entries with equal priority pop in insertion order.  This is the event
-    queue of the discrete-event {!Engine}. *)
+    queue of the discrete-event {!Engine}, so the [(priority, seq)] order
+    is the simulator's determinism contract.
+
+    Adding and popping allocate nothing beyond occasional capacity
+    doubling, and a popped value is not retained by the queue. *)
 
 type 'a t
 
@@ -13,9 +17,11 @@ val length : 'a t -> int
 val add : 'a t -> priority:float -> 'a -> unit
 (** Insertion order among equal priorities is remembered. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum entry. *)
+val min_priority : 'a t -> float
+(** Priority of the minimum entry.
+    @raise Invalid_argument if the queue is empty. *)
 
-val peek_priority : 'a t -> float option
-
-val clear : 'a t -> unit
+val pop_value : 'a t -> 'a
+(** Remove the minimum entry and return its value; read its priority
+    first with {!min_priority} if needed.
+    @raise Invalid_argument if the queue is empty. *)

@@ -1,15 +1,24 @@
-type t = { mutable state : int64; mutable owner : int }
+(* The 64-bit state lives unboxed in an 8-byte buffer, so advancing it
+   allocates nothing; the draw functions are inlined so their int64 and
+   float results stay unboxed too.  Every simulated event and message
+   draws from a generator. *)
+type t = { state : Bytes.t; mutable owner : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let unpinned = -1
 
-let create seed = { state = mix64 (Int64.of_int seed); owner = unpinned }
+let of_state z =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 z;
+  { state; owner = unpinned }
+
+let create seed = of_state (mix64 (Int64.of_int seed))
 
 let pin t = t.owner <- (Domain.self () :> int)
 
@@ -24,19 +33,20 @@ let check t =
       "Rng: pinned generator drawn from another domain; Rng.split on the \
        owning domain is the only cross-domain handoff"
 
-let bits64 t =
+let[@inline] bits64 t =
   check t;
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+  let z = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 z;
+  mix64 z
 
-let split t = { state = bits64 t; owner = unpinned }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bounds are tiny relative to 2^62. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 2) (Int64.of_int bound))
 
-let float t bound =
+let[@inline] float t bound =
   let mantissa = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (mantissa /. 9007199254740992.0)
 

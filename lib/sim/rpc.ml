@@ -29,7 +29,7 @@ let create net =
   t
 
 let encode_request id body =
-  let b = Codec.sink () in
+  let b = Codec.sink ~initial_capacity:(Codec.uvarint_size id + Codec.string_size body) () in
   Codec.write_uvarint b id;
   Codec.write_string b body;
   Codec.contents b

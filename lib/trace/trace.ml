@@ -39,6 +39,7 @@ type t = {
   slot_data : slot_data array;
   incoming_tbl : (int * int, Event.Id.t list) Hashtbl.t;
   mutable n_events : int;
+  mutable end_total : int;  (* sum of the slot ends: [compact] keeps it *)
   mutable n_edges : int;
   mutable n_compactions : int;
       (* bumped by [compact]; extraction cursors use it to notice that
@@ -60,6 +61,7 @@ let create ?base ~slots () =
       Array.init slots (fun _ -> { events = Vec.create (); edges = Vec.create () });
     incoming_tbl = Hashtbl.create 256;
     n_events = 0;
+    end_total = Array.fold_left ( + ) 0 base;
     n_edges = 0;
     n_compactions = 0;
   }
@@ -76,7 +78,8 @@ let append t (e : Event.t) =
       (Printf.sprintf "Trace.append: clock %d in slot %d, expected %d"
          e.id.clock s (slot_end t s + 1));
   Vec.push t.slot_data.(s).events e;
-  t.n_events <- t.n_events + 1
+  t.n_events <- t.n_events + 1;
+  t.end_total <- t.end_total + 1
 
 (* A source may predate the trace's horizon: the event itself is gone (a
    checkpoint subsumed it) but referring to it in an edge is legal — a
@@ -114,6 +117,7 @@ let incoming t (id : Event.Id.t) =
   Option.value (Hashtbl.find_opt t.incoming_tbl (id.slot, id.clock)) ~default:[]
 
 let end_cut t = Array.init (num_slots t) (slot_end t)
+let end_total t = t.end_total
 
 let event_count t = t.n_events
 let edge_count t = t.n_edges

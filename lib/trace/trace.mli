@@ -66,6 +66,10 @@ val incoming : t -> Event.Id.t -> Event.Id.t list
 
 val end_cut : t -> Cut.t
 
+val end_total : t -> int
+(** Sum of {!end_cut}'s watermarks — every event ever recorded, compacted
+    ones included — in O(1) and without allocating. *)
+
 val event_count : t -> int
 (** Resident (materialized) events — O(1); excludes anything compacted
     away below the base. *)

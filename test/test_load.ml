@@ -52,6 +52,16 @@ let wheel_pop_until_partial () =
   Alcotest.(check (list (float 0.)))
     "order across slices" [ 0.1; 0.2; 0.3; 0.4 ] (List.rev !fired)
 
+(* A timer parked on a higher level before the cursor moved can be due
+   sooner than one added later on a lower level: next_due must see it. *)
+let wheel_next_due_across_levels () =
+  let w = W.create ~tick:1e-3 ~now:0. () in
+  W.add w ~at:0.300 "first";
+  check_int "nothing due yet" 0 (W.pop_until w ~now:0.100 (fun _ _ -> ()));
+  W.add w ~at:0.350 "second";
+  Alcotest.(check (option (float 0.))) "earliest across levels" (Some 0.300)
+    (W.next_due w)
+
 let wheel_rearm_during_pop () =
   (* A callback re-arming its own next timer (the session pattern) fires
      again within the same pop when due inside the window. *)
@@ -471,6 +481,8 @@ let suite =
   [
     Alcotest.test_case "wheel: due-time order with ties" `Quick
       wheel_orders_timers;
+    Alcotest.test_case "wheel: next_due across levels" `Quick
+      wheel_next_due_across_levels;
     Alcotest.test_case "wheel: partial pops + next_due" `Quick
       wheel_pop_until_partial;
     Alcotest.test_case "wheel: re-arm during pop" `Quick wheel_rearm_during_pop;

@@ -147,6 +147,34 @@ let restart_allows_new_fibers () =
   Engine.run eng;
   check_bool "new fiber ran" true !ran_after_restart
 
+(* [now] answers for the engine whose fiber is running, even when one
+   engine's fiber drives another engine's fibers directly, and outside
+   any fiber it still raises as an unhandled effect. *)
+let now_follows_running_engine () =
+  let a = Engine.create ~num_nodes:1 () and b = Engine.create ~num_nodes:1 () in
+  let seen = ref [] in
+  let record who = seen := (who, Engine.now ()) :: !seen in
+  ignore
+    (Engine.spawn b ~node:0 (fun () ->
+         Engine.sleep 5.0;
+         record "b"));
+  Engine.run ~until:2.0 b;
+  ignore
+    (Engine.spawn a ~node:0 (fun () ->
+         Engine.sleep 1.0;
+         record "a";
+         Engine.spawn_immediate b ~node:0 (fun () -> record "b-inside-a");
+         record "a-again"));
+  Engine.run a;
+  Engine.run b;
+  Alcotest.(check (list (pair string (float 1e-6))))
+    "each fiber sees its own engine's clock"
+    [ ("a", 1.0); ("b-inside-a", 2.0); ("a-again", 1.0); ("b", 5.0) ]
+    (List.rev !seen);
+  match Engine.now () with
+  | _ -> Alcotest.fail "now outside a fiber must not answer"
+  | exception Effect.Unhandled _ -> ()
+
 (* --- Msync --- *)
 
 let mutex_exclusion () =
@@ -278,7 +306,11 @@ let net_partition_drops () =
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
          Net.register net ~node:1 ~port:"p" (fun ~src:_ _ -> incr got);
+         let metrics () = Obs.Export.metrics_json (Obs.registry (Engine.obs eng)) in
+         let before = metrics () in
          Net.partition net 0 1;
+         Alcotest.(check string) "partitioning an idle pair registers no metrics"
+           before (metrics ());
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
                 Net.send net ~src:0 ~dst:1 ~port:"p" "x";
@@ -355,6 +387,121 @@ let rpc_timeout () =
   Alcotest.(check (option string)) "timed out" None !answer;
   check_bool "timed out at ~0.5s" true (abs_float (!finish -. 0.5) < 0.01)
 
+(* --- Golden substrate run ---
+
+   One fixed-seed 4-node scenario through every substrate path whose cost
+   is tuned: jittered Net traffic, partitions and heals, random loss, Rpc
+   timeouts, CPU contention on [work], and a crash that kills parked,
+   sleeping and core-queued fibers.  The digest covers the (virtual time,
+   event) log, the exported metrics registry and the span trace, so any
+   change to event order, RNG draws, wire bytes or metric registration
+   shows up here.  The pinned value must only change when the simulated
+   behaviour is meant to change. *)
+
+let golden_digest () =
+  let eng = Engine.create ~seed:11 ~cores_per_node:2 ~num_nodes:4 () in
+  let obs = Engine.obs eng in
+  Obs.enable_tracing obs true;
+  let log = Buffer.create 4096 in
+  let note fmt =
+    Printf.ksprintf
+      (fun s -> Printf.bprintf log "%h %s\n" (Engine.clock eng) s)
+      fmt
+  in
+  let net = Net.create eng in
+  let rpc = Rpc.create net in
+  (* Node 1: a CPU-bound service on 2 cores, so concurrent calls queue. *)
+  Rpc.serve rpc ~node:1 ~port:"svc" (fun ~src body ->
+      Engine.work 2e-4;
+      note "svc %d %s" src body;
+      "ok:" ^ body);
+  (* Node 2: replies in time, too late (after the caller's timeout) or
+     never, by the request's last digit. *)
+  Rpc.serve_async rpc ~node:2 ~port:"slow" (fun ~src body ~reply ->
+      note "slow %d %s" src body;
+      match Char.code body.[String.length body - 1] mod 3 with
+      | 0 -> ()
+      | 1 ->
+        Engine.sleep 1e-3;
+        reply body
+      | _ ->
+        Engine.sleep 3e-3;
+        reply body);
+  for node = 0 to 3 do
+    Net.register net ~node ~port:"gossip" (fun ~src payload ->
+        note "gossip %d->%d %s" src node payload)
+  done;
+  let caller node dst port n =
+    ignore
+      (Engine.spawn eng ~node ~name:"caller" (fun () ->
+           for i = 1 to n do
+             let body = Printf.sprintf "%d.%d" node i in
+             (match Rpc.call rpc ~src:node ~dst ~port ~timeout:2e-3 body with
+             | Some r -> note "reply %d %s" node r
+             | None -> note "timeout %d %s" node body);
+             Engine.sleep 5e-4
+           done))
+  in
+  caller 0 1 "svc" 30;
+  caller 3 1 "svc" 30;
+  caller 0 2 "slow" 10;
+  caller 3 2 "slow" 10;
+  ignore
+    (Engine.spawn eng ~node:3 ~name:"gossiper" (fun () ->
+         for i = 1 to 60 do
+           Net.send net ~src:3 ~dst:(i mod 4) ~port:"gossip" (string_of_int i);
+           Engine.sleep 3e-4
+         done));
+  (* Node 2 hosts fibers in every suspended state when it crashes:
+     parked, sleeping, holding a core and queued for one. *)
+  let victim name body =
+    ignore
+      (Engine.spawn eng ~node:2 ~name (fun () ->
+           match body () with
+           | () -> note "%s finished" name
+           | exception Engine.Killed ->
+             note "%s killed" name;
+             raise Engine.Killed))
+  in
+  victim "parked" (fun () -> Engine.park (fun _ -> ()));
+  victim "sleeper" (fun () -> Engine.sleep 1.0);
+  for i = 1 to 5 do
+    victim (Printf.sprintf "worker%d" i) (fun () -> Engine.work 8e-3)
+  done;
+  let at time f = Engine.schedule eng ~at:time f in
+  at 4e-3 (fun () -> note "partition 0 1"; Net.partition net 0 1);
+  at 7e-3 (fun () -> note "heal 0 1"; Net.heal net 0 1);
+  at 9e-3 (fun () ->
+      note "partition 3 1, 3 2";
+      Net.partition net 3 1;
+      Net.partition net 3 2;
+      Net.set_drop_probability net 0.2);
+  at 1.2e-2 (fun () -> note "crash 2"; Engine.crash_node eng 2);
+  at 1.4e-2 (fun () ->
+      note "heal_all";
+      Net.heal_all net;
+      Net.set_drop_probability net 0.);
+  at 1.6e-2 (fun () ->
+      note "restart 2";
+      Engine.restart_node eng 2;
+      victim "reborn" (fun () -> Engine.work 1e-4));
+  Engine.run eng;
+  note "end: sent %d bytes %d dropped %d" (Net.messages_sent net)
+    (Net.bytes_sent net) (Net.messages_dropped net);
+  let reg = Obs.registry obs in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n--\n"
+          [
+            Buffer.contents log;
+            Obs.Export.metrics_json reg;
+            Obs.Export.chrome_trace (Obs.spans obs);
+          ]))
+
+let golden_substrate_run () =
+  Alcotest.(check string) "digest" "216fa0d8b94570d9a42ed9bc70363fbf"
+    (golden_digest ())
+
 (* --- Pqueue and Rng --- *)
 
 let pqueue_order () =
@@ -364,27 +511,73 @@ let pqueue_order () =
   Pqueue.add q ~priority:2.0 "b";
   Pqueue.add q ~priority:1.0 "a2";
   let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let p = Pqueue.min_priority q in
+      let v = Pqueue.pop_value q in
+      drain ((p, v) :: acc)
   in
-  Alcotest.(check (list string))
+  Alcotest.(check (list (pair (float 0.) string)))
     "priority then insertion order"
-    [ "a1"; "a2"; "b"; "c" ]
-    (drain [])
+    [ (1.0, "a1"); (1.0, "a2"); (2.0, "b"); (3.0, "c") ]
+    (drain []);
+  check_bool "drained" true (Pqueue.is_empty q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop_value: empty")
+    (fun () -> ignore (Pqueue.pop_value q))
 
-let prop_pqueue_sorted =
-  QCheck.Test.make ~name:"pqueue pops sorted" ~count:100
-    QCheck.(list (float_range 0. 1000.))
-    (fun prios ->
+(* Model check: random interleavings of adds and pops, most drawn from a
+   few priorities so ties are common, against a reference list kept
+   sorted by (priority, insertion seq).  [Some p] adds at priority p,
+   [None] pops. *)
+let prop_pqueue_model =
+  QCheck.Test.make ~name:"pqueue matches priority-seq model" ~count:300
+    QCheck.(
+      list
+        (option
+           (frequency
+              [ (3, map float_of_int (int_range 0 4)); (1, float_range 0. 1000.) ])))
+    (fun ops ->
       let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q ~priority:p ()) prios;
-      let rec drain last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some (p, ()) -> p >= last && drain p
+      let model = ref [] and seq = ref 0 in
+      let pop () =
+        match !model with
+        | [] -> Pqueue.is_empty q
+        | (p, s) :: rest ->
+          model := rest;
+          (not (Pqueue.is_empty q))
+          && Pqueue.min_priority q = p
+          && Pqueue.pop_value q = s
       in
-      drain neg_infinity)
+      List.for_all
+        (function
+          | Some p ->
+            Pqueue.add q ~priority:p !seq;
+            model := List.merge compare !model [ (p, !seq) ];
+            incr seq;
+            Pqueue.length q = List.length !model
+          | None -> pop ())
+        ops
+      && List.for_all (fun _ -> pop ()) !model
+      && Pqueue.is_empty q)
+
+(* A popped value must not stay reachable from the queue, including the
+   last one, whose slot nothing else overwrites. *)
+let pqueue_releases_popped () =
+  let q = Pqueue.create () in
+  let collected = ref 0 in
+  let add priority =
+    let v = ref 0 in
+    Gc.finalise (fun _ -> incr collected) v;
+    Pqueue.add q ~priority v
+  in
+  add 1.;
+  add 2.;
+  for _ = 1 to 2 do
+    ignore (Sys.opaque_identity (Pqueue.pop_value q))
+  done;
+  Gc.full_major ();
+  check_int "both popped values collected" 2 !collected;
+  check_bool "queue still live and empty" true (Pqueue.is_empty q)
 
 let rng_deterministic () =
   let a = Rng.create 5 and b = Rng.create 5 in
@@ -412,6 +605,7 @@ let suite =
     Alcotest.test_case "determinism per seed" `Quick determinism_same_seed;
     Alcotest.test_case "crash kills fibers" `Quick crash_kills_fibers;
     Alcotest.test_case "restart allows new fibers" `Quick restart_allows_new_fibers;
+    Alcotest.test_case "now follows the running engine" `Quick now_follows_running_engine;
     Alcotest.test_case "mutex exclusion" `Quick mutex_exclusion;
     Alcotest.test_case "mutex try_lock" `Quick mutex_try_lock;
     Alcotest.test_case "mutex unlock checks holder" `Quick mutex_unlock_not_holder;
@@ -425,8 +619,10 @@ let suite =
     Alcotest.test_case "timers" `Quick timer_after_and_every;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc timeout" `Quick rpc_timeout;
+    Alcotest.test_case "golden substrate run" `Quick golden_substrate_run;
     Alcotest.test_case "pqueue order" `Quick pqueue_order;
-    QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+    QCheck_alcotest.to_alcotest prop_pqueue_model;
+    Alcotest.test_case "pqueue releases popped values" `Quick pqueue_releases_popped;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_bounds;
   ]
