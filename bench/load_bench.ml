@@ -145,43 +145,28 @@ let deploy ?record_cost ~seed ~admit stack =
     let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
     let net = Net.create eng in
     let rpc = Rpc.create net in
+    (* SMR, Eve and the sched stacks are one server type; only their
+       [create] differs. *)
+    let deploy_log create =
+      let servers =
+        Array.init 3 (fun i ->
+            create ~node:i ~paxos_store:(Paxos.Store.create ())
+              (keyed_factory ()))
+      in
+      Array.iter R.Log_server.start servers;
+      Array.to_list servers |> List.map R.Log_server.frontend
+    in
     let fronts =
       match stack with
-      | SSmr ->
-        let servers =
-          Array.init 3 (fun i ->
-              Smr.create net rpc cfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                (keyed_factory ()))
-        in
-        Array.iter Smr.start servers;
-        Array.to_list servers |> List.map Smr.frontend
+      | SSmr -> deploy_log (Smr.create net rpc cfg)
       | SEve ->
-        let ecfg =
-          Eve.default_config ~workers:4 ~admit_global:ad_global
-            ~admit_per_client:ad_per_client ~admit_queue_soft:ad_soft
-            ~admit_queue_hard:ad_hard ~replicas ()
-        in
-        let servers =
-          Array.init 3 (fun i ->
-              Eve.create net rpc ecfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                ~conflict_keys:conflict (keyed_factory ()))
-        in
-        Array.iter Eve.start servers;
-        Array.to_list servers |> List.map Eve.frontend
+        let ecfg = { (Eve.default_config ~replicas ()) with Eve.base = cfg } in
+        deploy_log (Eve.create net rpc ecfg ~conflict_keys:conflict)
       | SCbase | SEarly ->
         let mode =
           if stack = SCbase then Sched.Exec.Cbase else Sched.Exec.Early
         in
-        let servers =
-          Array.init 3 (fun i ->
-              Sched.Server.create net rpc cfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                ~mode ~conflict (keyed_factory ()))
-        in
-        Array.iter Sched.Server.start servers;
-        Array.to_list servers |> List.map Sched.Server.frontend
+        deploy_log (Sched.Server.create net rpc cfg ~mode ~conflict)
       | SRex -> assert false
     in
     Engine.run ~until:1.0 eng;

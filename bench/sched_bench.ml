@@ -83,7 +83,7 @@ let make_sched ~seed ~mode ~workers () =
         Array.to_list servers |> List.map Sched.Server.app_digest);
     extras =
       (fun () ->
-        let s = (Sched.Server.stats primary).Sched.Server.exec in
+        let s = Sched.Exec.stats (Sched.Server.exec primary) in
         Printf.sprintf "graph<=%d ready<=%d stalls=%d" s.Sched.Exec.graph_max
           s.Sched.Exec.ready_max s.Sched.Exec.barrier_stalls);
   }

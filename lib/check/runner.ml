@@ -299,7 +299,8 @@ let deploy_rex history_of cfg =
   }
 
 let deploy_single history_of cfg =
-  (* SMR, Eve and the sched stacks share a harness: three replicas on
+  (* SMR, Eve and the sched stacks are one server type
+     ({!Rex_core.Log_server}) and share a harness: three replicas on
      nodes 0-2, clients on node 3, no restart path (these stacks have no
      recovery-from-disk). *)
   let eng = Engine.create ~seed:cfg.seed ~cores_per_node:8 ~num_nodes:4 () in
@@ -307,106 +308,59 @@ let deploy_single history_of cfg =
   let net = Net.create eng in
   let rpc = Rpc.create net in
   let replicas = [ 0; 1; 2 ] in
-  (* Each maker returns (fronts, digests, leader, upgrade_node): the
-     server arrays are mutable so [upgrade_node] can replace one replica
-     in place — crash the node, re-create the server over the {e same}
-     Paxos store, replay the committed prefix to rebuild app and session
-     state, start, and re-wire the history tap.  That is the rolling
-     upgrade path for stacks without checkpoint recovery. *)
+  (* [deploy] takes the stack's [create] and returns (fronts, digests,
+     leader, upgrade_node): the server array is mutable so
+     [upgrade_node] can replace one replica in place — crash the node,
+     re-create the server over the {e same} Paxos store, replay the
+     committed prefix to rebuild app and session state, start, and
+     re-wire the history tap.  That is the rolling upgrade path for
+     stacks without checkpoint recovery. *)
   let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let make_smr () =
-    let config =
-      R.Config.make ~workers:1 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk i =
-      Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-        (factory_for cfg)
-    in
+  let deploy create =
+    let module L = R.Log_server in
+    let mk i = create ~node:i ~paxos_store:stores.(i) in
     let servers = Array.init 3 mk in
-    Array.iter Smr.start servers;
-    let live s = Engine.node_alive eng (Smr.node s) in
-    ( (fun () ->
-        List.map Smr.frontend (Array.to_list servers)),
+    Array.iter L.start servers;
+    let live s = Engine.node_alive eng (L.node s) in
+    ( (fun () -> List.map L.frontend (Array.to_list servers)),
       (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Smr.app_digest),
+        Array.to_list servers |> List.filter live |> List.map L.app_digest),
       (fun () ->
         Array.to_list servers
-        |> List.find_opt (fun s -> live s && Smr.is_primary s)
-        |> Option.map Smr.node),
+        |> List.find_opt (fun s -> live s && L.is_primary s)
+        |> Option.map L.node),
       fun i ->
         Engine.crash_node eng i;
         Engine.restart_node eng i;
         let s = mk i in
-        Smr.replay s;
-        Smr.start s;
+        L.replay s;
+        L.start s;
         servers.(i) <- s;
-        History.wire history [ Smr.frontend s ] )
+        History.wire history [ L.frontend s ] )
   in
-  let make_eve () =
-    let ecfg =
-      Eve.default_config ~workers:4 ~replicas
-        ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk i =
-      Eve.create net rpc ecfg ~node:i ~paxos_store:stores.(i)
-        ~conflict_keys:(conflict_keys_for cfg) (factory_for cfg)
-    in
-    let servers = Array.init 3 mk in
-    Array.iter Eve.start servers;
-    let live s = Engine.node_alive eng (Eve.node s) in
-    ( (fun () ->
-        List.map Eve.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Eve.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && Eve.is_primary s)
-        |> Option.map Eve.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        Eve.replay s;
-        Eve.start s;
-        servers.(i) <- s;
-        History.wire history [ Eve.frontend s ] )
+  let config ~workers =
+    R.Config.make ~workers ~replicas ~lease_unsafe:cfg.lease_unsafe ()
   in
-  let make_sched mode =
-    let config =
-      R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk i =
-      Sched.Server.create net rpc config ~node:i ~paxos_store:stores.(i)
-        ~mode ~conflict:(conflict_keys_for cfg) (factory_for cfg)
-    in
-    let servers = Array.init 3 mk in
-    Array.iter Sched.Server.start servers;
-    let live s = Engine.node_alive eng (Sched.Server.node s) in
-    ( (fun () -> List.map Sched.Server.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Sched.Server.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && Sched.Server.is_primary s)
-        |> Option.map Sched.Server.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        Sched.Server.replay s;
-        Sched.Server.start s;
-        servers.(i) <- s;
-        History.wire history [ Sched.Server.frontend s ] )
+  let sched mode ~node ~paxos_store =
+    Sched.Server.create net rpc (config ~workers:4) ~node ~paxos_store ~mode
+      ~conflict:(conflict_keys_for cfg) (factory_for cfg)
   in
   let fronts, digests, leader, upgrade_node =
     match cfg.stack with
-    | Smr -> make_smr ()
-    | Cbase -> make_sched Sched.Exec.Cbase
-    | Early -> make_sched Sched.Exec.Early
-    | _ -> make_eve ()
+    | Smr ->
+      deploy (fun ~node ~paxos_store ->
+          Smr.create net rpc (config ~workers:1) ~node ~paxos_store
+            (factory_for cfg))
+    | Cbase -> deploy (sched Sched.Exec.Cbase)
+    | Early -> deploy (sched Sched.Exec.Early)
+    | _ ->
+      let ecfg =
+        Eve.default_config ~workers:4 ~replicas
+          ~lease_unsafe:cfg.lease_unsafe ()
+      in
+      deploy (fun ~node ~paxos_store ->
+          Eve.create net rpc ecfg ~node ~paxos_store
+            ~conflict_keys:(conflict_keys_for cfg) (factory_for cfg))
   in
   Engine.run ~until:1.0 eng;
   if leader () = None then Engine.run ~until:3.0 eng;

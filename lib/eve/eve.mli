@@ -26,34 +26,32 @@
       conflict, to study the cost of imperfect mixers (rollback + serial
       re-execution).
 
-    The same {!Rex_core.App.factory} applications run unchanged: their
-    synchronization wrappers take the native path. *)
-
-type t
+    This is the mix-execute-verify executor of {!Rex_core.Log_server},
+    which owns Paxos and the frontend; the mixer is the core's batcher,
+    running on the leader only.  The same {!Rex_core.App.factory}
+    applications run unchanged: their synchronization wrappers take the
+    native path. *)
 
 type config = {
-  replicas : int list;
-  workers : int;  (** executor threads per replica *)
+  base : Rex_core.Config.t;
+      (** replicas, [workers] (executor threads per replica), election,
+          lease and admission settings (the admission queue-depth probe
+          is the mixer's pending queue); [propose_interval] is unused:
+          the mixer runs every 0.2 ms *)
   batch_max : int;
-  mix_interval : float;
   miss_rate : float;  (** P(mixer misses a true conflict) *)
-  heartbeat_period : float;
-  election_timeout : float;
-  lease_duration : float;  (** [<= 0.] disables leases *)
-  lease_drift_bound : float;
-  lease_unsafe : bool;  (** testing only: skip the lease check on reads *)
-  admit_global : int;
-      (** frontend admission bounds, mirroring [Rex_core.Config]; the
-          queue-depth probe is the mixer's pending queue.  0 = off *)
-  admit_per_client : int;
-  admit_queue_soft : int;
-  admit_queue_hard : int;
 }
 
 val default_config : ?workers:int -> ?batch_max:int -> ?miss_rate:float ->
   ?lease_duration:float -> ?lease_drift_bound:float -> ?lease_unsafe:bool ->
   ?admit_global:int -> ?admit_per_client:int -> ?admit_queue_soft:int ->
   ?admit_queue_hard:int -> replicas:int list -> unit -> config
+(** {!Rex_core.Config.make}'s defaults, 8 workers, batches of at most 64
+    and a perfect mixer. *)
+
+type state
+
+type t = state Rex_core.Log_server.t
 
 type stats = {
   requests_executed : int;
@@ -62,6 +60,7 @@ type stats = {
   rollbacks : int;  (** batches that diverged and were re-run serially *)
   avg_batch : float;
 }
+(** A view over the replica's [eve/*] Obs counters. *)
 
 val create :
   Sim.Net.t ->
@@ -76,21 +75,11 @@ val create :
     timers (unsupported by the execute-verify model, §5). *)
 
 val start : t -> unit
-
 val replay : t -> unit
-(** Queue the store's committed prefix for re-execution — the rolling
-    upgrade path: a replacement server [create]d over the retired
-    server's {!Paxos.Store.t} calls this before {!start} to rebuild app
-    and session state (this stack has no checkpoint recovery). *)
-
 val node : t -> int
 val is_primary : t -> bool
-
 val session_table : t -> Rex_core.Session.Table.t
-(** The replica's client-session table (see {!Rex_core.Session}). *)
-
 val frontend : t -> Rex_core.Frontend.t
-(** The replica's client-facing frontend, for history taps. *)
 
 val response_digest : string array -> string
 (** The responses' part of a batch digest: a hash folded over every

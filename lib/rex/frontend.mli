@@ -145,9 +145,8 @@ val register :
 
 val encode_batch : string list -> string
 val decode_batch : string -> string list
-(** The batch wire format shared by the SMR and Eve proposers (formerly
-    duplicated in both). Raises {!Codec.Decode_error} on malformed
-    input. *)
+(** The batch wire format of the log-order core ({!Log_server}).
+    Raises {!Codec.Decode_error} on malformed input. *)
 
 (** Flow-control bookkeeping (paper §6.3): secondaries report executed
     counts; the primary stalls intake when the slowest live secondary

@@ -1,0 +1,312 @@
+open Sim
+
+type callback = string option -> unit
+
+type item = Request of string * callback option | Tick of (unit -> unit)
+
+type executor = {
+  deliver : int -> item list -> unit;
+  gate_read : string -> unit;
+  applied : unit -> int;
+  form_batch : (string * callback) Queue.t -> (string * callback) list;
+  tick : float;
+}
+
+type env = {
+  eng : Engine.t;
+  net : Net.t;
+  backend : Par.Backend.t;
+  node : int;
+  cfg : Config.t;
+  app : App.t;
+  inner : App.t;
+  session : Session.Table.t;
+  n_timers : int;
+  leader_hint : unit -> int option;
+}
+
+let timer_prefix = "\x00TIMER:"
+let is_tick request = String.starts_with ~prefix:timer_prefix request
+
+type 'x t = {
+  env : env;
+  stack : string;
+  pstore : Paxos.Store.t;
+  timers : Api.timer_spec array;
+  state : 'x;
+  exec : executor;
+  pax : Paxos.Replica.t option ref;
+  mutable front : Frontend.t option;
+  mutable leader : bool;
+  mutable leader_epoch : int;
+  queue : (string * callback) Queue.t;
+  mutable inflight : (int * string * callback option list) option;
+      (* the instance and encoded batch we proposed, and its callbacks *)
+  exec_queue : (int * item list) Queue.t;
+  mutable exec_waiters : Engine.waker list;
+}
+
+let state t = t.state
+let node t = t.env.node
+let is_primary t = t.leader
+let app t = t.env.app
+let session_table t = t.env.session
+let app_digest t = t.env.app.App.digest ()
+let query t request = t.env.app.App.query ~request
+
+let frontend t =
+  match t.front with
+  | Some f -> f
+  | None -> invalid_arg "Log_server.frontend: not registered"
+
+(* Clients may not forge ticks: a reserved-prefix request is dropped
+   before it reaches the queue the batcher proposes from. *)
+let submit t request cb =
+  if (not t.leader) || is_tick request then cb None
+  else Queue.push (request, cb) t.queue
+
+let take n q =
+  let rec drain k acc =
+    if k = 0 then List.rev acc
+    else
+      match Queue.take_opt q with
+      | None -> List.rev acc
+      | Some r -> drain (k - 1) (r :: acc)
+  in
+  drain n []
+
+let wake_executor t =
+  let ws = t.exec_waiters in
+  t.exec_waiters <- [];
+  List.iter Engine.wake ws
+
+(* Committed batches reach the executor strictly in log order: commits
+   arrive in order ([max_inflight = 1]) and one fiber delivers them. *)
+let executor_loop t () =
+  let rec loop () =
+    match Queue.take_opt t.exec_queue with
+    | Some (instance, items) ->
+      t.exec.deliver instance items;
+      loop ()
+    | None ->
+      Engine.park (fun w -> t.exec_waiters <- w :: t.exec_waiters);
+      loop ()
+  in
+  loop ()
+
+let item_of t request cb =
+  if is_tick request then
+    let idx =
+      String.sub request (String.length timer_prefix)
+        (String.length request - String.length timer_prefix)
+    in
+    match int_of_string_opt idx with
+    | Some i when i >= 0 && i < Array.length t.timers ->
+      Tick t.timers.(i).Api.t_callback
+    | _ -> Tick ignore
+  else Request (request, cb)
+
+(* The leader answers the requests of the batch it proposed; any other
+   commit of the instance (a rival leader's, a replay) has no callbacks
+   here. *)
+let on_committed t instance value =
+  match Frontend.decode_batch value with
+  | exception Codec.Decode_error _ -> ()
+  | reqs ->
+    let cbs =
+      match t.inflight with
+      | Some (i, enc, cbs) when i = instance && enc = value ->
+        t.inflight <- None;
+        cbs
+      | Some _ | None -> List.map (fun _ -> None) reqs
+    in
+    let cbs =
+      (* Defensive: lengths can differ if the commit is foreign. *)
+      if List.length cbs = List.length reqs then cbs
+      else List.map (fun _ -> None) reqs
+    in
+    Queue.push (instance, List.map2 (item_of t) reqs cbs) t.exec_queue;
+    wake_executor t
+
+let replay t = Paxos.Replica.replay_committed t.pstore (on_committed t)
+
+let spawn_leader_fibers t =
+  t.leader_epoch <- t.leader_epoch + 1;
+  let epoch = t.leader_epoch in
+  let live () = t.leader && t.leader_epoch = epoch in
+  (* Batcher: drain the queue into proposals, one instance at a time. *)
+  let propose () =
+    let pax = Option.get !(t.pax) in
+    if Paxos.Replica.is_leader pax && not (Paxos.Replica.in_flight pax) then
+      match t.exec.form_batch t.queue with
+      | [] -> ()
+      | items ->
+        let enc = Frontend.encode_batch (List.map fst items) in
+        let instance = Paxos.Replica.next_instance pax in
+        if Paxos.Replica.propose pax enc then
+          t.inflight <-
+            Some (instance, enc, List.map (fun (_, cb) -> Some cb) items)
+        else List.iter (fun (_, cb) -> cb None) items
+  in
+  ignore
+    (Engine.spawn t.env.eng ~node:t.env.node ~name:(t.stack ^ ".batcher")
+       (fun () ->
+         while live () do
+           Engine.sleep t.exec.tick;
+           if live () && t.inflight = None && not (Queue.is_empty t.queue)
+           then propose ()
+         done));
+  (* Timers become proposed pseudo-requests, so every replica runs the
+     callback at the same log position. *)
+  Array.iteri
+    (fun idx spec ->
+      ignore
+        (Engine.spawn t.env.eng ~node:t.env.node
+           ~name:(t.stack ^ ".timer." ^ spec.Api.t_name)
+           (fun () ->
+             while live () do
+               Engine.sleep spec.Api.t_interval;
+               if live () then
+                 Queue.push
+                   (Printf.sprintf "%s%d" timer_prefix idx, fun _ -> ())
+                   t.queue
+             done)))
+    t.timers
+
+let create net rpc cfg ~node ~paxos_store ~stack build factory =
+  let eng = Net.engine net in
+  (* The app's wrappers run native: no fiber is ever bound to a slot. *)
+  let backend = Par.Backend.of_sim eng in
+  let rt = Rexsync.Runtime.create backend ~node ~slots:1 in
+  let api = Api.make rt in
+  let session = Session.Table.create (Engine.obs eng) ~stack ~node () in
+  (* Execution order is identical on every replica (each executor keeps
+     conflicting requests, and one client's requests, in log order), so
+     the in-execute duplicate check is deterministic — it catches
+     retries that slipped past intake on a freshly elected leader whose
+     executor is still catching up on earlier instances. *)
+  let inner = factory api in
+  let app = Session.wrap ~table:session ~dedup_in_execute:true inner in
+  let timers = Array.of_list (Api.seal api) in
+  let pax = ref None in
+  let leader_hint () = Option.bind !pax Paxos.Replica.leader_hint in
+  let env =
+    {
+      eng;
+      net;
+      backend;
+      node;
+      cfg;
+      app;
+      inner;
+      session;
+      n_timers = Array.length timers;
+      leader_hint;
+    }
+  in
+  let state, exec = build env in
+  let t =
+    {
+      env;
+      stack;
+      pstore = paxos_store;
+      timers;
+      state;
+      exec;
+      pax;
+      front = None;
+      leader = false;
+      leader_epoch = 0;
+      queue = Queue.create ();
+      inflight = None;
+      exec_queue = Queue.create ();
+      exec_waiters = [];
+    }
+  in
+  t.front <-
+    Some
+      (Frontend.register rpc ~node ~table:session
+         ?admission:
+           (Config.admission cfg ~queue_depth:(fun () -> Queue.length t.queue))
+         ~reads:
+           {
+             Frontend.r_peers =
+               (fun () ->
+                 match !pax with
+                 | Some p -> Paxos.Replica.peers p
+                 | None -> cfg.Config.replicas);
+             r_lease_valid =
+               (fun () ->
+                 t.leader
+                 && match !pax with
+                    | Some p -> Paxos.Replica.holds_lease p
+                    | None -> false);
+             r_read_index =
+               (fun () ->
+                 match !pax with
+                 | Some p -> Paxos.Replica.read_index p
+                 | None -> 0);
+             (* The leader replies to a write only after executing it
+                locally, so once the executor's gate opens leader state
+                covers every acked write: both read paths answer from
+                [app] directly. *)
+             r_applied_upto = exec.applied;
+             r_read_local =
+               (fun request cb ->
+                 exec.gate_read request;
+                 cb (Some (app.App.query ~request)));
+             r_lease_unsafe = cfg.Config.lease_unsafe;
+           }
+         {
+           Frontend.is_leader = (fun () -> t.leader);
+           leader_hint;
+           enqueue = submit t;
+           query = (fun request -> Some (app.App.query ~request));
+         });
+  t
+
+let start t =
+  let cfg = t.env.cfg in
+  let pax_cfg =
+    {
+      Paxos.Replica.me = t.env.node;
+      peers = cfg.Config.replicas;
+      heartbeat_period = cfg.Config.heartbeat_period;
+      election_timeout = cfg.Config.election_timeout;
+      max_inflight = 1;
+      sync_latency = 0.;
+      lease_duration = cfg.Config.lease_duration;
+      lease_drift_bound = cfg.Config.lease_drift_bound;
+    }
+  in
+  let cbs =
+    {
+      Paxos.Replica.on_committed = (fun i v -> on_committed t i v);
+      on_become_leader =
+        (fun () ->
+          t.leader <- true;
+          spawn_leader_fibers t);
+      on_new_leader =
+        (fun _ ->
+          if t.leader then begin
+            t.leader <- false;
+            (* Our uncommitted proposal may still commit, but a deposed
+               leader no longer answers for it: dropping its callbacks
+               releases the frontend's in-flight entries, so client
+               retries can be served by the new leader. *)
+            (match t.inflight with
+            | Some (_, _, cbs) ->
+              List.iter (function Some cb -> cb None | None -> ()) cbs
+            | None -> ());
+            t.inflight <- None;
+            Queue.iter (fun (_, cb) -> cb None) t.queue;
+            Queue.clear t.queue
+          end);
+    }
+  in
+  let pax = Paxos.Replica.create t.env.net pax_cfg t.pstore cbs in
+  t.pax := Some pax;
+  Paxos.Replica.start pax;
+  ignore
+    (Engine.spawn t.env.eng ~node:t.env.node ~name:(t.stack ^ ".executor")
+       (executor_loop t))

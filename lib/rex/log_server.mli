@@ -1,0 +1,102 @@
+(** The log-order server core shared by the consensus-execute stacks
+    (SMR, the CBASE/early sched stacks and Eve; DESIGN.md §7, §12).
+
+    The core owns everything those stacks have in common: the replica's
+    session-wrapped app and {!Session.Table.t}, Paxos with one instance
+    in flight, the {!Frontend} registration (leases, read index,
+    admission over the proposal queue), the leader-epoch batcher that
+    turns the queue into proposals, the timer fibers that propose ticks,
+    the [on_new_leader] flush, decoding each committed batch and pairing
+    it with the leader's reply callbacks, and the executor fiber that
+    hands committed batches to the stack in log order (also on
+    {!replay}).
+
+    A stack supplies an {!executor}: what it does with a committed
+    batch, how it gates a local read, how far it has applied, how it
+    forms a batch and how often the batcher ticks.
+
+    Timer ticks travel through the log as reserved-prefix requests
+    ("\x00TIMER:<index>").  Only the core's timer fibers produce them:
+    a client request with that prefix is answered [None] at intake. *)
+
+type callback = string option -> unit
+
+(** One entry of a committed batch, decoded by the core. *)
+type item =
+  | Request of string * callback option
+      (** a client request (still session-enveloped), with its reply
+          callback on the replica whose proposal committed it *)
+  | Tick of (unit -> unit)
+      (** an application timer callback, due at this log position *)
+
+type executor = {
+  deliver : int -> item list -> unit;
+      (** run committed instance [i]'s batch; called on the core's
+          executor fiber, in log order, and may park *)
+  gate_read : string -> unit;
+      (** park the calling fiber until a local read of this request may
+          observe the state (lease and quorum reads) *)
+  applied : unit -> int;
+      (** highest instance whose effects are fully queryable, [-1] while
+          mid-batch state is not *)
+  form_batch : (string * callback) Queue.t -> (string * callback) list;
+      (** take the next proposal's requests from the leader's queue, in
+          the order they will execute; requests left behind stay queued *)
+  tick : float;  (** batcher period *)
+}
+
+(** What a stack's executor is built from. *)
+type env = {
+  eng : Sim.Engine.t;
+  net : Sim.Net.t;
+  backend : Par.Backend.t;
+  node : int;
+  cfg : Config.t;
+  app : App.t;  (** session-wrapped, with the in-execute duplicate check *)
+  inner : App.t;  (** the same app unwrapped *)
+  session : Session.Table.t;
+  n_timers : int;  (** background timers the app registered *)
+  leader_hint : unit -> int option;
+}
+
+type 'x t
+(** A replica whose executor carries stack state ['x]. *)
+
+val create :
+  Sim.Net.t ->
+  Sim.Rpc.t ->
+  Config.t ->
+  node:int ->
+  paxos_store:Paxos.Store.t ->
+  stack:string ->
+  (env -> 'x * executor) ->
+  App.factory ->
+  'x t
+(** [stack] labels the session table's metrics and names the core's
+    fibers.  The core reads [cfg]'s replicas, election, lease and
+    admission fields; batching follows the executor's [tick]. *)
+
+val take : int -> (string * callback) Queue.t -> (string * callback) list
+(** The plain batcher: up to [n] requests in arrival order. *)
+
+val start : 'x t -> unit
+
+val replay : 'x t -> unit
+(** Queue the store's committed prefix for re-execution — the rolling
+    upgrade path: a replacement server [create]d over the retired
+    server's {!Paxos.Store.t} calls this before {!start} to rebuild app
+    and session state (these stacks have no checkpoint recovery). *)
+
+val state : 'x t -> 'x
+val node : 'x t -> int
+val is_primary : 'x t -> bool
+val app : 'x t -> App.t
+val session_table : 'x t -> Session.Table.t
+val frontend : 'x t -> Frontend.t
+
+val submit : 'x t -> string -> callback -> unit
+(** Queue a request on the leader; [None] elsewhere and for requests
+    with the reserved tick prefix. *)
+
+val query : 'x t -> string -> string
+val app_digest : 'x t -> string

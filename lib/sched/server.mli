@@ -1,26 +1,18 @@
-(** Conflict-aware parallel SMR stacks behind the shared frontend
-    (DESIGN.md §12): consensus-execute like {!Smr}, but committed
-    requests feed {!Exec} — a CBASE-style conflict DAG ([Cbase]) or
-    early class-to-worker scheduling ([Early]) — instead of a single
-    sequential executor.  No record/replay: commuting requests
-    interleave freely, conflicting ones execute in log order on every
-    replica, so state stays identical without a trace.
+(** Conflict-aware parallel SMR stacks (DESIGN.md §12): consensus-execute
+    like {!Smr}, but committed requests feed {!Exec} — a CBASE-style
+    conflict DAG ([Cbase]) or early class-to-worker scheduling
+    ([Early]) — instead of a single sequential executor.  No
+    record/replay: commuting requests interleave freely, conflicting
+    ones execute in log order on every replica, so state stays identical
+    without a trace.
 
-    Background timers are proposed pseudo-requests executed as global
-    barriers: every replica runs the callback at the same log position.
-    Lease/quorum reads park until no in-flight write claims one of the
-    read's conflict keys. *)
+    This is the {!Exec} executor of {!Rex_core.Log_server}, which owns
+    batching, Paxos and the frontend.  Background timers are proposed
+    pseudo-requests executed as global barriers: every replica runs the
+    callback at the same log position.  Lease/quorum reads park until no
+    in-flight write claims one of the read's conflict keys. *)
 
-type t
-
-type stats = {
-  requests_executed : int;
-  replies_sent : int;
-  queries_served : int;
-  proposals_sent : int;
-  proposal_bytes : int;
-  exec : Exec.stats;
-}
+type t = Exec.t Rex_core.Log_server.t
 
 val create :
   Sim.Net.t ->
@@ -37,13 +29,7 @@ val create :
     [propose_interval] paces batching, as in the other stacks. *)
 
 val start : t -> unit
-
 val replay : t -> unit
-(** Queue the store's committed prefix for re-execution — the rolling
-    upgrade path: a replacement server [create]d over the retired
-    server's {!Paxos.Store.t} calls this before {!start} to rebuild app
-    and session state (this stack has no checkpoint recovery). *)
-
 val node : t -> int
 val is_primary : t -> bool
 val session_table : t -> Rex_core.Session.Table.t
@@ -53,7 +39,6 @@ val exec : t -> Exec.t
 val submit : t -> string -> (string option -> unit) -> unit
 val query : t -> string -> string
 val app_digest : t -> string
-val stats : t -> stats
 val executed_requests : t -> int
 
 val checkpoint : t -> string

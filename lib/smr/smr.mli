@@ -9,18 +9,13 @@
     proposes a timer-tick pseudo-request, so all replicas run the callback
     at the same point in the request order.
 
-    The same {!Rex_core.App.factory} runs unchanged: its synchronization
-    wrappers see unbound fibers and take the native path. *)
+    This is the serial executor of {!Rex_core.Log_server}, which owns
+    batching, Paxos and the frontend.  The same {!Rex_core.App.factory}
+    runs unchanged: its synchronization wrappers see unbound fibers and
+    take the native path. *)
 
-type t
-
-type stats = {
-  requests_executed : int;
-  replies_sent : int;
-  queries_served : int;
-  proposals_sent : int;
-  proposal_bytes : int;
-}
+type t = Obs.Metric.counter Rex_core.Log_server.t
+(** The state is the replica's [smr/requests_executed] counter. *)
 
 val create :
   Sim.Net.t ->
@@ -34,24 +29,12 @@ val create :
     [propose_interval] paces batching. *)
 
 val start : t -> unit
-
 val replay : t -> unit
-(** Queue the store's committed prefix for re-execution — the rolling
-    upgrade path: a replacement server [create]d over the retired
-    server's {!Paxos.Store.t} calls this before {!start} to rebuild app
-    and session state (this stack has no checkpoint recovery). *)
-
 val node : t -> int
 val is_primary : t -> bool
-
 val session_table : t -> Rex_core.Session.Table.t
-(** The replica's client-session table (see {!Rex_core.Session}). *)
-
 val frontend : t -> Rex_core.Frontend.t
-(** The replica's client-facing frontend, for history taps. *)
-
 val submit : t -> string -> (string option -> unit) -> unit
 val query : t -> string -> string
 val app_digest : t -> string
-val stats : t -> stats
 val executed_requests : t -> int
