@@ -333,6 +333,52 @@ let tests_session_savepoint =
              undo ())))
     sizes
 
+(* --- Reply-window series: the exactly-once cost of every write ---
+
+   Each client holds a full 64-reply window, and each run moves to the
+   next client.  Looking up a client's next seq and recording it in
+   order must not walk the window. *)
+let full_window_table n =
+  let t = Rex_core.Session.Table.create (Obs.create ()) ~stack:"bench" ~node:0 () in
+  let window = Rex_core.Session.Table.window t in
+  for client = 0 to n - 1 do
+    for seq = 0 to window - 1 do
+      Rex_core.Session.Table.record t ~client ~seq ~reply:(string_of_int seq)
+    done
+  done;
+  (t, Array.make n window)
+
+(* One table per size, shared by both series: recording advances a
+   client's next seq, so the lookup's seq stays fresh.  Built on first
+   use, so other bench subcommands do not pay for it. *)
+let tests_session_window =
+  List.concat_map
+    (fun n ->
+      let table = lazy (full_window_table n) in
+      let allocate () = Lazy.force table in
+      let client = ref 0 in
+      let step () =
+        client := (!client + 1) mod n;
+        !client
+      in
+      [
+        Test.make_with_resource
+          ~name:(Printf.sprintf "session lookup fresh seq (%dk, full)" (n / 1000))
+          Test.uniq ~allocate ~free:ignore
+          (Staged.stage (fun (t, next) ->
+               let c = step () in
+               ignore (Rex_core.Session.Table.lookup t ~client:c ~seq:next.(c))));
+        Test.make_with_resource
+          ~name:(Printf.sprintf "session record in order (%dk, full)" (n / 1000))
+          Test.uniq ~allocate ~free:ignore
+          (Staged.stage (fun (t, next) ->
+               let c = step () in
+               let seq = next.(c) in
+               next.(c) <- seq + 1;
+               Rex_core.Session.Table.record t ~client:c ~seq ~reply:"r"));
+      ])
+    [ 1_000; 10_000 ]
+
 let tests =
   [
     test_event_encode;
@@ -347,6 +393,7 @@ let tests =
   @ tests_sim_sleep @ [ test_net_send; test_rpc_call; test_engine_now ]
   @ [ test_zipf_create_cached; test_zipf_create_uncached; test_zipf_sample ]
   @ tests_session_digest @ tests_session_savepoint
+  @ tests_session_window
 
 let run () =
   Printf.printf "\n== Bechamel wall-clock micro-benchmarks ==\n%!";

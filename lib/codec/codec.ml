@@ -94,10 +94,6 @@ let read_byte s =
   s.pos <- s.pos + 1;
   c
 
-let peek_byte s =
-  if s.pos >= s.limit then decode_error "peek_byte: end of input";
-  Char.code s.data.[s.pos]
-
 let read_bool s =
   match read_byte s with
   | 0 -> false

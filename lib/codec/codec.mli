@@ -69,9 +69,6 @@ val at_end : source -> bool
 
 val read_byte : source -> int
 
-val peek_byte : source -> int
-(** {!read_byte} without consuming — used for versioned-format dispatch. *)
-
 val read_bool : source -> bool
 val read_uvarint : source -> int
 val read_varint : source -> int

@@ -27,16 +27,26 @@ module Envelope = struct
 end
 
 module Table = struct
+  (* A client's reply window.  In descending seq order its replies are
+     [newer @ List.rev older]: [newer] is descending (newest first),
+     [older] ascending (oldest first), and every seq in [newer] is above
+     every seq in [older].  An in-order record pushes onto [newer] and
+     evicts the head of [older], reversing [newer] into it when it runs
+     out, so both are amortised O(1).  The lists are immutable, so a
+     savepoint copies an entry in O(1). *)
   type entry = {
-    mutable last_seq : int;
-    mutable replies : (int * string) list; (* sorted by seq, descending *)
-    mutable cached : int;  (* List.length replies *)
+    mutable last_seq : int;  (* >= every cached seq *)
+    mutable newer : (int * string) list;
+    mutable older : (int * string) list;
+    mutable cached : int;  (* length of [newer] plus length of [older] *)
     mutable logged : int;  (* the undo-log epoch this entry was saved in *)
   }
 
+  module Clients = Hashtbl.Make (Int)
+
   type t = {
     window : int;
-    sessions : (int, entry) Hashtbl.t;
+    sessions : entry Clients.t;
     mutable sum : int;  (* the digest: see [term_last], [term_reply] *)
     mutable savepoint : int;  (* the live savepoint's epoch; 0 = none *)
     mutable epoch : int;  (* bumped whenever the undo log is emptied *)
@@ -71,7 +81,7 @@ module Table = struct
     let labels = [ ("stack", stack); ("node", string_of_int node) ] in
     {
       window;
-      sessions = Hashtbl.create 64;
+      sessions = Clients.create 64;
       sum = 0;
       savepoint = 0;
       epoch = 0;
@@ -83,7 +93,7 @@ module Table = struct
     }
 
   let set_gauge t =
-    Obs.Metric.set t.g_sessions (float_of_int (Hashtbl.length t.sessions))
+    Obs.Metric.set t.g_sessions (float_of_int (Clients.length t.sessions))
 
   (* An executed seq missing from the cache was evicted, which requires
      at least [window] distinct higher executed seqs, so [last_seq >= seq
@@ -91,19 +101,36 @@ module Table = struct
      absent was never executed (a concurrency gap: a slower request whose
      later-seq siblings committed first) and must execute now — NOT be
      refused as stale.  Hence the cutoff below, and the requirement that
-     [window] exceed a client's concurrent in-flight requests. *)
+     [window] exceed a client's concurrent in-flight requests.
+
+     Every cached seq is at most [last_seq], so a seq above it is a miss
+     without a search; any other search stops at the first cached seq
+     below [seq]. *)
   let lookup t ~client ~seq =
-    match Hashtbl.find_opt t.sessions client with
+    match Clients.find_opt t.sessions client with
     | None -> Miss
-    | Some e -> (
-      match List.assoc_opt seq e.replies with
-      | Some reply -> Hit reply
-      | None -> if seq <= e.last_seq - t.window then Stale else Miss)
+    | Some e ->
+      if seq > e.last_seq then Miss
+      else
+        let rec older = function
+          | (s, r) :: _ when s = seq -> Some r
+          | (s, _) :: rest when s < seq -> older rest
+          | _ -> None
+        in
+        let rec newer = function
+          | [] -> older e.older
+          | (s, r) :: _ when s = seq -> Some r
+          | (s, _) :: rest when s > seq -> newer rest
+          | _ -> None
+        in
+        match newer e.newer with
+        | Some reply -> Hit reply
+        | None -> if seq <= e.last_seq - t.window then Stale else Miss
 
   (* Under a live savepoint, an entry is copied before its first change;
-     the reply list is immutable, so the copy is O(1). *)
+     the reply lists are immutable, so the copy is O(1). *)
   let entry t client =
-    match Hashtbl.find_opt t.sessions client with
+    match Clients.find_opt t.sessions client with
     | Some e ->
       if t.savepoint <> 0 && e.logged <> t.epoch then begin
         t.undo_log <- (client, Some { e with logged = e.logged }) :: t.undo_log;
@@ -112,11 +139,13 @@ module Table = struct
       e
     | None ->
       if t.savepoint <> 0 then t.undo_log <- (client, None) :: t.undo_log;
-      let e = { last_seq = -1; replies = []; cached = 0; logged = t.epoch } in
+      let e = { last_seq = -1; newer = []; older = []; cached = 0; logged = t.epoch } in
       t.sum <- t.sum + term_last client (-1);
-      Hashtbl.replace t.sessions client e;
+      Clients.replace t.sessions client e;
       set_gauge t;
       e
+
+  let replies e = e.newer @ List.rev e.older
 
   (* Insert preserving descending-seq order.  Replay on a recovering
      replica can apply records of distinct requests in any order, so this
@@ -145,23 +174,42 @@ module Table = struct
 
   let record t ~client ~seq ~reply =
     let e = entry t client in
-    if seq > e.last_seq then begin
-      t.sum <- t.sum - term_last client e.last_seq + term_last client seq;
-      e.last_seq <- seq
-    end;
-    let replies, replaced = insert_sorted seq reply e.replies in
     t.sum <- t.sum + term_reply client seq reply;
-    (match replaced with
-    | Some old -> t.sum <- t.sum - term_reply client seq old
-    | None -> e.cached <- e.cached + 1);
-    if e.cached > t.window then begin
-      let drop (s, r) = t.sum <- t.sum - term_reply client s r in
-      let kept = keep t.window drop replies in
-      Obs.Metric.add t.c_evict (e.cached - t.window);
-      e.cached <- t.window;
-      e.replies <- kept
+    if seq > e.last_seq then begin
+      (* In order: [seq] is above every cached seq, so it is not cached
+         yet and a full window evicts its lowest seq. *)
+      t.sum <- t.sum - term_last client e.last_seq + term_last client seq;
+      e.last_seq <- seq;
+      e.newer <- (seq, reply) :: e.newer;
+      if e.cached < t.window then e.cached <- e.cached + 1
+      else begin
+        if e.older = [] then begin
+          e.older <- List.rev e.newer;
+          e.newer <- []
+        end;
+        match e.older with
+        | (s, r) :: rest ->
+          t.sum <- t.sum - term_reply client s r;
+          e.older <- rest;
+          Obs.Metric.incr t.c_evict
+        | [] -> assert false
+      end
     end
-    else e.replies <- replies
+    else begin
+      (* A replaced or out-of-order seq: merge into the whole window. *)
+      let merged, replaced = insert_sorted seq reply (replies e) in
+      (match replaced with
+      | Some old -> t.sum <- t.sum - term_reply client seq old
+      | None -> e.cached <- e.cached + 1);
+      e.older <- [];
+      if e.cached > t.window then begin
+        let drop (s, r) = t.sum <- t.sum - term_reply client s r in
+        e.newer <- keep t.window drop merged;
+        Obs.Metric.add t.c_evict (e.cached - t.window);
+        e.cached <- t.window
+      end
+      else e.newer <- merged
+    end
 
   let note_dup t = Obs.Metric.incr t.c_dup
 
@@ -182,8 +230,8 @@ module Table = struct
       List.iter
         (fun (client, prior) ->
           match prior with
-          | None -> Hashtbl.remove t.sessions client
-          | Some e -> Hashtbl.replace t.sessions client e)
+          | None -> Clients.remove t.sessions client
+          | Some e -> Clients.replace t.sessions client e)
         t.undo_log;
       t.undo_log <- [];
       t.sum <- t.undo_sum;
@@ -191,63 +239,72 @@ module Table = struct
       set_gauge t
 
   let clear t =
-    Hashtbl.reset t.sessions;
+    Clients.reset t.sessions;
     t.sum <- 0;
     forget_savepoint t;
     set_gauge t
 
-  let dump t =
-    Hashtbl.fold
-      (fun client e acc -> (client, e.last_seq, e.replies) :: acc)
-      t.sessions []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
   let write sink t =
-    let rows = dump t in
+    let rows =
+      Clients.fold (fun client e acc -> (client, e) :: acc) t.sessions []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
+    let write_reply b (seq, reply) =
+      Codec.write_uvarint b seq;
+      Codec.write_string b reply
+    in
     Codec.write_list sink
-      (fun b (client, last_seq, replies) ->
+      (fun b (client, e) ->
         Codec.write_uvarint b client;
-        Codec.write_varint b last_seq;
-        Codec.write_list b
-          (fun b (seq, reply) ->
-            Codec.write_uvarint b seq;
-            Codec.write_string b reply)
-          replies)
+        Codec.write_varint b e.last_seq;
+        Codec.write_uvarint b e.cached;
+        List.iter (write_reply b) e.newer;
+        List.iter (write_reply b) (List.rev e.older))
       rows
 
+  (* [lookup]'s early answers rely on what [write] guarantees, so bytes
+     that break it are refused: clients strictly ascending, and per
+     client at most [window] replies with strictly descending seqs, none
+     above [last_seq]. *)
   let read src t =
+    let reject what = raise (Codec.Decode_error ("Session.Table.read: " ^ what)) in
+    let prev_client = ref (-1) in
     let rows =
       Codec.read_list src (fun s ->
           let client = Codec.read_uvarint s in
+          if client <= !prev_client then reject "clients not ascending";
+          prev_client := client;
           let last_seq = Codec.read_varint s in
+          let bound = ref last_seq in
           let replies =
             Codec.read_list s (fun s ->
                 let seq = Codec.read_uvarint s in
+                if seq > !bound then reject "reply seqs not descending below last_seq";
+                bound := seq - 1;
                 let reply = Codec.read_string s in
                 (seq, reply))
           in
-          (client, last_seq, replies))
+          let cached = List.length replies in
+          if cached > t.window then reject "more replies than the window";
+          (client, { last_seq; newer = replies; older = []; cached; logged = -1 }))
     in
-    Hashtbl.reset t.sessions;
+    Clients.reset t.sessions;
     forget_savepoint t;
+    t.sum <- 0;
     List.iter
-      (fun (client, last_seq, replies) ->
-        Hashtbl.replace t.sessions client
-          { last_seq; replies; cached = List.length replies; logged = -1 })
-      rows;
-    t.sum <-
-      Hashtbl.fold
-        (fun client e sum ->
+      (fun (client, e) ->
+        Clients.replace t.sessions client e;
+        t.sum <-
           List.fold_left
             (fun sum (seq, reply) -> sum + term_reply client seq reply)
-            (sum + term_last client e.last_seq)
-            e.replies)
-        t.sessions 0;
+            (t.sum + term_last client e.last_seq)
+            e.newer)
+      rows;
     set_gauge t
 
   let digest t = string_of_int t.sum
 
-  let sessions t = Hashtbl.length t.sessions
+  let sessions t = Clients.length t.sessions
   let dup_hits t = Obs.Metric.value t.c_dup
   let evictions t = Obs.Metric.value t.c_evict
   let window t = t.window

@@ -69,13 +69,17 @@ module Table : sig
       labels. *)
 
   val lookup : t -> client:int -> seq:int -> lookup
+  (** O(1) for a seq above the client's [last_seq] (a fresh request:
+      [Miss]); otherwise a search of the client's cached replies that
+      stops at the first seq below [seq], O([window]) at worst. *)
 
   val record : t -> client:int -> seq:int -> reply:string -> unit
   (** Commutative: [last_seq] merges with [max] and the cache keeps the
       [window] highest sequence numbers, so concurrent replay may apply
       records of distinct requests in any order and converge.  Updates
       the {!digest} by difference: O(1) hashes, plus one per evicted
-      reply. *)
+      reply.  Amortised O(1) when [seq] is above [last_seq] (in order);
+      a replaced or out-of-order seq costs O([window]). *)
 
   val note_dup : t -> unit
   (** Count an intercepted duplicate in [frontend/dup_hits]. *)
@@ -91,7 +95,10 @@ module Table : sig
   val read : Codec.source -> t -> unit
   (** Replace the table's content with a previously {!write}n one,
       recomputing the {!digest} from scratch.  Ends the live
-      {!savepoint}. *)
+      {!savepoint}.  Raises {!Codec.Decode_error}, leaving the table
+      unchanged, on bytes {!write} cannot produce: clients not strictly
+      ascending, or a client with more than [window] replies, reply seqs
+      not strictly descending, or one above its [last_seq]. *)
 
   val digest : t -> string
   (** Content hash, independent of insertion order, in O(1).  It is the

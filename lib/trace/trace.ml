@@ -451,13 +451,7 @@ module Delta = struct
      destination clocks are deltas along the nondecreasing per-slot order,
      and source clocks ride as small signed offsets from their destination
      (causal edges point backwards a short causal distance, not a short
-     absolute clock).
-
-     The legacy v0 format (base cut, upto cut, explicit-id event list,
-     explicit-endpoint edge list) begins with the base cut's slot-count
-     uvarint, which can collide with the magic only for >= 87 slots —
-     far above the runtime's slot cap — so [read] dispatches on the first
-     byte and still accepts v0 streams from older nodes. *)
+     absolute clock). *)
 
   let magic_v1 = 0xd7
 
@@ -510,19 +504,10 @@ module Delta = struct
         (List.rev ed_by_slot.(s))
     done
 
-  let read_v0 s =
-    let base = Cut.read s in
-    let upto = Cut.read s in
-    let events = Codec.read_list s Event.read in
-    let edges =
-      Codec.read_list s (fun s ->
-          let src = Event.Id.read s in
-          let dst = Event.Id.read s in
-          (src, dst))
-    in
-    { base; upto; events; edges }
-
-  let read_v1 s =
+  let read s =
+    let magic = Codec.read_byte s in
+    if magic <> magic_v1 then
+      raise (Codec.Decode_error (Printf.sprintf "Delta.read: bad magic 0x%02x" magic));
     let base = Cut.read s in
     let slots = Cut.slots base in
     let counts = Array.make slots 0 in
@@ -553,13 +538,6 @@ module Delta = struct
       done
     done;
     { base; upto; events = List.rev !events; edges = List.rev !edges }
-
-  let read s =
-    if Codec.peek_byte s = magic_v1 then begin
-      ignore (Codec.read_byte s : int);
-      read_v1 s
-    end
-    else read_v0 s
 
   let wire_size d =
     let b = Codec.counting_sink () in

@@ -182,9 +182,8 @@ module Delta : sig
       [Invalid_argument] otherwise. *)
 
   val read : Codec.source -> t
-  (** Decodes both the v1 format and the legacy explicit-id v0 format
-      (dispatching on the leading magic byte), so deltas written by older
-      nodes still apply.  v1 decoding normalizes event and edge order to
+  (** Decodes the v1 format; a first byte other than its magic raises
+      {!Codec.Decode_error}.  Decoding normalizes event and edge order to
       slot-ascending, which is how {!extract} emits them. *)
 
   val wire_size : t -> int

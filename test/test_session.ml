@@ -1,10 +1,10 @@
 (* Tests for the exactly-once session layer and the shared frontend:
    wire-format round trips and decode-fuzz, session-table semantics
-   (dedup, eviction, commutativity, codec), the [Session.wrap] app
-   wrapper, and end-to-end fault-injection runs proving that each of the
-   three stacks (Rex, SMR, Eve) executes every acknowledged logical
-   request exactly once under message drops, partitions and a leader
-   kill. *)
+   (dedup, eviction, commutativity, codec, a reference model), the
+   [Session.wrap] app wrapper, and end-to-end fault-injection runs
+   proving that Rex, SMR, CBASE and Eve execute every acknowledged
+   logical request exactly once under message drops, partitions and a
+   leader kill, also once the client's reply window evicts. *)
 
 open Sim
 module R = Rex_core
@@ -221,6 +221,202 @@ let table_codec_fuzz =
       | () -> true
       | exception Codec.Decode_error _ -> true)
 
+(* A reference model of the table: a sorted reply list per client,
+   searched with [List.assoc_opt], merged by insertion and trimmed to the
+   window on every record.  The table must answer exactly as it does. *)
+module Model = struct
+  type t = {
+    window : int;
+    mutable sessions : (int * (int * (int * string) list)) list;
+        (* client -> last_seq, replies (seq descending) *)
+    mutable evictions : int;
+  }
+
+  let create window = { window; sessions = []; evictions = 0 }
+
+  let lookup m ~client ~seq =
+    match List.assoc_opt client m.sessions with
+    | None -> R.Session.Table.Miss
+    | Some (last_seq, replies) -> (
+      match List.assoc_opt seq replies with
+      | Some reply -> R.Session.Table.Hit reply
+      | None ->
+        if seq <= last_seq - m.window then R.Session.Table.Stale
+        else R.Session.Table.Miss)
+
+  let rec insert_sorted seq reply = function
+    | [] -> [ (seq, reply) ]
+    | (s, _) :: _ as rest when seq > s -> (seq, reply) :: rest
+    | (s, _) :: rest when seq = s -> (s, reply) :: rest
+    | p :: rest -> p :: insert_sorted seq reply rest
+
+  let rec keep n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | x :: rest -> x :: keep (n - 1) rest
+
+  let record m ~client ~seq ~reply =
+    let last_seq, replies =
+      Option.value (List.assoc_opt client m.sessions) ~default:(-1, [])
+    in
+    let replies = insert_sorted seq reply replies in
+    let n = List.length replies in
+    if n > m.window then m.evictions <- m.evictions + (n - m.window);
+    m.sessions <-
+      (client, (max last_seq seq, keep m.window replies))
+      :: List.remove_assoc client m.sessions
+
+  let bytes m =
+    let b = Codec.sink () in
+    Codec.write_list b
+      (fun b (client, (last_seq, replies)) ->
+        Codec.write_uvarint b client;
+        Codec.write_varint b last_seq;
+        Codec.write_list b
+          (fun b (seq, reply) ->
+            Codec.write_uvarint b seq;
+            Codec.write_string b reply)
+          replies)
+      (List.sort compare m.sessions);
+    Codec.contents b
+end
+
+type table_op =
+  | Record of int * int * string  (* client, seq step, reply *)
+  | Savepoint
+  | Undo
+  | Reload  (* [write] into a fresh table, then carry on with it *)
+
+let show_table_op = function
+  | Record (c, d, r) -> Printf.sprintf "rec(%d,%+d,%S)" c d r
+  | Savepoint -> "savepoint"
+  | Undo -> "undo"
+  | Reload -> "reload"
+
+(* Seqs step mostly up by one from the client's highest so far, with
+   gaps, repeats (a replaced reply) and steps back (out-of-order
+   records, inside and below the window). *)
+let table_ops_gen =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (14, return 1);
+        (2, int_range 2 4);
+        (1, return 0);
+        (2, int_range (-3) (-1));
+        (1, int_range (-70) (-4));
+      ]
+  in
+  let op =
+    frequency
+      [
+        ( 24,
+          map3
+            (fun c d r -> Record (c, d, r))
+            (int_bound 3) step
+            (string_size ~gen:(char_range 'a' 'c') (int_bound 3)) );
+        (1, return Savepoint);
+        (1, return Undo);
+        (1, return Reload);
+      ]
+  in
+  oneofl [ 1; 2; 64 ] >>= fun window ->
+  map (fun ops -> (window, ops))
+    (list_size (int_bound (if window = 64 then 500 else 60)) op)
+
+let table_matches_model =
+  QCheck.Test.make ~name:"session table = list model (windows 1, 2, 64)"
+    ~count:150
+    (QCheck.make table_ops_gen ~print:(fun (w, ops) ->
+         Printf.sprintf "window %d: %s" w
+           (String.concat " " (List.map show_table_op ops))))
+    (fun (window, ops) ->
+      let t = ref (mk_table ~window ()) and m = Model.create window in
+      let undo = ref None and saved = ref [] in
+      let high = Hashtbl.create 4 in
+      let evictions_base = ref 0 in
+      let agrees () =
+        let b = Model.bytes m in
+        let t' = mk_table ~window () in
+        R.Session.Table.read (Codec.source b) t';
+        table_bytes !t = b
+        && R.Session.Table.digest !t = R.Session.Table.digest t'
+        && R.Session.Table.sessions !t = List.length m.Model.sessions
+        && R.Session.Table.evictions !t + !evictions_base = m.Model.evictions
+        && List.for_all
+             (fun client ->
+               let top = Option.value (Hashtbl.find_opt high client) ~default:0 in
+               List.for_all
+                 (fun seq ->
+                   R.Session.Table.lookup !t ~client ~seq
+                   = Model.lookup m ~client ~seq)
+                 (List.init (window + 6) (fun i -> top + 2 - i)))
+             [ 0; 1; 2; 3; 4 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Record (client, step, reply) ->
+            let top = Option.value (Hashtbl.find_opt high client) ~default:(-1) in
+            let seq = max 0 (top + step) in
+            Hashtbl.replace high client (max top seq);
+            R.Session.Table.record !t ~client ~seq ~reply;
+            Model.record m ~client ~seq ~reply
+          | Savepoint ->
+            undo := Some (R.Session.Table.savepoint !t);
+            saved := m.Model.sessions
+          | Undo ->
+            Option.iter
+              (fun undo ->
+                undo ();
+                m.Model.sessions <- !saved)
+              !undo
+          | Reload ->
+            let t' = mk_table ~window () in
+            R.Session.Table.read (Codec.source (table_bytes !t)) t';
+            evictions_base := m.Model.evictions;
+            t := t';
+            undo := None);
+          agrees ())
+        ops)
+
+(* [read] refuses rows that break what [lookup] relies on. *)
+let table_read_rejects_broken_rows () =
+  let rows rs =
+    let b = Codec.sink () in
+    Codec.write_list b
+      (fun b (client, last_seq, replies) ->
+        Codec.write_uvarint b client;
+        Codec.write_varint b last_seq;
+        Codec.write_list b
+          (fun b seq ->
+            Codec.write_uvarint b seq;
+            Codec.write_string b "r")
+          replies)
+      rs;
+    Codec.contents b
+  in
+  let reads bytes =
+    match R.Session.Table.read (Codec.source bytes) (mk_table ~window:4 ()) with
+    | () -> true
+    | exception Codec.Decode_error _ -> false
+  in
+  Alcotest.(check bool) "well-formed rows read" true
+    (reads (rows [ (1, 9, [ 9; 7; 6; 2 ]); (3, -1, []); (4, 5, []) ]));
+  Alcotest.(check bool) "reply seq above last_seq refused" false
+    (reads (rows [ (1, 5, [ 7 ]) ]));
+  Alcotest.(check bool) "repeated reply seq refused" false
+    (reads (rows [ (1, 9, [ 9; 9 ]) ]));
+  Alcotest.(check bool) "ascending reply seqs refused" false
+    (reads (rows [ (1, 9, [ 3; 8 ]) ]));
+  Alcotest.(check bool) "more replies than the window refused" false
+    (reads (rows [ (1, 9, [ 9; 8; 7; 6; 5 ]) ]));
+  Alcotest.(check bool) "clients out of order refused" false
+    (reads (rows [ (3, 0, []); (1, 0, []) ]));
+  Alcotest.(check bool) "repeated client refused" false
+    (reads (rows [ (1, 0, []); (1, 1, []) ]))
+
 (* --- The app wrapper --- *)
 
 let counter_app () =
@@ -406,92 +602,81 @@ let smr_counter_factory () : R.App.factory =
     digest = (fun () -> string_of_int !n);
   }
 
-let fault_exactly_once_smr () =
-  let total = 30 in
-  let eng = Engine.create ~seed:2029 ~cores_per_node:8 ~num_nodes:4 () in
+(* SMR, CBASE and Eve share the log-order server core, so one scenario
+   drives them all: message drops, then a leader crash.  Past [window]
+   requests the client's reply window evicts on every replica, and the
+   exactly-once verdict must still hold. *)
+let fault_exactly_once_log ~stack ~seed ~total create () =
+  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
   let net = Net.create eng in
   let rpc = Rpc.create net in
-  let config = R.Config.make ~workers:1 ~replicas:[ 0; 1; 2 ] () in
   let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
   let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-          (smr_counter_factory ()))
+    Array.init 3 (fun i -> create net rpc ~node:i ~paxos_store:stores.(i))
   in
-  Array.iter Smr.start servers;
+  Array.iter R.Log_server.start servers;
   Engine.run ~until:1.0 eng;
   let leader =
-    match Array.find_opt Smr.is_primary servers with
+    match Array.find_opt R.Log_server.is_primary servers with
     | Some s -> s
-    | None -> Alcotest.fail "smr: no leader elected"
+    | None -> Alcotest.fail (stack ^ ": no leader elected")
   in
   Net.set_drop_probability net 0.08;
   let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
   let remaining = ref total in
   let results = drive ~eng ~node:3 ~cl ~total ~remaining in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Smr.node leader);
+  Engine.crash_node eng (R.Log_server.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 60.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 30.);
-  check_exactly_once ~stack:"smr" ~total ~remaining ~results ~dup_hits:(fun () ->
+  check_exactly_once ~stack ~total ~remaining ~results ~dup_hits:(fun () ->
       Array.fold_left
-        (fun acc s -> acc + R.Session.Table.dup_hits (Smr.session_table s))
+        (fun acc s ->
+          acc + R.Session.Table.dup_hits (R.Log_server.session_table s))
         0 servers);
   Engine.run ~until:(Engine.clock eng +. 2.) eng;
   let live =
     Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Smr.node s))
+    |> List.filter (fun s -> Engine.node_alive eng (R.Log_server.node s))
   in
   List.iter
     (fun s ->
       Alcotest.(check string)
-        "smr: final counter" (string_of_int total) (Smr.query s "GET"))
-    live
+        (stack ^ ": final counter") (string_of_int total)
+        (R.Log_server.query s "GET"))
+    live;
+  Alcotest.(check int) (stack ^ ": live replicas") 2 (List.length live);
+  let tables = List.map R.Log_server.session_table live in
+  List.iter
+    (fun t ->
+      Alcotest.(check string)
+        (stack ^ ": session digests converge")
+        (R.Session.Table.digest (List.hd tables))
+        (R.Session.Table.digest t);
+      if total > R.Session.Table.window t then
+        Alcotest.(check bool)
+          (stack ^ ": replies evicted past the window") true
+          (R.Session.Table.evictions t > 0))
+    tables
 
-let fault_exactly_once_eve () =
-  let total = 30 in
-  let eng = Engine.create ~seed:2039 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i)
-          ~conflict_keys:(fun _ -> [ "k" ])
-          (smr_counter_factory ()))
-  in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt Eve.is_primary servers with
-    | Some s -> s
-    | None -> Alcotest.fail "eve: no leader elected"
-  in
-  Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let remaining = ref total in
-  let results = drive ~eng ~node:3 ~cl ~total ~remaining in
-  Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Eve.node leader);
-  pump eng remaining ~deadline:(Engine.clock eng +. 60.);
-  Net.set_drop_probability net 0.;
-  pump eng remaining ~deadline:(Engine.clock eng +. 30.);
-  check_exactly_once ~stack:"eve" ~total ~remaining ~results ~dup_hits:(fun () ->
-      Array.fold_left
-        (fun acc s -> acc + R.Session.Table.dup_hits (Eve.session_table s))
-        0 servers);
-  Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Eve.node s))
-  in
-  List.iter
-    (fun s ->
-      Alcotest.(check string)
-        "eve: final counter" (string_of_int total) (Eve.query s "GET"))
-    live
+let smr_stack net rpc ~node ~paxos_store =
+  Smr.create net rpc
+    (R.Config.make ~workers:1 ~replicas:[ 0; 1; 2 ] ())
+    ~node ~paxos_store (smr_counter_factory ())
+
+let cbase_stack net rpc ~node ~paxos_store =
+  Sched.Server.create net rpc
+    (R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] ())
+    ~node ~paxos_store ~mode:Sched.Exec.Cbase ~conflict:Sched.Conflict.kv
+    (smr_counter_factory ())
+
+let eve_stack net rpc ~node ~paxos_store =
+  Eve.create net rpc
+    (Eve.default_config ~workers:4 ~replicas:[ 0; 1; 2 ] ())
+    ~node ~paxos_store
+    ~conflict_keys:(fun _ -> [ "k" ])
+    (smr_counter_factory ())
 
 (* --- Deterministic duplicate: the same envelope sent twice --- *)
 
@@ -605,6 +790,9 @@ let suite =
     QCheck_alcotest.to_alcotest table_codec_fuzz;
     QCheck_alcotest.to_alcotest table_incremental_digest;
     QCheck_alcotest.to_alcotest table_savepoint_undo;
+    QCheck_alcotest.to_alcotest table_matches_model;
+    Alcotest.test_case "table read rejects broken rows" `Quick
+      table_read_rejects_broken_rows;
     Alcotest.test_case "table superseded undo raises" `Quick
       table_superseded_undo;
     Alcotest.test_case "wrap dedups + checkpoints" `Quick
@@ -616,7 +804,13 @@ let suite =
     Alcotest.test_case "exactly-once under faults: rex" `Quick
       fault_exactly_once_rex;
     Alcotest.test_case "exactly-once under faults: smr" `Quick
-      fault_exactly_once_smr;
+      (fault_exactly_once_log ~stack:"smr" ~seed:2029 ~total:30 smr_stack);
     Alcotest.test_case "exactly-once under faults: eve" `Quick
-      fault_exactly_once_eve;
+      (fault_exactly_once_log ~stack:"eve" ~seed:2039 ~total:30 eve_stack);
+    Alcotest.test_case "exactly-once past the window: smr" `Quick
+      (fault_exactly_once_log ~stack:"smr" ~seed:2029 ~total:160 smr_stack);
+    Alcotest.test_case "exactly-once past the window: cbase" `Quick
+      (fault_exactly_once_log ~stack:"cbase" ~seed:2031 ~total:160 cbase_stack);
+    Alcotest.test_case "exactly-once past the window: eve" `Quick
+      (fault_exactly_once_log ~stack:"eve" ~seed:2039 ~total:160 eve_stack);
   ]

@@ -547,10 +547,11 @@ let compaction_suite =
     QCheck_alcotest.to_alcotest prop_cursor_matches_extract;
   ]
 
-(* --- Delta wire format: v1 compactness and v0 compatibility --- *)
+(* --- Delta wire format: v1 compactness; v0 is refused --- *)
 
 (* Re-emit exactly what the pre-v1 writer produced: explicit cuts, events
-   with explicit ids, edges as id pairs. *)
+   with explicit ids, edges as id pairs.  It is the size reference for
+   v1, and [Delta.read] must refuse it. *)
 let encode_legacy_v0 (d : Trace.Delta.t) =
   let b = Codec.sink () in
   Trace.Cut.write b d.Trace.Delta.base;
@@ -563,11 +564,12 @@ let encode_legacy_v0 (d : Trace.Delta.t) =
     d.Trace.Delta.edges;
   Codec.contents b
 
-let legacy_v0_still_decodes () =
+let legacy_v0_rejected () =
   let t = fig2_trace () in
   let d = Trace.Delta.extract t ~base:(Trace.Cut.zero ~slots:2) in
-  let d' = Codec.decode Trace.Delta.read (encode_legacy_v0 d) in
-  Alcotest.(check bool) "v0 bytes decode to the same delta" true (d = d')
+  match Codec.decode Trace.Delta.read (encode_legacy_v0 d) with
+  | _ -> Alcotest.fail "v0 bytes decoded"
+  | exception Codec.Decode_error _ -> ()
 
 let v1_beats_v0_size () =
   let t = Trace.create ~slots:3 () in
@@ -616,21 +618,13 @@ let prop_v1_roundtrip_structural =
       in
       check (Trace.Cut.zero ~slots:(Trace.num_slots t)) && check mid)
 
-let prop_v0_v1_agree =
-  QCheck.Test.make ~name:"legacy v0 bytes decode to the same delta" ~count:200
-    (QCheck.make random_trace_gen) (fun spec ->
-      let t = build_random_trace spec in
-      let d = Trace.Delta.extract t ~base:(Trace.Cut.zero ~slots:(Trace.num_slots t)) in
-      Codec.decode Trace.Delta.read (encode_legacy_v0 d) = d)
-
 let codec_suite =
   [
-    Alcotest.test_case "legacy v0 still decodes" `Quick legacy_v0_still_decodes;
+    Alcotest.test_case "legacy v0 bytes rejected" `Quick legacy_v0_rejected;
     Alcotest.test_case "v1 smaller than v0, <16B/event" `Quick v1_beats_v0_size;
     Alcotest.test_case "counting sink sizes exact" `Quick
       wire_size_matches_encoding;
     QCheck_alcotest.to_alcotest prop_v1_roundtrip_structural;
-    QCheck_alcotest.to_alcotest prop_v0_v1_agree;
   ]
 
 let suite = suite @ render_suite @ compaction_suite @ codec_suite
