@@ -181,16 +181,39 @@ let deploy ?record_cost ~seed ~admit stack =
    certified never-executed by the client, which is exactly what
    Sample.reject's must-never-commit watch needs. *)
 
+(* One client per session, created on first use with the replica that
+   last answered a write first: a fresh session then does not pay a
+   redirect back-off whenever node 0 is not the leader. *)
+type sessions = {
+  s_rpc : Rpc.t;
+  s_node : int;
+  s_clients : (int, R.Client.t) Hashtbl.t;
+  mutable s_leader : int;
+}
+
+let sessions rpc ~node =
+  {
+    s_rpc = rpc;
+    s_node = node;
+    s_clients = Hashtbl.create 4096;
+    s_leader = List.hd replicas;
+  }
+
+let session_client ss session =
+  match Hashtbl.find_opt ss.s_clients session with
+  | Some c -> c
+  | None ->
+    let replicas =
+      ss.s_leader :: List.filter (fun n -> n <> ss.s_leader) replicas
+    in
+    let c = R.Client.create ss.s_rpc ~me:ss.s_node ~replicas in
+    Hashtbl.add ss.s_clients session c;
+    c
+
+let wrote ss cl = ss.s_leader <- R.Client.leader_guess cl
+
 let make_target ~eng ~rpc ~node ?sample () =
-  let clients : (int, R.Client.t) Hashtbl.t = Hashtbl.create 4096 in
-  let client s =
-    match Hashtbl.find_opt clients s with
-    | Some c -> c
-    | None ->
-      let c = R.Client.create rpc ~me:node ~replicas in
-      Hashtbl.add clients s c;
-      c
-  in
+  let ss = sessions rpc ~node in
   let now () = Engine.clock eng in
   let inv ~session req =
     match sample with
@@ -204,7 +227,7 @@ let make_target ~eng ~rpc ~node ?sample () =
     Option.iter (fun sm -> Check.Sample.reject sm ~now:(now ()) id) sample
   in
   fun ~session ~seq ~key ~read ->
-    let cl = client session in
+    let cl = session_client ss session in
     if read then begin
       let req = Printf.sprintf "GET k%d" key in
       let id = inv ~session req in
@@ -223,6 +246,7 @@ let make_target ~eng ~rpc ~node ?sample () =
       let id = inv ~session req in
       match R.Client.call_outcome ~retries:6 cl req with
       | R.Client.Reply r ->
+        wrote ss cl;
         fin id (Some r);
         L.Engine.Done
       | R.Client.Shed ->
@@ -459,18 +483,10 @@ let canary ~quick =
       Check.Spec.keyed_counter
   in
   Check.Sample.wire sm dp.dp_fronts;
-  let clients : (int, R.Client.t) Hashtbl.t = Hashtbl.create 256 in
-  let client s =
-    match Hashtbl.find_opt clients s with
-    | Some c -> c
-    | None ->
-      let c = R.Client.create dp.dp_rpc ~me:dp.dp_node ~replicas in
-      Hashtbl.add clients s c;
-      c
-  in
+  let ss = sessions dp.dp_rpc ~node:dp.dp_node in
   let now () = Engine.clock dp.dp_eng in
   let target ~session ~seq ~key ~read =
-    let cl = client session in
+    let cl = session_client ss session in
     if read then begin
       let req = Printf.sprintf "GET k%d" key in
       let id = Check.Sample.invoke sm ~now:(now ()) ~client:session ~request:req in
@@ -493,6 +509,7 @@ let canary ~quick =
         | Some r -> Some r
         | None -> R.Client.call ~retries:4 cl req
       in
+      if resp <> None then wrote ss cl;
       Check.Sample.finish sm ~now:(now ()) id resp;
       match resp with Some _ -> L.Engine.Done | None -> L.Engine.Timeout
     end

@@ -33,112 +33,133 @@ let decode_reply s =
   | 3 -> Busy
   | n -> raise (Codec.Decode_error (Printf.sprintf "bad reply tag %d" n))
 
+(* See client.mli: a late timeout never undoes a newer redirect. *)
+module Guess = struct
+  type t = { mutable nodes : int array; mutable idx : int; mutable version : int }
+
+  let of_list = function
+    | [] -> invalid_arg "Client.Guess: no replicas"
+    | nodes -> Array.of_list nodes
+
+  let create nodes = { nodes = of_list nodes; idx = 0; version = 0 }
+  let leader g = g.nodes.(g.idx)
+  let version g = g.version
+
+  let move g i =
+    g.idx <- i;
+    g.version <- g.version + 1
+
+  (* The last index of [node] (as the unversioned guess picked), or -1. *)
+  let index g node =
+    let rec go i = if i < 0 || g.nodes.(i) = node then i else go (i - 1) in
+    go (Array.length g.nodes - 1)
+
+  let redirect g node = match index g node with -1 -> () | i -> move g i
+
+  let rotate g ~version =
+    if version = g.version then move g ((g.idx + 1) mod Array.length g.nodes)
+
+  let set_nodes g nodes =
+    let leader = leader g in
+    g.nodes <- of_list nodes;
+    move g (max 0 (index g leader))
+end
+
+type call_outcome = Reply of string | Shed | Gave_up
+type backoff = { redirect : float; first : float; cap : float; after_timeout : bool }
+type event = Hop | Retry | Redirect
+
+let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
+    payload =
+  (* [Shed] must certify the request never executed, so it is only
+     reported when every attempt got a definitive non-admission answer
+     (Busy / Not_leader) and at least one was Busy; any transport
+     timeout or Dropped leaves at-most-once ambiguity -> [Gave_up]. *)
+  let definitive = ref true and saw_busy = ref false in
+  let rec go dst tries pause =
+    if tries = 0 then if !definitive && !saw_busy then Shed else Gave_up
+    else begin
+      count Hop;
+      let version = Guess.version guess in
+      let next ~sleep pause =
+        if sleep > 0. then Engine.sleep sleep;
+        go (Guess.leader guess) (tries - 1) pause
+      in
+      let grown = Float.min (2. *. pause) backoff.cap in
+      match
+        Option.map decode_reply (Rpc.call rpc ~src:me ~dst ~port ~timeout payload)
+      with
+      | Some (Ok_reply resp) -> Reply resp
+      | None | Some Dropped ->
+        (* A timeout (dead node, stalled group) or a Dropped reply. *)
+        definitive := false;
+        count Retry;
+        Guess.rotate guess ~version;
+        if backoff.after_timeout then next ~sleep:pause grown
+        else next ~sleep:0. pause
+      | Some (Not_leader hint) ->
+        count Redirect;
+        (match hint with
+        | Some h -> Guess.redirect guess h
+        | None -> Guess.rotate guess ~version);
+        (* Give an election a moment before hammering the next guess. *)
+        next ~sleep:backoff.redirect pause
+      | Some Busy ->
+        (* Admission control shed us: the leader is fine, just
+           overloaded.  Retry the same payload there after a pause — the
+           session table makes the retry idempotent. *)
+        saw_busy := true;
+        count Retry;
+        next ~sleep:pause grown
+    end
+  in
+  go (Option.value on ~default:(Guess.leader guess)) retries backoff.first
+
+(* 5 ms after a redirect or Busy, straight on to the next replica after
+   a timeout: DESIGN.md's client-retry section has the measurements. *)
+let client_backoff =
+  { redirect = 5e-3; first = 5e-3; cap = 5e-3; after_timeout = false }
+
 type t = {
   rpc : Rpc.t;
   me : int;
-  replicas : int array;
-  mutable guess : int;  (* index into replicas *)
+  guess : Guess.t;
   uid : int;  (* session identity: allocated once per client endpoint *)
   mutable next_seq : int;
 }
 
 let create rpc ~me ~replicas =
-  if replicas = [] then invalid_arg "Client.create";
+  let guess = Guess.create replicas in
   let uid = Engine.fresh_uid (Net.engine (Rpc.net rpc)) in
-  { rpc; me; replicas = Array.of_list replicas; guess = 0; uid; next_seq = 0 }
+  { rpc; me; guess; uid; next_seq = 0 }
 
 let client_id t = t.uid
 let peek_seq t = t.next_seq
-
-let leader_guess t = t.replicas.(t.guess)
-
-let point_at t node =
-  Array.iteri (fun i r -> if r = node then t.guess <- i) t.replicas
-
-let rotate t = t.guess <- (t.guess + 1) mod Array.length t.replicas
-
-type call_outcome = Reply of string | Shed | Gave_up
+let leader_guess t = Guess.leader t.guess
 
 let call_outcome ?(retries = 8) ?(timeout = 0.1) t request =
   (* One (client, seq) identity per logical request, minted here and
-     reused verbatim on every retry below — the replicas' session tables
-     key their exactly-once guarantee on it.  A fresh [call] with the
-     same payload is a new logical request. *)
+     reused verbatim on every retry — the replicas' session tables key
+     their exactly-once guarantee on it.  A fresh [call] with the same
+     payload is a new logical request. *)
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let envelope =
     Session.Envelope.encode
       { Session.Envelope.client = t.uid; seq; payload = request }
   in
-  (* [Shed] must certify the request never executed, so it is only
-     reported when every attempt got a definitive non-admission answer
-     (Busy / Not_leader) and at least one was Busy; any transport
-     timeout or Dropped leaves at-most-once ambiguity -> [Gave_up]. *)
-  let definitive = ref true and saw_busy = ref false in
-  let rec go tries =
-    if tries = 0 then
-      if !definitive && !saw_busy then Shed else Gave_up
-    else
-      match
-        Rpc.call t.rpc ~src:t.me ~dst:(leader_guess t) ~port:client_port
-          ~timeout envelope
-      with
-      | None ->
-        definitive := false;
-        rotate t;
-        go (tries - 1)
-      | Some reply -> (
-        match decode_reply reply with
-        | Ok_reply resp -> Reply resp
-        | Dropped ->
-          definitive := false;
-          rotate t;
-          go (tries - 1)
-        | Not_leader hint ->
-          (match hint with Some h -> point_at t h | None -> rotate t);
-          (* Give an election a moment before hammering the next guess. *)
-          Engine.sleep 5e-3;
-          go (tries - 1)
-        | Busy ->
-          (* Admission control shed us: the leader is fine, just
-             overloaded.  Back off without rotating and retry the same
-             envelope — the session table makes the retry idempotent. *)
-          saw_busy := true;
-          Engine.sleep 5e-3;
-          go (tries - 1))
-  in
-  go retries
+  send t.rpc ~me:t.me t.guess client_backoff ~retries ~timeout
+    ~port:client_port envelope
+
+let reply_of = function Reply resp -> Some resp | Shed | Gave_up -> None
 
 let call ?retries ?timeout t request =
-  match call_outcome ?retries ?timeout t request with
-  | Reply resp -> Some resp
-  | Shed | Gave_up -> None
+  reply_of (call_outcome ?retries ?timeout t request)
 
+(* Reads run the same discovery loop as [call]; with the quorum read
+   path any caught-up replica can answer, so rotation converges fast,
+   and reads and writes pool their leader hints in one guess. *)
 let query ?on ?(retries = 8) ?(timeout = 0.1) t request =
-  (* Reads run the same discovery loop as [call]: follow Not_leader
-     hints, rotate on timeout or Dropped.  With the quorum read path any
-     caught-up replica can answer, so rotation converges fast; the
-     shared [guess] means reads and writes pool their leader hints. *)
-  let rec go ~dst tries =
-    if tries = 0 then None
-    else
-      match Rpc.call t.rpc ~src:t.me ~dst ~port:query_port ~timeout request with
-      | None ->
-        rotate t;
-        go ~dst:(leader_guess t) (tries - 1)
-      | Some reply -> (
-        match decode_reply reply with
-        | Ok_reply resp -> Some resp
-        | Dropped ->
-          rotate t;
-          go ~dst:(leader_guess t) (tries - 1)
-        | Not_leader hint ->
-          (match hint with Some h -> point_at t h | None -> rotate t);
-          (* Give an election a moment before hammering the next guess. *)
-          Engine.sleep 5e-3;
-          go ~dst:(leader_guess t) (tries - 1)
-        | Busy ->
-          Engine.sleep 5e-3;
-          go ~dst:(leader_guess t) (tries - 1))
-  in
-  go ~dst:(Option.value on ~default:(leader_guess t)) retries
+  reply_of
+    (send t.rpc ~me:t.me t.guess client_backoff ?on ~retries ~timeout
+       ~port:query_port request)

@@ -21,29 +21,28 @@ val read_port : string
 (** Quorum-read probe service: replies with the replica's read index
     (see [Paxos.Replica.read_index]) as a varint. *)
 
-type t
+(** {1 The retry core, shared by {!call}, {!query} and [Shard.Router]} *)
 
-val create : Sim.Rpc.t -> me:int -> replicas:int list -> t
-(** Allocates a session identity ({!client_id}) from the simulation
-    engine; every {!call} is tagged with it so replicas can deduplicate
-    retries (see {!Session}). *)
+(** The believed leader among a list of replicas.  A redirect, a
+    rotation or new nodes bump its version.  A rotation names the
+    version its attempt was sent under and is ignored once that is
+    stale, so a late timeout cannot undo a newer redirect. *)
+module Guess : sig
+  type t
 
-val client_id : t -> int
+  val create : int list -> t
+  val leader : t -> int
+  val version : t -> int
 
-val peek_seq : t -> int
-(** The sequence number the next {!call} will stamp on its envelope.
-    [(client_id, peek_seq)] therefore names the upcoming request before
-    it is sent — the history recorder (lib/check) uses this to correlate
-    a client-side timeout with the frontend tap events that reveal the
-    request's fate. *)
+  val redirect : t -> int -> unit
+  (** Point at a [Not_leader] hint's node; one not in the list is ignored. *)
 
-val call : ?retries:int -> ?timeout:float -> t -> string -> string option
-(** Submit an update request; follows leader hints and retries on
-    timeout.  [None] after exhausting retries.  The request travels in a
-    {!Session.Envelope} whose [(client, seq)] identity is reused on
-    every retry, so an acknowledged request executed exactly once; only
-    a [None] return leaves at-most-once ambiguity (the request may or
-    may not have executed). *)
+  val rotate : t -> version:int -> unit
+
+  val set_nodes : t -> int list -> unit
+  (** Keeps the believed leader if it is among the new nodes, else
+      points at the first. *)
+end
 
 type call_outcome =
   | Reply of string
@@ -57,6 +56,53 @@ type call_outcome =
       (** retries exhausted with at least one ambiguous attempt
           (transport timeout or [Dropped]): the request may or may not
           have executed *)
+
+(** Back-off schedule: sleep [redirect] after a [Not_leader]; after a
+    [Busy], and after a timeout or [Dropped] if [after_timeout], sleep
+    a pause that starts at [first] and doubles up to [cap]. *)
+type backoff = { redirect : float; first : float; cap : float; after_timeout : bool }
+
+(** [send]'s counter hook: an attempt goes out ([Hop]), ends in a
+    timeout, [Dropped] or [Busy] ([Retry]), or in [Not_leader]
+    ([Redirect]). *)
+type event = Hop | Retry | Redirect
+
+val send :
+  Sim.Rpc.t -> me:int -> Guess.t -> backoff -> ?on:int ->
+  ?count:(event -> unit) -> retries:int -> timeout:float -> port:string ->
+  string -> call_outcome
+(** Up to [retries] attempts of the payload on [port]: the first to [on]
+    (default: the guess's leader), the rest to the guess's leader.  The
+    payload is resent verbatim, so an envelope keeps its identity. *)
+
+type t
+(** A client handle.  Concurrent calls on one handle, from several
+    fibers, are safe: each gets its own session seq, and they share one
+    {!Guess.t}, whose versions keep one call's timeout from undoing
+    another's redirect. *)
+
+val create : Sim.Rpc.t -> me:int -> replicas:int list -> t
+(** Allocates a session identity ({!client_id}) from the simulation
+    engine; every {!call} is tagged with it so replicas can deduplicate
+    retries (see {!Session}). *)
+
+val client_id : t -> int
+
+val peek_seq : t -> int
+(** The sequence number the next {!call} will stamp on its envelope.
+    [(client_id, peek_seq)] therefore names the upcoming request before
+    it is sent — the history recorder (lib/check) uses this to correlate
+    a client-side timeout with the frontend tap events that reveal the
+    request's fate.  With concurrent calls on the handle, read it and
+    call with no yield in between. *)
+
+val call : ?retries:int -> ?timeout:float -> t -> string -> string option
+(** Submit an update request; follows leader hints and retries on
+    timeout.  [None] after exhausting retries.  The request travels in a
+    {!Session.Envelope} whose [(client, seq)] identity is reused on
+    every retry, so an acknowledged request executed exactly once; only
+    a [None] return leaves at-most-once ambiguity (the request may or
+    may not have executed). *)
 
 val call_outcome :
   ?retries:int -> ?timeout:float -> t -> string -> call_outcome

@@ -3,8 +3,7 @@ module R = Rex_core
 
 type group_state = {
   g_id : int;
-  mutable nodes : int array;
-  mutable guess : int; (* index into nodes: believed leader *)
+  guess : R.Client.Guess.t;
   c_routed : Obs.Metric.counter;
   c_redirects : Obs.Metric.counter;
   c_retries : Obs.Metric.counter;
@@ -44,8 +43,7 @@ let mk_group_state obs g_id nodes =
   let labels = [ ("group", string_of_int g_id) ] in
   {
     g_id;
-    nodes = Array.of_list nodes;
-    guess = 0;
+    guess = R.Client.Guess.create nodes;
     c_routed = Obs.counter obs ~subsystem:"shard" ~labels "routed";
     c_redirects = Obs.counter obs ~subsystem:"shard" ~labels "redirects";
     c_retries = Obs.counter obs ~subsystem:"shard" ~labels "retries";
@@ -92,15 +90,13 @@ let map t = t.map
 
 let add_group t ~group ~nodes =
   match Hashtbl.find_opt t.groups group with
-  | Some g -> g.nodes <- Array.of_list nodes
+  | Some g -> R.Client.Guess.set_nodes g.guess nodes
   | None -> Hashtbl.replace t.groups group (mk_group_state t.obs group nodes)
 
 let set_group_nodes t ~group ~nodes =
   match Hashtbl.find_opt t.groups group with
   | None -> invalid_arg (Printf.sprintf "Router.set_group_nodes: no group %d" group)
-  | Some g ->
-    g.nodes <- Array.of_list nodes;
-    g.guess <- 0
+  | Some g -> R.Client.Guess.set_nodes g.guess nodes
 
 let set_map t m =
   List.iter
@@ -131,9 +127,7 @@ let state t group =
   | Some g -> g
   | None -> invalid_arg (Printf.sprintf "Router: unknown group %d" group)
 
-let leader_hint t ~group =
-  let g = state t group in
-  g.nodes.(g.guess)
+let leader_hint t ~group = R.Client.Guess.leader (state t group).guess
 
 let routed_ok t ~group = (state t group).routed_ok
 
@@ -161,171 +155,97 @@ let note_success t g dt =
     Obs.Metric.set t.g_imbalance (1000. *. imbalance t)
   end
 
-let rotate g = g.guess <- (g.guess + 1) mod Array.length g.nodes
+(* Give elections a moment instead of hammering the next guess: 2 ms
+   after a redirect; after a timeout, Dropped or Busy, a pause that
+   doubles from 2 ms up to 40 ms.  DESIGN.md's client-retry section has
+   why this is not [Client]'s schedule. *)
+let backoff =
+  { R.Client.redirect = 2e-3; first = 2e-3; cap = 40e-3; after_timeout = true }
 
-let point_at g node =
-  Array.iteri (fun i n -> if n = node then g.guess <- i) g.nodes
+(* One group attempt loop for writes and reads.  [hops] counts the
+   attempts of writes only (reads are not router requests). *)
+let send ~hops ~port ?(retries = 8) ?(timeout = 0.1) t g payload =
+  let count = function
+    | R.Client.Hop -> if hops then Obs.Metric.incr t.c_hops
+    | R.Client.Retry -> Obs.Metric.incr g.c_retries
+    | R.Client.Redirect -> Obs.Metric.incr g.c_redirects
+  in
+  match
+    R.Client.send t.rpc ~me:t.me g.guess backoff ~count ~retries ~timeout ~port
+      payload
+  with
+  | R.Client.Reply resp -> Some resp
+  | R.Client.Shed | R.Client.Gave_up ->
+    Obs.Metric.incr g.c_failures;
+    None
 
-(* Backoff between attempts: give elections a moment instead of
-   hammering the next guess; doubles up to a cap. *)
-let backoff0 = 2e-3
-let backoff_cap = 40e-3
-
-let call_group ?(retries = 8) ?(timeout = 0.1) t ~group request =
+let call_group ?retries ?timeout t ~group request =
   let g = state t group in
   Obs.Metric.incr t.c_requests;
   Obs.Metric.incr g.c_routed;
   (* One session identity per logical request, reused verbatim on every
-     retry below: the group's replicas deduplicate on it (exactly-once
-     for acknowledged requests).  The seq counter is shared across
-     groups; per-group gaps are fine — the session table tracks seqs,
-     not contiguity. *)
+     retry: the group's replicas deduplicate on it (exactly-once for
+     acknowledged requests).  The seq counter is shared across groups;
+     per-group gaps are fine — the session table tracks seqs, not
+     contiguity. *)
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let envelope =
     R.Session.Envelope.encode
-      {
-        R.Session.Envelope.client = t.uid;
-        seq =
-          (let s = t.next_seq in
-           t.next_seq <- s + 1;
-           s);
-        payload = request;
-      }
+      { R.Session.Envelope.client = t.uid; seq; payload = request }
   in
   let t0 = Engine.clock t.eng in
-  let rec go tries backoff =
-    if tries = 0 then begin
-      Obs.Metric.incr g.c_failures;
-      None
-    end
-    else begin
-      Obs.Metric.incr t.c_hops;
-      match
-        Rpc.call t.rpc ~src:t.me ~dst:g.nodes.(g.guess)
-          ~port:R.Client.client_port ~timeout envelope
-      with
-      | None ->
-        (* timeout: dead node or stalled group *)
-        Obs.Metric.incr g.c_retries;
-        rotate g;
-        Engine.sleep backoff;
-        go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-      | Some reply -> (
-        match R.Client.decode_reply reply with
-        | R.Client.Ok_reply resp ->
-          note_success t g (Engine.clock t.eng -. t0);
-          Some resp
-        | R.Client.Dropped ->
-          Obs.Metric.incr g.c_retries;
-          rotate g;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-        | R.Client.Not_leader hint ->
-          Obs.Metric.incr g.c_redirects;
-          (match hint with Some h -> point_at g h | None -> rotate g);
-          Engine.sleep backoff0;
-          go (tries - 1) backoff
-        | R.Client.Busy ->
-          (* Overloaded, not misrouted: back off on the same leader and
-             resend the same envelope (idempotent via session table). *)
-          Obs.Metric.incr g.c_retries;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap))
-    end
+  let reply =
+    send ~hops:true ~port:R.Client.client_port ?retries ?timeout t g envelope
   in
-  go retries backoff0
+  if Option.is_some reply then note_success t g (Engine.clock t.eng -. t0);
+  reply
 
-(* Keyed calls re-resolve the group on every attempt and obey shard
+(* Reads carry no envelope: any replica with a valid lease or a quorum
+   round can answer, and a [Not_leader] just means this one chose not
+   to. *)
+let query_group ?retries ?timeout t ~group request =
+  send ~hops:false ~port:R.Client.query_port ?retries ?timeout t (state t group)
+    request
+
+(* Keyed requests re-resolve the group on every attempt and obey shard
    redirects: a wrong-shard reply refreshes the map from the attached
    spec, a migrating reply backs off until the cutover lands.  Each
-   re-issue is a fresh [call_group], hence a fresh session seq — safe
-   because the shard layer rejected the request before it touched app
-   state, so the retry cannot double-execute. *)
+   re-issue is a fresh group call, hence a fresh session seq for a
+   write — safe because the shard layer rejected the request before it
+   touched app state, so the retry cannot double-execute. *)
 let shard_retries = 10
 
-let call ?retries ?timeout t ~key request =
-  let rec go tries backoff =
+let route group_call t ~key request =
+  let rec go tries pause =
     if tries = 0 then None
     else
-      match call_group ?retries ?timeout t ~group:(group_of t key) request with
+      match group_call t ~group:(group_of t key) request with
       | None -> None
       | Some resp -> (
+        let retry () =
+          Engine.sleep pause;
+          go (tries - 1) (Float.min (2. *. pause) backoff.cap)
+        in
         match Partition.classify resp with
         | `App -> Some resp
         | `Wrong_shard spec ->
           ignore (maybe_refresh t spec);
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-        | `Migrating spec ->
-          Obs.Metric.incr t.c_migration_waits;
+          retry ()
+        | `Migrating _ ->
           (* The spec names the *target* map: do not adopt it early — the
              destination group only serves these keys once INSTALL lands.
              Just wait for the cutover and re-route. *)
-          ignore spec;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap))
+          Obs.Metric.incr t.c_migration_waits;
+          retry ())
   in
-  go shard_retries backoff0
+  go shard_retries backoff.first
 
-(* Reads follow the same discovery loop as [call_group] — redirects move
-   the guess, timeouts and drops rotate it with backoff — but carry no
-   envelope: any replica with a valid lease or a quorum round can answer,
-   and a [Not_leader] just means this one chose not to. *)
-let query_group ?(retries = 8) ?(timeout = 0.1) t ~group request =
-  let g = state t group in
-  let rec go tries backoff =
-    if tries = 0 then begin
-      Obs.Metric.incr g.c_failures;
-      None
-    end
-    else
-      match
-        Rpc.call t.rpc ~src:t.me ~dst:g.nodes.(g.guess)
-          ~port:R.Client.query_port ~timeout request
-      with
-      | None ->
-        Obs.Metric.incr g.c_retries;
-        rotate g;
-        Engine.sleep backoff;
-        go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-      | Some reply -> (
-        match R.Client.decode_reply reply with
-        | R.Client.Ok_reply resp -> Some resp
-        | R.Client.Dropped ->
-          Obs.Metric.incr g.c_retries;
-          rotate g;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-        | R.Client.Not_leader hint ->
-          Obs.Metric.incr g.c_redirects;
-          (match hint with Some h -> point_at g h | None -> rotate g);
-          Engine.sleep backoff0;
-          go (tries - 1) backoff
-        | R.Client.Busy ->
-          Obs.Metric.incr g.c_retries;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap))
-  in
-  go retries backoff0
+let call ?retries ?timeout t ~key request =
+  route (call_group ?retries ?timeout) t ~key request
 
 let query ?retries ?timeout t ~key request =
-  let rec go tries backoff =
-    if tries = 0 then None
-    else
-      match query_group ?retries ?timeout t ~group:(group_of t key) request with
-      | None -> None
-      | Some resp -> (
-        match Partition.classify resp with
-        | `App -> Some resp
-        | `Wrong_shard spec ->
-          ignore (maybe_refresh t spec);
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap)
-        | `Migrating _ ->
-          Obs.Metric.incr t.c_migration_waits;
-          Engine.sleep backoff;
-          go (tries - 1) (Float.min (2. *. backoff) backoff_cap))
-  in
-  go shard_retries backoff0
+  route (query_group ?retries ?timeout) t ~key request
 
 (* --- Scatter-gather multi-key fan-out --- *)
 

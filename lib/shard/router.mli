@@ -4,7 +4,8 @@
     believed leader per group (refreshed from [Not_leader] redirect
     hints), retries with exponential backoff across timeouts and
     failovers, and fans multi-key batches out to their groups
-    concurrently with partial-failure reporting.
+    concurrently with partial-failure reporting.  Concurrent calls on
+    one router are safe: see {!Rex_core.Client.Guess}.
 
     Everything is instrumented under subsystem ["shard"]: total requests
     and RPC hops, per-group routed/redirect/retry/failure counters, a
@@ -30,11 +31,13 @@ val set_map : t -> Shard_map.t -> unit
 val add_group : t -> group:int -> nodes:int list -> unit
 (** Teach the router a (new) group's replica nodes — required before a
     map naming that group can be installed or adopted from a redirect.
-    Idempotent: an existing group's nodes are replaced. *)
+    Idempotent: an existing group's nodes are replaced, keeping the
+    believed leader if it is still among them. *)
 
 val set_group_nodes : t -> group:int -> nodes:int list -> unit
 (** Replace an existing group's replica nodes (after a reconfiguration
-    changed its membership) and reset the leader guess. *)
+    changed its membership).  The leader guess stays on the believed
+    leader if it is still a member, else moves to the first node. *)
 
 val group_of : t -> string -> int
 
@@ -89,7 +92,7 @@ val multi_ok : multi -> bool
 
 type stats = {
   requests : int;
-  hops : int;  (** individual RPC attempts, >= requests *)
+  hops : int;  (** individual RPC attempts of writes, >= requests *)
   redirects : int;
   retries : int;
   failures : int;

@@ -655,3 +655,75 @@ let suite =
       Alcotest.test_case "rolling restart preserves service" `Quick
         rolling_restart_preserves_service;
     ]
+
+(* --- Concurrent calls on one client handle across a leader crash --- *)
+
+(* Four fibers share one handle, each issuing [INC] every 1 ms; the
+   primary crashes 0.3 s in and the run lasts 3 s.  Returns the number
+   of calls, how many came back [None], and the slowest call. *)
+let shared_handle_failover ~seed make_call =
+  let cluster = R.Cluster.create ~seed (cfg ()) (test_app ()) in
+  R.Cluster.start cluster;
+  let primary = R.Cluster.await_primary cluster in
+  let eng = R.Cluster.engine cluster in
+  let call = make_call cluster in
+  let stop = Engine.clock eng +. 3.0 in
+  let calls = ref 0 and failed = ref 0 and worst = ref 0. in
+  for f = 1 to 4 do
+    ignore
+      (Engine.spawn eng ~node:(R.Cluster.client_node cluster) ~name:"shared"
+         (fun () ->
+           while Engine.now () < stop do
+             let start = Engine.now () in
+             if call (Printf.sprintf "INC f%d" f) = None then incr failed;
+             incr calls;
+             worst := Float.max !worst (Engine.now () -. start);
+             Engine.sleep 1e-3
+           done))
+  done;
+  R.Cluster.run_for cluster 0.3;
+  R.Cluster.crash cluster (R.Server.node primary);
+  R.Cluster.run cluster ~until:(stop +. 2.0);
+  (!calls, !failed, !worst)
+
+let client_handle cluster = R.Client.call (R.Cluster.client cluster)
+
+let router_handle cluster =
+  let router =
+    Shard.Router.create (R.Cluster.net cluster) (R.Cluster.rpc cluster)
+      ~me:(R.Cluster.client_node cluster)
+      ~map:(Shard.Shard_map.create ~groups:[ 0 ] ())
+      ~groups:[ (0, R.Cluster.members cluster) ]
+  in
+  Shard.Router.call_group router ~group:0
+
+(* With an unversioned leader guess the shared client's calls undo each
+   other's redirects: at each of these seeds some calls give up, the
+   slowest takes 0.61 s and the fibers finish under 1 900 calls.  The
+   bound allows two attempt timeouts, because a follower that has not
+   yet noticed the crash hints the dead leader and sends one retry back
+   to it (seed 7 takes 0.21 s that way with a client per fiber, too). *)
+let shared_handle_rides_failover name make_call seed () =
+  let calls, failed, worst = shared_handle_failover ~seed make_call in
+  let what s = Printf.sprintf "%s seed %d: %s" name seed s in
+  Alcotest.(check bool) (what "calls kept flowing") true (calls > 5000);
+  Alcotest.(check int) (what "no call gave up") 0 failed;
+  Alcotest.(check bool)
+    (what (Printf.sprintf "slowest call %.3fs within 0.25 s" worst))
+    true (worst <= 0.25)
+
+let suite =
+  suite
+  @ List.concat_map
+      (fun seed ->
+        [
+          Alcotest.test_case
+            (Printf.sprintf "shared client rides failover (seed %d)" seed)
+            `Quick
+            (shared_handle_rides_failover "client" client_handle seed);
+          Alcotest.test_case
+            (Printf.sprintf "shared router rides failover (seed %d)" seed)
+            `Quick
+            (shared_handle_rides_failover "router" router_handle seed);
+        ])
+      [ 1; 4; 7 ]

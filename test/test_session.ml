@@ -62,6 +62,7 @@ let reply_gen =
           (fun h -> R.Client.Not_leader (if h < 0 then None else Some h))
           (map (fun n -> n - 1) (int_bound 64));
         return R.Client.Dropped;
+        return R.Client.Busy;
       ])
 
 let prop_reply_roundtrip =
@@ -76,6 +77,135 @@ let prop_reply_fuzz =
       match R.Client.decode_reply s with
       | _ -> true
       | exception Codec.Decode_error _ -> true)
+
+(* --- Client leader guess --- *)
+
+module Guess = R.Client.Guess
+
+(* The unversioned guess the retry loops kept before: an index into the
+   replica array, moved by [rotate] and [point_at]. *)
+module Old_guess = struct
+  type t = { nodes : int array; mutable guess : int }
+
+  let create nodes = { nodes = Array.of_list nodes; guess = 0 }
+  let leader t = t.nodes.(t.guess)
+  let rotate t = t.guess <- (t.guess + 1) mod Array.length t.nodes
+  let point_at t node = Array.iteri (fun i n -> if n = node then t.guess <- i) t.nodes
+end
+
+(* What an attempt's reply does to the guess: a timeout, a Dropped and
+   a hint-less Not_leader rotate it; a hinted Not_leader redirects it. *)
+type answer = Timeout | Dropped | Hint of int option
+
+let answer_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Timeout);
+        (1, return Dropped);
+        (1, return (Hint None));
+        (3, map (fun h -> Hint (Some h)) (int_bound 6));
+      ])
+
+let show_answer = function
+  | Timeout -> "timeout"
+  | Dropped -> "dropped"
+  | Hint None -> "NL -"
+  | Hint (Some h) -> Printf.sprintf "NL %d" h
+
+let apply g ~version = function
+  | Timeout | Dropped | Hint None -> Guess.rotate g ~version
+  | Hint (Some h) -> Guess.redirect g h
+
+(* Node lists may repeat a node and hints may name a node not in the
+   list: both guesses must agree on those too. *)
+let nodes_gen = QCheck.Gen.(list_size (int_range 1 5) (int_bound 5))
+
+let prop_guess_single_caller =
+  QCheck.Test.make ~name:"guess: one caller moves like the unversioned guess"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (nodes, answers) ->
+         Printf.sprintf "nodes [%s] answers [%s]"
+           (String.concat ";" (List.map string_of_int nodes))
+           (String.concat "; " (List.map show_answer answers)))
+       QCheck.Gen.(pair nodes_gen (list_size (int_bound 40) answer_gen)))
+    (fun (nodes, answers) ->
+      let g = Guess.create nodes and old = Old_guess.create nodes in
+      List.for_all
+        (fun a ->
+          (* One caller: every attempt is sent under the current version. *)
+          apply g ~version:(Guess.version g) a;
+          (match a with
+          | Timeout | Dropped | Hint None -> Old_guess.rotate old
+          | Hint (Some h) -> Old_guess.point_at old h);
+          Guess.leader g = Old_guess.leader old)
+        answers)
+
+(* k concurrent attempts on one guess.  An attempt starts (taking the
+   current version), then ends with an answer; ends interleave freely. *)
+type step = Start of int | End of int * answer
+
+let prop_guess_no_stale_rotation =
+  let k = 4 in
+  let step_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> Start i) (int_bound (k - 1));
+          map2 (fun i a -> End (i, a)) (int_bound (k - 1)) answer_gen;
+        ])
+  in
+  let show = function
+    | Start i -> Printf.sprintf "start %d" i
+    | End (i, a) -> Printf.sprintf "%d: %s" i (show_answer a)
+  in
+  QCheck.Test.make
+    ~name:"guess: a late timeout never undoes a newer redirect" ~count:500
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show steps))
+       QCheck.Gen.(list_size (int_bound 60) step_gen))
+    (fun steps ->
+      let g = Guess.create [ 0; 1; 2 ] in
+      (* started.(i): (version, step index) of attempt i, if in flight *)
+      let started = Array.make k None and last_redirect = ref (-1) in
+      List.for_all
+        (fun (n, step) ->
+          match step with
+          | Start i ->
+            started.(i) <- Some (Guess.version g, n);
+            true
+          | End (i, a) -> (
+            match started.(i) with
+            | None -> true
+            | Some (version, began) ->
+              started.(i) <- None;
+              let before = Guess.leader g in
+              apply g ~version a;
+              match a with
+              | Hint (Some h) ->
+                if Guess.leader g = h then last_redirect := n;
+                true
+              | Timeout | Dropped | Hint None ->
+                (* A rotation by an attempt older than the last redirect
+                   leaves the guess where the redirect put it. *)
+                began > !last_redirect || Guess.leader g = before))
+        (List.mapi (fun n s -> (n, s)) steps))
+
+let guess_set_nodes () =
+  let g = Guess.create [ 0; 1; 2 ] in
+  Guess.redirect g 2;
+  let v = Guess.version g in
+  Guess.set_nodes g [ 4; 2; 1 ];
+  Alcotest.(check int) "leader kept" 2 (Guess.leader g);
+  Alcotest.(check bool) "version bumped" true (Guess.version g > v);
+  Guess.rotate g ~version:v;
+  Alcotest.(check int) "stale rotation ignored" 2 (Guess.leader g);
+  Guess.set_nodes g [ 5; 6 ];
+  Alcotest.(check int) "leader gone: first node" 5 (Guess.leader g);
+  Alcotest.check_raises "no nodes"
+    (Invalid_argument "Client.Guess: no replicas") (fun () ->
+      Guess.set_nodes g [])
 
 (* --- Session table --- *)
 
@@ -784,6 +914,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_envelope_fuzz;
     QCheck_alcotest.to_alcotest prop_reply_roundtrip;
     QCheck_alcotest.to_alcotest prop_reply_fuzz;
+    QCheck_alcotest.to_alcotest prop_guess_single_caller;
+    QCheck_alcotest.to_alcotest prop_guess_no_stale_rotation;
+    Alcotest.test_case "guess set_nodes" `Quick guess_set_nodes;
     Alcotest.test_case "table dedup semantics" `Quick table_dedup_semantics;
     Alcotest.test_case "table updates commute" `Quick table_updates_commute;
     QCheck_alcotest.to_alcotest table_codec_roundtrip;
