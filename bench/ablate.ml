@@ -90,7 +90,7 @@ let run_pipeline ~quick () =
       List.iter
         (fun depth ->
           let cfg =
-            R.Cluster.config ~workers:threads ~propose_interval:2e-4
+            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
               ~pipeline_depth:depth ()
           in
           let r =
@@ -119,7 +119,7 @@ let run_sync_latency ~quick () =
       List.iter
         (fun depth ->
           let cfg =
-            R.Cluster.config ~workers:threads ~propose_interval:2e-4
+            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
               ~pipeline_depth:depth ~paxos_sync_latency:sync ()
           in
           let r =
@@ -141,7 +141,7 @@ let run_pacing ~quick () =
   List.iter
     (fun interval ->
       let cfg =
-        R.Cluster.config ~workers:threads ~propose_interval:interval ()
+        R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:interval ()
       in
       let r =
         rex_with cfg
@@ -162,7 +162,7 @@ let run_pacing ~quick () =
 let run_compaction ~quick () =
   Printf.printf "\n== Ablation 7: trace compaction (lock server, periodic checkpoints) ==\n";
   let cfg =
-    R.Cluster.config ~workers:8 ~propose_interval:2e-4
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:8 ~propose_interval:2e-4
       ~checkpoint_interval:(Some (if quick then 0.02 else 0.05))
       ()
   in

@@ -5,9 +5,10 @@
    of n "INC" requests are a permutation of 1..n and the final counter is
    exactly n on every surviving replica.
 
-   Prints one row per stack (requests, retry hops, dup_hits, evictions,
-   sessions, final count) and exits non-zero on any double execution,
-   lost request, or divergence — CI runs `dedup --quick`. *)
+   Prints one row per stack (requests, completed, dup_hits, evictions,
+   sessions, final count, verdict) and exits non-zero on any double
+   execution, lost request, or divergence — CI runs `dedup --quick` and
+   the full `dedup`. *)
 
 open Sim
 module R = Rex_core
@@ -37,28 +38,43 @@ type row = {
   stack : string;
   total : int;
   completed : int;
-  exactly_once : bool;
+  verdict : string;
   dup_hits : int;
   evictions : int;
   sessions : int;
   final : string;
 }
 
+(* A repeated response, or a counter past [total], is an execution too
+   many; a call that never got its response, or a final count short of
+   [total], is a lost request. *)
+let verdict ~total ~results ~values ~final ~dup_hits =
+  let final_n = int_of_string_opt final in
+  let rec repeats = function
+    | a :: (b :: _ as rest) -> a = b || repeats rest
+    | [] | [ _ ] -> false
+  in
+  if
+    repeats values
+    || List.exists (fun v -> v > total) values
+    || Option.fold ~none:false ~some:(fun n -> n > total) final_n
+  then "DOUBLE-EXECUTION"
+  else if List.length values < List.length results || final_n <> Some total
+  then "LOST"
+  else if dup_hits = 0 then "NO-DUPLICATE"
+  else "exactly-once"
+
 let mk_row ~stack ~total ~results ~dup_hits ~evictions ~sessions ~final =
   let values =
     List.filter_map (Option.map int_of_string) !results |> List.sort compare
   in
-  let exactly_once =
-    List.length !results = total
-    && values = List.init total (fun i -> i + 1)
-    && final = string_of_int total
-  in
+  let dup_hits = dup_hits () in
   {
     stack;
     total;
     completed = List.length values;
-    exactly_once;
-    dup_hits = dup_hits ();
+    verdict = verdict ~total ~results:!results ~values ~final ~dup_hits;
+    dup_hits;
     evictions = evictions ();
     sessions = sessions ();
     final;
@@ -167,105 +183,54 @@ let rex_run ~total ~seed ~check =
       | s :: _ -> R.Server.query s "GET"
       | [] -> "no-live-replica")
 
-let smr_run ~total ~seed ~check =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = R.Config.make ~workers:1 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:(Paxos.Store.create ())
-          (counter_factory ()))
+(* SMR and Eve: the same scenario over {!R.Log_cluster}. *)
+let log_run stack ~total ~seed ~check =
+  let name = Check.Runner.stack_name stack in
+  let replicas = [ 0; 1; 2 ] in
+  let (Check.Runner.Log_stack mk) =
+    Check.Runner.log_stack stack
+      (R.Config.make ~workers:4 ~replicas ())
+      ~conflict:(fun _ -> [ "k" ])
+      (counter_factory ())
   in
+  let cluster = R.Log_cluster.create ~seed ~replicas mk in
+  let eng = R.Log_cluster.engine cluster in
+  let net = R.Log_cluster.net cluster in
+  let all = Array.to_list (R.Log_cluster.servers cluster) in
   let history =
     if not check then None
     else begin
       let h = Check.History.create eng in
-      Check.History.wire h (List.map Smr.frontend (Array.to_list servers));
+      Check.History.wire h (List.map R.Log_server.frontend all);
       Some h
     end
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt Smr.is_primary servers with
-    | Some s -> s
-    | None -> failwith "smr: no leader elected"
-  in
+  R.Log_cluster.start cluster;
+  let leader = R.Log_cluster.await_primary cluster in
   Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let results, remaining = drive ~eng ~node:3 ~cl ?history ~total () in
+  let results, remaining =
+    drive ~eng ~node:(R.Log_cluster.client_node cluster)
+      ~cl:(R.Log_cluster.client cluster) ?history ~total ()
+  in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Smr.node leader);
+  R.Log_cluster.crash cluster (R.Log_server.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 180.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 90.);
   Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let all = Array.to_list servers in
-  let live = List.filter (fun s -> Engine.node_alive eng (Smr.node s)) all in
-  Option.iter (fun h -> lin_verdict ~stack:"smr" h) history;
-  let sum f = List.fold_left (fun a s -> a + f (Smr.session_table s)) 0 in
-  mk_row ~stack:"smr" ~total ~results
-    ~dup_hits:(fun () -> sum R.Session.Table.dup_hits all)
-    ~evictions:(fun () -> sum R.Session.Table.evictions all)
-    ~sessions:(fun () ->
-      List.fold_left
-        (fun a s -> max a (R.Session.Table.sessions (Smr.session_table s)))
-        0 all)
-    ~final:
-      (match live with
-      | s :: _ -> Smr.query s "GET"
-      | [] -> "no-live-replica")
-
-let eve_run ~total ~seed ~check =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ())
-          ~conflict_keys:(fun _ -> [ "k" ])
-          (counter_factory ()))
-  in
-  let history =
-    if not check then None
-    else begin
-      let h = Check.History.create eng in
-      Check.History.wire h (List.map Eve.frontend (Array.to_list servers));
-      Some h
-    end
-  in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt Eve.is_primary servers with
-    | Some s -> s
-    | None -> failwith "eve: no leader elected"
-  in
-  Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let results, remaining = drive ~eng ~node:3 ~cl ?history ~total () in
-  Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Eve.node leader);
-  pump eng remaining ~deadline:(Engine.clock eng +. 180.);
-  Net.set_drop_probability net 0.;
-  pump eng remaining ~deadline:(Engine.clock eng +. 90.);
-  Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let all = Array.to_list servers in
-  let live = List.filter (fun s -> Engine.node_alive eng (Eve.node s)) all in
-  Option.iter (fun h -> lin_verdict ~stack:"eve" h) history;
-  let sum f = List.fold_left (fun a s -> a + f (Eve.session_table s)) 0 all in
-  mk_row ~stack:"eve" ~total ~results
+  Option.iter (fun h -> lin_verdict ~stack:name h) history;
+  let table = R.Log_server.session_table in
+  let sum f = List.fold_left (fun a s -> a + f (table s)) 0 all in
+  mk_row ~stack:name ~total ~results
     ~dup_hits:(fun () -> sum R.Session.Table.dup_hits)
     ~evictions:(fun () -> sum R.Session.Table.evictions)
     ~sessions:(fun () ->
       List.fold_left
-        (fun a s -> max a (R.Session.Table.sessions (Eve.session_table s)))
+        (fun a s -> max a (R.Session.Table.sessions (table s)))
         0 all)
     ~final:
-      (match live with
-      | s :: _ -> Eve.query s "GET"
+      (match R.Log_cluster.live cluster with
+      | s :: _ -> R.Log_server.query s "GET"
       | [] -> "no-live-replica")
 
 let run ?(quick = false) ?(check = false) () =
@@ -281,21 +246,21 @@ let run ?(quick = false) ?(check = false) () =
   let rows =
     [
       rex_run ~total ~seed:4242 ~check;
-      smr_run ~total ~seed:4243 ~check;
-      eve_run ~total ~seed:4244 ~check;
+      log_run Check.Runner.Smr ~total ~seed:4243 ~check;
+      log_run Check.Runner.Eve ~total ~seed:4244 ~check;
     ]
   in
-  let ok = ref true in
   List.iter
     (fun r ->
-      if not r.exactly_once then ok := false;
-      if r.dup_hits = 0 then ok := false;
       Printf.printf "%-6s %9d %10d %9d %10d %9d %8s  %s\n" r.stack r.total
-        r.completed r.dup_hits r.evictions r.sessions r.final
-        (if r.exactly_once && r.dup_hits > 0 then "exactly-once"
-         else "DOUBLE-EXECUTION"))
+        r.completed r.dup_hits r.evictions r.sessions r.final r.verdict)
     rows;
-  if not !ok then
+  match List.filter (fun r -> r.verdict <> "exactly-once") rows with
+  | [] -> ()
+  | bad ->
     Harness.fail
-      "dedup smoke FAILED: a retried request was re-executed (or no \
-       duplicate was ever produced to intercept)"
+      "dedup smoke FAILED: %s (DOUBLE-EXECUTION: a retried request ran \
+       twice; LOST: a request never executed; NO-DUPLICATE: no retry \
+       was ever intercepted)"
+      (String.concat ", "
+         (List.map (fun r -> Printf.sprintf "%s %s" r.stack r.verdict) bad))

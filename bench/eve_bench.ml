@@ -15,56 +15,25 @@ let conflict_keys req =
   match Apps.Util.words req with [ "REQ"; i ] -> [ i ] | _ -> []
 
 let run_eve ?(seed = 42) ?(miss_rate = 0.) ~locks ~frac ~warmup ~measure () =
-  let eng = Engine.create ~seed ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:threads ~miss_rate ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict_keys
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = Eve.default_config ~workers:threads ~miss_rate ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed ~cores_per_node:16 ~replicas
+      (fun net rpc ~node ~paxos_store ->
+        Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys
           (Fig8.micro_factory ~frac ~locks ()))
   in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Eve.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Eve.is_primary servers)
-  in
-  let total = warmup + measure in
-  let completed = ref 0 in
-  let t_warm = ref 0. and t_end = ref 0. in
-  let launched = ref 0 in
-  let rng = Rng.create (seed + 13) in
-  let rec submit_one () =
-    if !launched < total + 512 then begin
-      incr launched;
-      Eve.submit primary (Fig8.gen ~locks rng) (fun _ ->
-          incr completed;
-          if !completed = warmup then t_warm := Engine.clock eng;
-          if !completed = total then t_end := Engine.clock eng;
-          submit_one ())
-    end
-  in
-  ignore
-    (Engine.spawn eng ~node:3 (fun () ->
-         for _ = 1 to 512 do
-           submit_one ()
-         done));
-  let deadline = Engine.clock eng +. 600. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if !completed < total && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
   let throughput =
-    if !completed >= total then float_of_int measure /. (!t_end -. !t_warm)
-    else 0.
+    Harness.closed_loop
+      (R.Log_cluster.engine cluster)
+      ~node:(R.Log_cluster.client_node cluster) ~rng:(Rng.create (seed + 13))
+      ~submit:(Eve.submit primary)
+      ~gen:(fun rng _ -> Fig8.gen ~locks rng)
+      ~step:0.25 ~warmup ~measure ()
   in
-  (throughput, Eve.stats primary)
+  (Option.value throughput ~default:0., Eve.stats primary)
 
 let run ?(quick = false) () =
   let warmup = if quick then 30 else 100 in

@@ -14,7 +14,7 @@ let run ?(scale = 0.1) () =
   let ckpt1 = 10. *. s and ckpt2 = 60. *. s in
   let kill_at = 71. *. s and restart_at = 91. *. s in
   let cfg =
-    R.Cluster.config ~workers:8 ~propose_interval:2e-4
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:8 ~propose_interval:2e-4
       ~election_timeout:(2.0 *. s) ~heartbeat_period:(0.4 *. s)
       ~flow_staleness:(2.0 *. s) ~flow_window:4000
       ~ckpt_byte_cost:(4e-7 *. s) ()

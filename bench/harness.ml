@@ -199,7 +199,7 @@ let run_native ?(seed = 42) ~cores ~threads ~factory ~gen ~warmup ~measure () =
 
 let rex_config ?checkpoint_interval ?reduce_edges ?partial_order ?flow_window
     ~threads () =
-  R.Cluster.config ~workers:threads ~propose_interval:2e-4
+  R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
     ?checkpoint_interval ?reduce_edges ?partial_order ?flow_window ()
 
 let run_rex ?(seed = 42) ?(cores = 16) ?net_latency ?(min_window = 0.)
@@ -360,56 +360,72 @@ let run_rex ?(seed = 42) ?(cores = 16) ?net_latency ?(min_window = 0.)
 
 (* --- RSM: same Paxos, sequential execution. --- *)
 
-let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
-  let eng = Engine.create ~seed ~cores_per_node:cores ~num_nodes:4 () in
-  arm_tracing eng;
-  let tl = arm_timeline () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc cfg ~node:i ~paxos_store:stores.(i) factory)
-  in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Smr.is_primary servers with
-    | Some s -> s
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Smr.is_primary servers)
-  in
+(* Closed-loop driving of a log-order leader: a fiber on [node] keeps
+   [outstanding] requests in flight through [submit], each completion launching
+   the next ([gen rng i] makes request [i]), until [warmup + measure]
+   have completed, pumping the engine [step] (0.2 s) at a time; the
+   stop time matters to callers that read counters afterwards.
+   [on_reply] sees every reply.  Returns the measure
+   window's throughput in requests per virtual second, [None] if the
+   run did not finish within an hour of virtual time. *)
+let outstanding = 512
+
+let closed_loop eng ~node ~rng ~submit ~gen ?(on_reply = ignore) ?(step = 0.2)
+    ~warmup ~measure () =
   let total = warmup + measure in
-  let completed = ref 0 in
+  let completed = ref 0 and launched = ref 0 in
   let t_warm = ref 0. and t_end = ref 0. in
-  let launched = ref 0 in
-  let rng = Rng.create (seed + 17) in
   let rec submit_one () =
-    if !launched < total + 512 then begin
+    if !launched < total + outstanding then begin
+      let i = !launched in
       incr launched;
-      Smr.submit primary (gen rng) (fun _ ->
+      submit (gen rng i) (fun resp ->
           incr completed;
-          tl_record tl (Engine.clock eng);
+          on_reply resp;
           if !completed = warmup then t_warm := Engine.clock eng;
           if !completed = total then t_end := Engine.clock eng;
           submit_one ())
     end
   in
   ignore
-    (Engine.spawn eng ~node:(Smr.node primary) (fun () ->
-         for _ = 1 to 512 do
+    (Engine.spawn eng ~node (fun () ->
+         for _ = 1 to outstanding do
            submit_one ()
          done));
-  let ok = pump eng ~done_p:(fun () -> !completed >= total) ~virtual_deadline:3600. in
+  let deadline = Engine.clock eng +. 3600. in
+  let rec go () =
+    Engine.run ~until:(Engine.clock eng +. step) eng;
+    if !completed >= total then
+      Some (float_of_int measure /. (!t_end -. !t_warm))
+    else if Engine.clock eng > deadline then None
+    else go ()
+  in
+  go ()
+
+let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed ~cores_per_node:cores ~replicas
+      (fun net rpc ~node ~paxos_store ->
+        Smr.create net rpc cfg ~node ~paxos_store factory)
+  in
+  let eng = R.Log_cluster.engine cluster in
+  arm_tracing eng;
+  let tl = arm_timeline () in
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
+  let throughput =
+    closed_loop eng ~node:(Smr.node primary) ~rng:(Rng.create (seed + 17))
+      ~submit:(Smr.submit primary)
+      ~gen:(fun rng _ -> gen rng)
+      ~on_reply:(fun _ -> tl_record tl (Engine.clock eng))
+      ~warmup ~measure ()
+  in
   note_run ~label:"rsm" eng;
-  if not ok then zero_result Rsm 1
-  else
-    {
-      (zero_result Rsm 1) with
-      throughput = float_of_int measure /. (!t_end -. !t_warm);
-    }
+  match throughput with
+  | None -> zero_result Rsm 1
+  | Some throughput -> { (zero_result Rsm 1) with throughput }
 
 (* --- Pretty-printing helpers --- *)
 

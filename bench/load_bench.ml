@@ -24,20 +24,11 @@ open Sim
 module R = Rex_core
 module L = Load
 
-type stack = SRex | SSmr | SEve | SCbase | SEarly
+module Stack = Check.Runner
 
-let stack_name = function
-  | SRex -> "rex"
-  | SSmr -> "smr"
-  | SEve -> "eve"
-  | SCbase -> "cbase"
-  | SEarly -> "early"
-
-let all_stacks = [ SRex; SSmr; SEve; SCbase; SEarly ]
-let stack_names = List.map stack_name all_stacks
-
-let stack_of_string s =
-  List.find_opt (fun st -> stack_name st = s) all_stacks
+(* Every stack the checker knows but the sharded fleet. *)
+let all_stacks = Stack.[ Rex; Smr; Eve; Cbase; Early ]
+let stack_names = List.map Stack.stack_name all_stacks
 
 (* The app under load: striped counters keyed by the request's first
    argument, wire-compatible with Check.Spec.keyed_counter.  The stripes
@@ -128,7 +119,7 @@ let deploy ?record_cost ~seed ~admit stack =
       ~admit_queue_hard:ad_hard ~replicas ()
   in
   match stack with
-  | SRex ->
+  | Stack.Rex ->
     let cluster = R.Cluster.create ~seed cfg (keyed_factory ()) in
     R.Cluster.start cluster;
     ignore (R.Cluster.await_primary cluster);
@@ -141,37 +132,22 @@ let deploy ?record_cost ~seed ~admit stack =
         Array.to_list (R.Cluster.servers cluster)
         |> List.map R.Server.frontend;
     }
-  | SSmr | SEve | SCbase | SEarly ->
-    let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-    let net = Net.create eng in
-    let rpc = Rpc.create net in
-    (* SMR, Eve and the sched stacks are one server type; only their
-       [create] differs. *)
-    let deploy_log create =
-      let servers =
-        Array.init 3 (fun i ->
-            create ~node:i ~paxos_store:(Paxos.Store.create ())
-              (keyed_factory ()))
-      in
-      Array.iter R.Log_server.start servers;
-      Array.to_list servers |> List.map R.Log_server.frontend
+  | stack ->
+    let (Stack.Log_stack mk) =
+      Stack.log_stack stack cfg ~conflict (keyed_factory ())
     in
-    let fronts =
-      match stack with
-      | SSmr -> deploy_log (Smr.create net rpc cfg)
-      | SEve ->
-        let ecfg = { (Eve.default_config ~replicas ()) with Eve.base = cfg } in
-        deploy_log (Eve.create net rpc ecfg ~conflict_keys:conflict)
-      | SCbase | SEarly ->
-        let mode =
-          if stack = SCbase then Sched.Exec.Cbase else Sched.Exec.Early
-        in
-        deploy_log (Sched.Server.create net rpc cfg ~mode ~conflict)
-      | SRex -> assert false
-    in
-    Engine.run ~until:1.0 eng;
-    if Engine.clock eng < 1.0 then Engine.run ~until:3.0 eng;
-    { dp_eng = eng; dp_net = net; dp_rpc = rpc; dp_node = 3; dp_fronts = fronts }
+    let c = R.Log_cluster.create ~seed ~replicas mk in
+    R.Log_cluster.start c;
+    ignore (R.Log_cluster.await_primary c);
+    {
+      dp_eng = R.Log_cluster.engine c;
+      dp_net = R.Log_cluster.net c;
+      dp_rpc = R.Log_cluster.rpc c;
+      dp_node = R.Log_cluster.client_node c;
+      dp_fronts =
+        Array.to_list (R.Log_cluster.servers c)
+        |> List.map R.Log_server.frontend;
+    }
 
 (* ---------------------------------------------------------------- *)
 (* The target: the blocking call one arrival performs.  Clients are
@@ -331,7 +307,7 @@ let ramp ~quick ~check ~stacks =
   let timelines = ref [] in
   List.iter
     (fun stack ->
-      let name = stack_name stack in
+      let name = Stack.stack_name stack in
       let admit =
         { ad_global = 512; ad_per_client = 8; ad_soft = 768; ad_hard = 1536 }
       in
@@ -407,7 +383,7 @@ let overload_ab ~quick =
   Printf.printf
     "\n== Overload A/B (rex): %.0f req/s offered, ~2k req/s capacity ==\n" rate;
   let go ~label ~admit ~queue_cap =
-    let dp = deploy ~record_cost:2e-3 ~seed:551 ~admit SRex in
+    let dp = deploy ~record_cost:2e-3 ~seed:551 ~admit Stack.Rex in
     (* 256 callers and inflight 8 keep the load engine out of the way:
        the full offered rate reaches the frontend, where the contrast
        under test lives. *)
@@ -476,7 +452,7 @@ let canary ~quick =
   let admit =
     { ad_global = 512; ad_per_client = 16; ad_soft = 768; ad_hard = 1536 }
   in
-  let dp = deploy ~seed:909 ~admit SRex in
+  let dp = deploy ~seed:909 ~admit Stack.Rex in
   Net.set_drop_probability dp.dp_net 0.06;
   let sm =
     Check.Sample.create ~keys_cap:16 ~window_cap:256 ~seed:5
@@ -614,9 +590,9 @@ let run ?(quick = false) ?(check = false) ?stack () =
     match stack with
     | None -> all_stacks
     | Some s -> (
-      match stack_of_string s with
-      | Some st -> [ st ]
-      | None ->
+      match Stack.stack_of_string s with
+      | Some st when List.mem st all_stacks -> [ st ]
+      | Some _ | None ->
         Harness.fail "unknown stack %S (expected one of %s)" s
           (String.concat ", " stack_names))
   in

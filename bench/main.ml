@@ -153,32 +153,42 @@ let ablate_cmd =
          const (fun quick only () -> Ablate.run ~quick ?only ())
          $ quick_arg $ only_arg))
 
-(* Shard-sweep values are validated at parse time too: a malformed or
-   out-of-range count exits non-zero with usage. *)
-let shard_list_conv =
+(* Sweep flags take comma-separated values, validated at parse time: a
+   malformed or out-of-range value exits non-zero with usage. *)
+let list_conv ~what ~expected of_string valid to_string =
   let parse s =
     let parts = String.split_on_char ',' s in
-    let counts =
+    let values =
       List.filter_map
         (fun p ->
-          match int_of_string_opt (String.trim p) with
-          | Some v when v >= 1 && v <= 64 -> Some v
+          match of_string (String.trim p) with
+          | Some v when valid v -> Some v
           | Some _ | None -> None)
         parts
     in
-    if List.length counts = List.length parts && counts <> [] then Ok counts
+    if List.length values = List.length parts && values <> [] then Ok values
     else
       Error
         (`Msg
-           (Printf.sprintf
-              "invalid shard sweep %S (expected comma-separated counts in \
-               1..64, e.g. 1,2,4,8)"
-              s))
+           (Printf.sprintf "invalid %s sweep %S (expected comma-separated %s)"
+              what s expected))
   in
   let print ppf l =
-    Format.pp_print_string ppf (String.concat "," (List.map string_of_int l))
+    Format.pp_print_string ppf (String.concat "," (List.map to_string l))
   in
   Arg.conv (parse, print)
+
+let shard_list_conv =
+  list_conv ~what:"shard" ~expected:"counts in 1..64, e.g. 1,2,4,8"
+    int_of_string_opt
+    (fun v -> v >= 1 && v <= 64)
+    string_of_int
+
+let ratio_list_conv =
+  list_conv ~what:"read-ratio" ~expected:"ratios in 0..1, e.g. 0.5,0.9,0.99"
+    float_of_string_opt
+    (fun v -> v >= 0. && v <= 1.)
+    string_of_float
 
 let shards_arg =
   Arg.(
@@ -214,32 +224,6 @@ let shard_cmd =
     (instrumented
        Term.(const run $ quick_arg $ shards_arg $ shard_app_arg $ check_flag))
 
-let ratio_list_conv =
-  let parse s =
-    let parts = String.split_on_char ',' s in
-    let ratios =
-      List.filter_map
-        (fun p ->
-          match float_of_string_opt (String.trim p) with
-          | Some v when v >= 0. && v <= 1. -> Some v
-          | Some _ | None -> None)
-        parts
-    in
-    if List.length ratios = List.length parts && ratios <> [] then Ok ratios
-    else
-      Error
-        (`Msg
-           (Printf.sprintf
-              "invalid read-ratio sweep %S (expected comma-separated ratios \
-               in 0..1, e.g. 0.5,0.9,0.99)"
-              s))
-  in
-  let print ppf l =
-    Format.pp_print_string ppf
-      (String.concat "," (List.map string_of_float l))
-  in
-  Arg.conv (parse, print)
-
 let read_ratio_arg =
   Arg.(
     value
@@ -268,9 +252,8 @@ let reads_cmd =
          const (fun quick backend () -> Reads_bench.run ~quick ~backend ())
          $ quick_arg $ backend_arg))
 
-(* `--workers` / `--conflict-rate` follow the `--shards` convention:
-   comma-separated sweeps, validated at parse time (malformed or
-   out-of-range values exit non-zero with usage). *)
+(* `--workers` / `--conflict-rate` are comma-separated sweeps like
+   `--shards`. *)
 let workers_arg =
   Arg.(
     value

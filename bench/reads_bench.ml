@@ -75,7 +75,7 @@ let mk_point obs ~nodes ~total ~dt ~reads =
   }
 
 let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
-  let cfg = R.Cluster.config ~workers:4 ~propose_interval:2e-4 () in
+  let cfg = R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:4 ~propose_interval:2e-4 () in
   let cluster = R.Cluster.launch ~seed cfg (Apps.Kyoto.factory ()) in
   let eng = R.Cluster.engine cluster in
   let nodes = R.Cluster.replica_nodes cluster in
@@ -95,23 +95,21 @@ let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   mk_point (Engine.obs eng) ~nodes ~total:(clients * ops) ~dt ~reads:!reads
 
 let smr_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers:1 ~propose_interval:2e-4 ~replicas () in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ())
-          (Apps.Kyoto.factory ()))
+  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
+        Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  if not (Array.exists Smr.is_primary servers) then Engine.run ~until:5.0 eng;
-  let cl = Array.init clients (fun _ -> R.Client.create rpc ~me:3 ~replicas) in
+  R.Log_cluster.start cluster;
+  ignore (R.Log_cluster.await_primary ~fallback:5.0 cluster);
+  let eng = R.Log_cluster.engine cluster in
   let reads = ref 0 in
+  let cl = Array.init clients (fun _ -> R.Log_cluster.client cluster) in
   let dt =
-    drive eng ~node:3 ~clients ~ops ~ratio ~seed
+    drive eng
+      ~node:(R.Log_cluster.client_node cluster)
+      ~clients ~ops ~ratio ~seed
       ~read:(fun c req ->
         incr reads;
         ignore

@@ -43,7 +43,6 @@ let gen rng ~conflict_rate i =
    1 ms a 64-request batch caps every stack at the same agreement rate
    and the worker axis goes flat. *)
 let propose_interval = 1e-4
-let outstanding = 512
 
 type rrun = {
   eng : Engine.t;
@@ -53,34 +52,23 @@ type rrun = {
 }
 
 let make_sched ~seed ~mode ~workers () =
-  let eng = Engine.create ~seed ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg =
-    R.Config.make ~workers ~propose_interval ~replicas:[ 0; 1; 2 ] ()
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = R.Config.make ~workers ~propose_interval ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed ~cores_per_node:16 ~replicas
+      (fun net rpc ~node ~paxos_store ->
+        Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
+          ~conflict:Sched.Conflict.kv (Apps.Kyoto.factory ()))
   in
-  let servers =
-    Array.init 3 (fun i ->
-        Sched.Server.create net rpc cfg ~node:i
-          ~paxos_store:(Paxos.Store.create ()) ~mode
-          ~conflict:Sched.Conflict.kv
-          (Apps.Kyoto.factory ()))
-  in
-  Array.iter Sched.Server.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Sched.Server.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Sched.Server.is_primary servers)
-  in
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
   {
-    eng;
+    eng = R.Log_cluster.engine cluster;
     submit = Sched.Server.submit primary;
     digests =
       (fun () ->
-        Array.to_list servers |> List.map Sched.Server.app_digest);
+        Array.to_list (R.Log_cluster.servers cluster)
+        |> List.map Sched.Server.app_digest);
     extras =
       (fun () ->
         let s = Sched.Exec.stats (Sched.Server.exec primary) in
@@ -89,7 +77,7 @@ let make_sched ~seed ~mode ~workers () =
   }
 
 let make_rex ~seed ~workers () =
-  let ccfg = R.Cluster.config ~workers ~propose_interval () in
+  let ccfg = R.Config.make ~replicas:[ 0; 1; 2 ] ~workers ~propose_interval () in
   let cluster =
     R.Cluster.create ~seed ~cores_per_node:16 ccfg (Apps.Kyoto.factory ())
   in
@@ -105,40 +93,23 @@ let make_rex ~seed ~workers () =
     extras = (fun () -> "");
   }
 
-(* Drive [warmup + measure] requests closed-loop (256 outstanding) and
-   report the measure window's throughput in requests per virtual
-   second; then let the followers drain and return the converged
-   digest. *)
+(* Drive [warmup + measure] requests closed-loop and report the
+   measure window's throughput in requests per virtual second; then let
+   the followers drain and return the converged digest. *)
 let closed_loop run ~seed ~conflict_rate ~warmup ~measure ~label =
   let eng = run.eng in
-  let total = warmup + measure in
-  let completed = ref 0 and failed = ref 0 and launched = ref 0 in
-  let t_warm = ref 0. and t_end = ref 0. in
-  let rng = Rng.create (seed + 17) in
-  let rec submit_one () =
-    if !launched < total + outstanding then begin
-      let i = !launched in
-      incr launched;
-      run.submit
-        (gen rng ~conflict_rate i)
-        (fun resp ->
-          if resp = None then incr failed;
-          incr completed;
-          if !completed = warmup then t_warm := Engine.clock eng;
-          if !completed = total then t_end := Engine.clock eng;
-          submit_one ())
-    end
+  let failed = ref 0 in
+  let throughput =
+    match
+      Harness.closed_loop eng ~node:3 ~rng:(Rng.create (seed + 17))
+        ~submit:run.submit
+        ~gen:(fun rng i -> gen rng ~conflict_rate i)
+        ~on_reply:(fun resp -> if resp = None then incr failed)
+        ~warmup ~measure ()
+    with
+    | Some tp -> tp
+    | None -> Harness.fail "sched %s: run did not finish" label
   in
-  ignore
-    (Engine.spawn eng ~node:3 (fun () ->
-         for _ = 1 to outstanding do
-           submit_one ()
-         done));
-  if
-    not
-      (Harness.pump eng ~done_p:(fun () -> !completed >= total)
-         ~virtual_deadline:(Engine.clock eng +. 600.))
-  then Harness.fail "sched %s: run did not finish" label;
   if !failed > 0 then
     Harness.fail "sched %s: %d submissions failed (leader lost?)" label
       !failed;
@@ -154,7 +125,6 @@ let closed_loop run ~seed ~conflict_rate ~warmup ~measure ~label =
   if not (converged ()) then
     Harness.fail "sched %s: replicas did not converge" label;
   Harness.note_run ~label eng;
-  let throughput = float_of_int measure /. (!t_end -. !t_warm) in
   (throughput, List.hd !digest, run.extras ())
 
 let sim_sweep ~quick ~workers_list ~rates () =
@@ -166,7 +136,7 @@ let sim_sweep ~quick ~workers_list ~rates () =
   Printf.printf
     "(3 replicas, kyoto, %d+%d reqs, %d outstanding, propose %gus; \
      req/virtual-second)\n"
-    warmup measure outstanding (propose_interval *. 1e6);
+    warmup measure Harness.outstanding (propose_interval *. 1e6);
   Printf.printf "conflict\tworkers\tcbase\tearly\trex\tcbase_extras\n%!";
   List.iter
     (fun conflict_rate ->
@@ -353,25 +323,20 @@ let sharded_smoke ~quick () =
     let mode =
       if group = 0 then Sched.Exec.Cbase else Sched.Exec.Early
     in
-    Array.of_list
-      (List.map
-         (fun node ->
-           Sched.Server.create net rpc cfg ~node
-             ~paxos_store:(Paxos.Store.create ()) ~mode
-             ~conflict:Sched.Conflict.kv
-             (Shard.Partition.factory ~map ~group (Apps.Kyoto.factory ())))
-         replicas)
+    ( group,
+      R.Log_cluster.create_in net rpc ~client_node:6 ~replicas
+        (fun net rpc ~node ~paxos_store ->
+          Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
+            ~conflict:Sched.Conflict.kv
+            (Shard.Partition.factory ~map ~group (Apps.Kyoto.factory ()))) )
   in
-  let fleet = List.map (fun g -> (fst g, make_group g)) groups in
-  List.iter (fun (_, servers) -> Array.iter Sched.Server.start servers) fleet;
-  let leaders () =
-    List.for_all
-      (fun (_, servers) -> Array.exists Sched.Server.is_primary servers)
-      fleet
-  in
-  Engine.run ~until:1.0 eng;
-  if not (leaders ()) then Engine.run ~until:5.0 eng;
-  if not (leaders ()) then Harness.fail "sched shard: no leaders elected";
+  let fleet = List.map make_group groups in
+  List.iter (fun (_, c) -> R.Log_cluster.start c) fleet;
+  (try
+     List.iter
+       (fun (_, c) -> ignore (R.Log_cluster.await_primary ~fallback:5.0 c))
+       fleet
+   with Failure _ -> Harness.fail "sched shard: no leaders elected");
   let router = Shard.Router.create net rpc ~me:6 ~map ~groups in
   let ok_writes = ref 0 and ok_reads = ref 0 and finished = ref false in
   ignore
@@ -408,9 +373,8 @@ let sharded_smoke ~quick () =
                   value" !ok_reads (n / 4);
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
   List.iter
-    (fun (group, servers) ->
-      let ds = Array.to_list servers |> List.map Sched.Server.app_digest in
-      match ds with
+    (fun (group, c) ->
+      match R.Log_cluster.digests c with
       | d :: rest when List.for_all (( = ) d) rest -> ()
       | _ -> Harness.fail "sched shard: group %d replicas diverged" group)
     fleet;

@@ -119,7 +119,7 @@ let run_on_domains ~factory ~gen ~n ~threads ~seed ~metrics_out =
 let run_single ~factory ~gen ~n ~threads ~seed ~kill_primary ~checkpoints
     ~metrics_out ~trace_out =
   let cfg =
-    R.Cluster.config ~workers:threads
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
       ~checkpoint_interval:(if checkpoints then Some 0.25 else None)
       ()
   in

@@ -85,22 +85,19 @@ let run_rex_cluster name agreement =
     (List.for_all (( = ) (List.hd digests)) digests)
 
 let run_eve () =
-  let eng = Engine.create ~seed:5 ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:8 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = Eve.default_config ~workers:8 ~replicas () in
   let conflict_keys req =
     match String.split_on_char ' ' req with [ "INC"; s ] -> [ s ] | _ -> []
   in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict_keys
-          counter_app)
+  let cluster =
+    R.Log_cluster.create ~seed:5 ~cores_per_node:16 ~replicas
+      (fun net rpc ~node ~paxos_store ->
+        Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys counter_app)
   in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary = Option.get (Array.find_opt Eve.is_primary servers) in
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary cluster in
+  let eng = R.Log_cluster.engine cluster in
   let t0 = Engine.clock eng in
   let completed = ref 0 and launched = ref 0 in
   let rng = Rng.create 9 in
@@ -115,7 +112,7 @@ let run_eve () =
     end
   in
   ignore
-    (Engine.spawn eng ~node:3 (fun () ->
+    (Engine.spawn eng ~node:(R.Log_cluster.client_node cluster) (fun () ->
          for _ = 1 to 64 do
            submit_one ()
          done));
@@ -124,7 +121,7 @@ let run_eve () =
   done;
   let dt = Engine.clock eng -. t0 in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  let digests = Array.to_list servers |> List.map Eve.app_digest in
+  let digests = R.Log_cluster.digests cluster in
   Printf.printf "%-14s %8.0f req/s   replicas agree: %b   (batches avg %.1f)\n%!"
     "eve"
     (float_of_int n_requests /. dt)

@@ -224,9 +224,8 @@ let conflict_keys_for cfg =
 
 let deploy_rex history_of cfg =
   let ccfg =
-    R.Cluster.config ~workers:4
-      ~checkpoint_interval:cfg.checkpoint_interval
-      ~lease_unsafe:cfg.lease_unsafe ()
+    R.Config.make ~workers:4 ~checkpoint_interval:cfg.checkpoint_interval
+      ~lease_unsafe:cfg.lease_unsafe ~replicas:[ 0; 1; 2 ] ()
   in
   let cluster = R.Cluster.create ~seed:cfg.seed ccfg (factory_for cfg) in
   R.Cluster.start cluster;
@@ -298,82 +297,68 @@ let deploy_rex history_of cfg =
         | exception Failure _ -> true);
   }
 
+(* {1 The log-order stacks}
+
+   The one place that maps a stack name to its constructor, so the
+   checker and `bench load` deploy the same servers. *)
+
+type log_stack = Log_stack : 'x R.Log_cluster.mk -> log_stack
+
+let log_stack stack cfg ~conflict factory =
+  match stack with
+  | Smr ->
+    Log_stack
+      (fun net rpc ~node ~paxos_store ->
+        Smr.create net rpc cfg ~node ~paxos_store factory)
+  | Cbase | Early ->
+    let mode = if stack = Cbase then Sched.Exec.Cbase else Sched.Exec.Early in
+    Log_stack
+      (fun net rpc ~node ~paxos_store ->
+        Sched.Server.create net rpc cfg ~node ~paxos_store ~mode ~conflict
+          factory)
+  | Eve ->
+    let ecfg =
+      {
+        (Eve.default_config ~replicas:cfg.R.Config.replicas ()) with
+        Eve.base = cfg;
+      }
+    in
+    Log_stack
+      (fun net rpc ~node ~paxos_store ->
+        Eve.create net rpc ecfg ~node ~paxos_store ~conflict_keys:conflict
+          factory)
+  | Rex | Sharded ->
+    invalid_arg ("Runner.log_stack: not a log-order stack: " ^ stack_name stack)
+
 let deploy_single history_of cfg =
-  (* SMR, Eve and the sched stacks are one server type
-     ({!Rex_core.Log_server}) and share a harness: three replicas on
-     nodes 0-2, clients on node 3, no restart path (these stacks have no
-     recovery-from-disk). *)
-  let eng = Engine.create ~seed:cfg.seed ~cores_per_node:8 ~num_nodes:4 () in
-  let history = history_of eng in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
+  (* Three replicas on nodes 0-2, clients on node 3.  No restart path:
+     these stacks have no recovery from disk, so the rolling upgrade
+     replays the committed log into a fresh server instead. *)
   let replicas = [ 0; 1; 2 ] in
-  (* [deploy] takes the stack's [create] and returns (fronts, digests,
-     leader, upgrade_node): the server array is mutable so
-     [upgrade_node] can replace one replica in place — crash the node,
-     re-create the server over the {e same} Paxos store, replay the
-     committed prefix to rebuild app and session state, start, and
-     re-wire the history tap.  That is the rolling upgrade path for
-     stacks without checkpoint recovery. *)
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let deploy create =
-    let module L = R.Log_server in
-    let mk i = create ~node:i ~paxos_store:stores.(i) in
-    let servers = Array.init 3 mk in
-    Array.iter L.start servers;
-    let live s = Engine.node_alive eng (L.node s) in
-    ( (fun () -> List.map L.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live |> List.map L.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && L.is_primary s)
-        |> Option.map L.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        L.replay s;
-        L.start s;
-        servers.(i) <- s;
-        History.wire history [ L.frontend s ] )
+  let rcfg =
+    R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
   in
-  let config ~workers =
-    R.Config.make ~workers ~replicas ~lease_unsafe:cfg.lease_unsafe ()
+  let (Log_stack mk) =
+    log_stack cfg.stack rcfg ~conflict:(conflict_keys_for cfg)
+      (factory_for cfg)
   in
-  let sched mode ~node ~paxos_store =
-    Sched.Server.create net rpc (config ~workers:4) ~node ~paxos_store ~mode
-      ~conflict:(conflict_keys_for cfg) (factory_for cfg)
-  in
-  let fronts, digests, leader, upgrade_node =
-    match cfg.stack with
-    | Smr ->
-      deploy (fun ~node ~paxos_store ->
-          Smr.create net rpc (config ~workers:1) ~node ~paxos_store
-            (factory_for cfg))
-    | Cbase -> deploy (sched Sched.Exec.Cbase)
-    | Early -> deploy (sched Sched.Exec.Early)
-    | _ ->
-      let ecfg =
-        Eve.default_config ~workers:4 ~replicas
-          ~lease_unsafe:cfg.lease_unsafe ()
-      in
-      deploy (fun ~node ~paxos_store ->
-          Eve.create net rpc ecfg ~node ~paxos_store
-            ~conflict_keys:(conflict_keys_for cfg) (factory_for cfg))
-  in
-  Engine.run ~until:1.0 eng;
-  if leader () = None then Engine.run ~until:3.0 eng;
-  History.wire history (fronts ());
-  let clients =
-    Array.init cfg.clients (fun _ -> R.Client.create rpc ~me:3 ~replicas)
-  in
+  let module L = R.Log_cluster in
+  let c = L.create ~seed:cfg.seed ~replicas mk in
+  let eng = L.engine c in
+  let history = history_of eng in
+  let wire s = History.wire history [ R.Log_server.frontend s ] in
+  L.start c;
+  ignore (L.await_primary c);
+  Array.iter wire (L.servers c);
+  L.set_on_new_server c (Some wire);
+  let clients = Array.init cfg.clients (fun _ -> L.client c) in
+  let leader () = Option.map R.Log_server.node (L.primary c) in
   let target =
     {
-      Nemesis.net = net;
+      Nemesis.net = L.net c;
       nodes = replicas;
-      others = [ 3 ];
-      crash = Engine.crash_node eng;
+      others = [ L.client_node c ];
+      crash = L.crash c;
       restart = None;
       leader;
       down = [];
@@ -391,7 +376,7 @@ let deploy_single history_of cfg =
             List.iter
               (fun i ->
                 if not (List.mem i target.Nemesis.down) then begin
-                  upgrade_node i;
+                  L.upgrade c i;
                   Engine.run ~until:(Engine.clock eng +. 0.3) eng;
                   let deadline = Engine.clock eng +. 5. in
                   while leader () = None && Engine.clock eng < deadline do
@@ -406,7 +391,7 @@ let deploy_single history_of cfg =
     call =
       (fun cidx ~retries req -> R.Client.call ~retries clients.(cidx) req);
     query = (fun cidx req -> R.Client.query clients.(cidx) req);
-    digests = (fun () -> [ digests () ]);
+    digests = (fun () -> [ L.digests c ]);
     diverged = (fun () -> false);
   }
 

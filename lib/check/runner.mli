@@ -13,6 +13,18 @@ type app = Kv | Counter
 
 val stack_of_string : string -> stack option
 val stack_name : stack -> string
+
+(** A log-order stack's constructor, its state type hidden. *)
+type log_stack = Log_stack : 'x Rex_core.Log_cluster.mk -> log_stack
+
+val log_stack :
+  stack -> Rex_core.Config.t -> conflict:(string -> string list) ->
+  Rex_core.App.factory -> log_stack
+(** The constructor of [Smr], [Cbase], [Early] or [Eve] (its
+    {!Eve.config} is [Eve.default_config] with the given config as its
+    base), for {!Rex_core.Log_cluster}.  Raises [Invalid_argument] for
+    [Rex] and [Sharded]. *)
+
 val app_of_string : string -> app option
 val app_name : app -> string
 

@@ -255,21 +255,7 @@ let check_no_divergence t =
         | None -> ())
     t.servers_
 
-(* --- Builder: the config/launch plumbing every bench used to copy --- *)
-
-let config ?(n_replicas = 3) ?workers ?propose_interval
-    ?(checkpoint_interval = None) ?flow_window ?flow_report_interval
-    ?flow_staleness ?heartbeat_period ?election_timeout ?reduce_edges
-    ?partial_order ?check_versions ?record_cost ?replay_cost ?ckpt_byte_cost
-    ?pipeline_depth ?paxos_sync_latency ?lease_duration ?lease_drift_bound
-    ?lease_unsafe () =
-  if n_replicas <= 0 then invalid_arg "Cluster.config: n_replicas";
-  Config.make ?workers ?propose_interval ~checkpoint_interval ?flow_window
-    ?flow_report_interval ?flow_staleness ?heartbeat_period ?election_timeout
-    ?reduce_edges ?partial_order ?check_versions ?record_cost ?replay_cost
-    ?ckpt_byte_cost ?pipeline_depth ?paxos_sync_latency ?lease_duration
-    ?lease_drift_bound ?lease_unsafe
-    ~replicas:(List.init n_replicas Fun.id) ()
+(* --- Builder: the launch plumbing every bench used to copy --- *)
 
 let launch ?seed ?cores_per_node ?extra_nodes ?net_latency ?agreement ?limit
     ?(before_start = fun _ -> ()) cfg factory =

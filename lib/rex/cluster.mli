@@ -117,32 +117,6 @@ val check_no_divergence : t -> unit
     The construction plumbing shared by the benches, the demo binary and
     the sharded fleet, so they stop copy-pasting it. *)
 
-val config :
-  ?n_replicas:int ->
-  ?workers:int ->
-  ?propose_interval:float ->
-  ?checkpoint_interval:float option ->
-  ?flow_window:int ->
-  ?flow_report_interval:float ->
-  ?flow_staleness:float ->
-  ?heartbeat_period:float ->
-  ?election_timeout:float ->
-  ?reduce_edges:bool ->
-  ?partial_order:bool ->
-  ?check_versions:bool ->
-  ?record_cost:float ->
-  ?replay_cost:float ->
-  ?ckpt_byte_cost:float ->
-  ?pipeline_depth:int ->
-  ?paxos_sync_latency:float ->
-  ?lease_duration:float ->
-  ?lease_drift_bound:float ->
-  ?lease_unsafe:bool ->
-  unit ->
-  Config.t
-(** A {!Config.t} over replicas [0 .. n_replicas-1] (default 3), with
-    every other knob forwarded to {!Config.make}. *)
-
 val launch :
   ?seed:int ->
   ?cores_per_node:int ->

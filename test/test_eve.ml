@@ -64,20 +64,16 @@ let conflict_keys req =
   | _ -> []
 
 let mk_cluster ?(seed = 5) ?(miss_rate = 0.) () =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:4 ~miss_rate ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict_keys
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = Eve.default_config ~workers:4 ~miss_rate ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
+        Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys
           (counter_factory ()))
   in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary = Option.get (Array.find_opt Eve.is_primary servers) in
-  (eng, servers, primary)
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary cluster in
+  (R.Log_cluster.engine cluster, R.Log_cluster.servers cluster, primary)
 
 let drive eng primary n gen =
   let completed = ref 0 and dropped = ref 0 in

@@ -14,66 +14,34 @@
 open Sim
 module R = Rex_core
 
-type 's stack = {
-  create :
-    Net.t -> Rpc.t -> R.Config.t -> node:int -> paxos_store:Paxos.Store.t -> 's;
-  start : 's -> unit;
-  replay : 's -> unit;
-  node : 's -> int;
-  is_primary : 's -> bool;
-  app_digest : 's -> string;
-  session_table : 's -> R.Session.Table.t;
-}
+(* A stack is its [create] over a config. *)
+let smr cfg net rpc ~node ~paxos_store =
+  Smr.create net rpc cfg ~node ~paxos_store (Apps.Memcache.factory ())
 
-let smr =
-  {
-    create =
-      (fun net rpc cfg ~node ~paxos_store ->
-        Smr.create net rpc cfg ~node ~paxos_store (Apps.Memcache.factory ()));
-    start = Smr.start;
-    replay = Smr.replay;
-    node = Smr.node;
-    is_primary = Smr.is_primary;
-    app_digest = Smr.app_digest;
-    session_table = Smr.session_table;
-  }
-
-let sched mode =
-  {
-    create =
-      (fun net rpc cfg ~node ~paxos_store ->
-        Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
-          ~conflict:Sched.Conflict.kv (Apps.Memcache.factory ()));
-    start = Sched.Server.start;
-    replay = Sched.Server.replay;
-    node = Sched.Server.node;
-    is_primary = Sched.Server.is_primary;
-    app_digest = Sched.Server.app_digest;
-    session_table = Sched.Server.session_table;
-  }
+let sched mode cfg net rpc ~node ~paxos_store =
+  Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
+    ~conflict:Sched.Conflict.kv (Apps.Memcache.factory ())
 
 let lock_path req =
   match String.split_on_char ' ' req with
   | _ :: path :: _ -> [ path ]
   | _ -> []
 
-let eve =
-  {
-    create =
-      (fun net rpc cfg ~node ~paxos_store ->
-        let ecfg =
-          Eve.default_config ~workers:cfg.R.Config.workers
-            ~replicas:cfg.R.Config.replicas ()
-        in
-        Eve.create net rpc ecfg ~node ~paxos_store ~conflict_keys:lock_path
-          (Apps.Lock_server.factory ()));
-    start = Eve.start;
-    replay = Eve.replay;
-    node = Eve.node;
-    is_primary = Eve.is_primary;
-    app_digest = Eve.app_digest;
-    session_table = Eve.session_table;
-  }
+let eve cfg net rpc ~node ~paxos_store =
+  let ecfg =
+    Eve.default_config ~workers:cfg.R.Config.workers
+      ~replicas:cfg.R.Config.replicas ()
+  in
+  Eve.create net rpc ecfg ~node ~paxos_store ~conflict_keys:lock_path
+    (Apps.Lock_server.factory ())
+
+let deploy stack =
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = R.Config.make ~workers:4 ~replicas () in
+  let cluster = R.Log_cluster.create ~seed:7 ~replicas (stack cfg) in
+  R.Log_cluster.start cluster;
+  let leader = R.Log_server.node (R.Log_cluster.await_primary cluster) in
+  (cluster, leader)
 
 let memcache_op c i =
   let k = (c * 7) + (i mod 5) in
@@ -104,27 +72,13 @@ let counter_sum eng qualified =
       | _ -> acc)
 
 let golden_digest stack op =
-  let eng = Engine.create ~seed:7 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers:4 ~replicas () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let mk i = stack.create net rpc cfg ~node:i ~paxos_store:stores.(i) in
-  let servers = Array.init 3 mk in
-  Array.iter stack.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader () =
-    Array.to_list servers
-    |> List.find_opt (fun s ->
-           Engine.node_alive eng (stack.node s) && stack.is_primary s)
-    |> Option.map stack.node
-  in
+  let cluster, first_leader = deploy stack in
+  let eng = R.Log_cluster.engine cluster in
   let answers = Buffer.create 4096 in
   for c = 0 to 2 do
     ignore
       (Engine.spawn eng ~node:3 ~name:"golden.client" (fun () ->
-           let cl = R.Client.create rpc ~me:3 ~replicas in
+           let cl = R.Log_cluster.client cluster in
            for i = 0 to 59 do
              let r =
                match op c i with
@@ -136,27 +90,21 @@ let golden_digest stack op =
              Engine.sleep 2e-3
            done))
   done;
-  let first_leader = Option.get (leader ()) in
   let follower = if first_leader = 0 then 1 else 0 in
   (* Rolling upgrade: a replacement server over the same Paxos store
      rebuilds app and session state by replaying the committed log. *)
   Engine.schedule eng ~at:1.05 (fun () ->
-      Engine.crash_node eng follower;
-      Engine.restart_node eng follower;
-      let s = mk follower in
-      stack.replay s;
-      stack.start s;
-      servers.(follower) <- s);
+      R.Log_cluster.upgrade cluster follower);
   Engine.schedule eng ~at:1.1 (fun () -> Engine.crash_node eng first_leader);
   Engine.run ~until:3.0 eng;
   let b = Buffer.create 4096 in
   Buffer.add_buffer b answers;
   Array.iter
     (fun s ->
-      Printf.bprintf b "node %d app %s session %s\n" (stack.node s)
-        (stack.app_digest s)
-        (R.Session.Table.digest (stack.session_table s)))
-    servers;
+      Printf.bprintf b "node %d app %s session %s\n" (R.Log_server.node s)
+        (R.Log_server.app_digest s)
+        (R.Session.Table.digest (R.Log_server.session_table s)))
+    (R.Log_cluster.servers cluster);
   Printf.bprintf b "clock %h\n" (Engine.clock eng);
   List.iter
     (fun c -> Printf.bprintf b "%s %d\n" c (counter_sum eng c))
@@ -172,19 +120,9 @@ let golden name stack op expected () =
    stopped the whole simulation) nor a valid one (which ran the app's
    timer out of schedule and never answered) may reach the log. *)
 let forged_ticks_dropped stack () =
-  let eng = Engine.create ~seed:7 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        stack.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ()))
-  in
-  Array.iter stack.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    stack.node (Option.get (Array.find_opt stack.is_primary servers))
-  in
+  let cluster, leader = deploy stack in
+  let eng = R.Log_cluster.engine cluster in
+  let rpc = R.Log_cluster.rpc cluster in
   let replies = ref [] in
   ignore
     (Engine.spawn eng ~node:3 (fun () ->

@@ -279,19 +279,22 @@ let query_semantics () =
     (R.Cluster.servers cluster);
   ignore primary
 
-let smr_baseline_replicates () =
-  let eng = Engine.create ~seed:31 ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
+(* A three-replica SMR group over [factory], started, with a primary. *)
+let smr_cluster ~seed ?cores_per_node factory =
   let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i) (test_app ()))
+  let cluster =
+    R.Log_cluster.create ~seed ?cores_per_node
+      ~replicas:config.R.Config.replicas (fun net rpc ~node ~paxos_store ->
+        Smr.create net rpc config ~node ~paxos_store factory)
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary cluster in
+  (cluster, R.Log_cluster.engine cluster, primary)
+
+let smr_baseline_replicates () =
+  let cluster, eng, _ = smr_cluster ~seed:31 ~cores_per_node:16 (test_app ()) in
+  let servers = R.Log_cluster.servers cluster in
+  let cl = R.Log_cluster.client cluster in
   let answered = ref 0 in
   ignore
     (Engine.spawn eng ~node:3 (fun () ->
@@ -500,19 +503,10 @@ let suite =
    pseudo-requests, so every replica runs the callback at the same point
    in the request order. *)
 let smr_timers_serialized () =
-  let eng = Engine.create ~seed:71 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-          (Apps.Leveldb.factory ~memtable_limit:4 ~compaction_interval:5e-3 ()))
+  let cluster, eng, primary =
+    smr_cluster ~seed:71
+      (Apps.Leveldb.factory ~memtable_limit:4 ~compaction_interval:5e-3 ())
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary = Option.get (Array.find_opt Smr.is_primary servers) in
   let done_ = ref 0 in
   ignore
     (Engine.spawn eng ~node:(Smr.node primary) (fun () ->
@@ -525,39 +519,24 @@ let smr_timers_serialized () =
   Engine.run ~until:4.0 eng;
   (* Compaction (a timer) ran identically everywhere: digests equal even
      though the memtable/disktable split is part of the digest's input. *)
-  let ds = Array.map Smr.app_digest servers in
+  let ds = Array.map Smr.app_digest (R.Log_cluster.servers cluster) in
   Alcotest.(check string) "0=1" ds.(0) ds.(1);
   Alcotest.(check string) "0=2" ds.(0) ds.(2)
 
 let smr_failover () =
-  let eng = Engine.create ~seed:73 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let mk i =
-    let s = Smr.create net rpc config ~node:i ~paxos_store:stores.(i) (test_app ()) in
-    Smr.start s;
-    s
-  in
-  let servers = Array.init 3 mk in
-  Engine.run ~until:1.0 eng;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+  let cluster, eng, _ = smr_cluster ~seed:73 (test_app ()) in
+  let cl = R.Log_cluster.client cluster in
   let phase n = drive_requests cl (List.init n (fun i -> Printf.sprintf "INC s%d" (i mod 3))) eng 3 in
   ignore (phase 20);
-  let leader = Option.get (Array.find_opt Smr.is_primary servers) in
-  Engine.crash_node eng (Smr.node leader);
+  let leader = Option.get (R.Log_cluster.primary cluster) in
+  R.Log_cluster.crash cluster (Smr.node leader);
   Engine.run ~until:(Engine.clock eng +. 2.0) eng;
   let results = phase 20 in
   Alcotest.(check bool) "service resumed after SMR failover" true
     (List.exists (fun (_, r) -> r <> None) results);
   (* note: the crashed node stays down; the two live replicas agree *)
   Engine.run ~until:(Engine.clock eng +. 1.0) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Smr.node s))
-  in
-  match List.map Smr.app_digest live with
+  match R.Log_cluster.digests cluster with
   | d :: rest -> List.iter (Alcotest.(check string) "smr live agree" d) rest
   | [] -> Alcotest.fail "no live replicas"
 

@@ -310,26 +310,16 @@ let prop_digest_matches_serial mode =
 (* --- the full stack --- *)
 
 let make_cluster ~mode =
-  let eng = Engine.create ~seed:5 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Sched.Server.create net rpc cfg ~node:i
-          ~paxos_store:(Paxos.Store.create ()) ~mode ~conflict:C.kv
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = R.Config.make ~workers:4 ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed:5 ~replicas (fun net rpc ~node ~paxos_store ->
+        Sched.Server.create net rpc cfg ~node ~paxos_store ~mode ~conflict:C.kv
           (Apps.Kyoto.factory ()))
   in
-  Array.iter Sched.Server.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Sched.Server.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Sched.Server.is_primary servers)
-  in
-  (eng, servers, primary)
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
+  (R.Log_cluster.engine cluster, R.Log_cluster.servers cluster, primary)
 
 let cluster_smoke mode () =
   let eng, servers, primary = make_cluster ~mode in

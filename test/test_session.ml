@@ -737,26 +737,17 @@ let smr_counter_factory () : R.App.factory =
    requests the client's reply window evicts on every replica, and the
    exactly-once verdict must still hold. *)
 let fault_exactly_once_log ~stack ~seed ~total create () =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i -> create net rpc ~node:i ~paxos_store:stores.(i))
-  in
-  Array.iter R.Log_server.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt R.Log_server.is_primary servers with
-    | Some s -> s
-    | None -> Alcotest.fail (stack ^ ": no leader elected")
-  in
+  let cluster = R.Log_cluster.create ~seed ~replicas:[ 0; 1; 2 ] create in
+  let eng = R.Log_cluster.engine cluster in
+  let net = R.Log_cluster.net cluster in
+  R.Log_cluster.start cluster;
+  let leader = R.Log_cluster.await_primary cluster in
   Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+  let cl = R.Log_cluster.client cluster in
   let remaining = ref total in
   let results = drive ~eng ~node:3 ~cl ~total ~remaining in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (R.Log_server.node leader);
+  R.Log_cluster.crash cluster (R.Log_server.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 60.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 30.);
@@ -764,12 +755,9 @@ let fault_exactly_once_log ~stack ~seed ~total create () =
       Array.fold_left
         (fun acc s ->
           acc + R.Session.Table.dup_hits (R.Log_server.session_table s))
-        0 servers);
+        0 (R.Log_cluster.servers cluster));
   Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (R.Log_server.node s))
-  in
+  let live = R.Log_cluster.live cluster in
   List.iter
     (fun s ->
       Alcotest.(check string)
