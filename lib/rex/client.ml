@@ -120,21 +120,64 @@ let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
 let client_backoff =
   { redirect = 5e-3; first = 5e-3; cap = 5e-3; after_timeout = false }
 
+(* See client.mli: no call's seq runs [window] or more past the oldest
+   unfinished one, so the replicas never find a live retry [Stale]. *)
+module Seqs = struct
+  type t = {
+    mutable next : int;
+    mutable oldest : int;  (* the lowest unfinished seq; [next] if none *)
+    mutable finished : int list;  (* finished seqs above [oldest] *)
+    mutable waiting : (int * Engine.waker) list;  (* newest first *)
+  }
+
+  let window = Session.Table.default_window
+  let create () = { next = 0; oldest = 0; finished = []; waiting = [] }
+  let peek t = t.next
+
+  let finish t seq =
+    if seq <> t.oldest then t.finished <- seq :: t.finished
+    else begin
+      let rec advance s = if List.mem s t.finished then advance (s + 1) else s in
+      t.oldest <- advance (seq + 1);
+      t.finished <- List.filter (fun s -> s > t.oldest) t.finished;
+      if t.waiting <> [] then begin
+        let ready, still =
+          List.partition (fun (s, _) -> s - t.oldest < window) t.waiting
+        in
+        t.waiting <- still;
+        List.iter (fun (_, w) -> Engine.wake w) (List.rev ready)
+      end
+    end
+
+  let with_seq t f =
+    let seq = t.next in
+    t.next <- seq + 1;
+    if seq - t.oldest >= window then
+      Engine.park (fun w -> t.waiting <- (seq, w) :: t.waiting);
+    match f seq with
+    | r ->
+      finish t seq;
+      r
+    | exception e ->
+      finish t seq;
+      raise e
+end
+
 type t = {
   rpc : Rpc.t;
   me : int;
   guess : Guess.t;
   uid : int;  (* session identity: allocated once per client endpoint *)
-  mutable next_seq : int;
+  seqs : Seqs.t;
 }
 
 let create rpc ~me ~replicas =
   let guess = Guess.create replicas in
   let uid = Engine.fresh_uid (Net.engine (Rpc.net rpc)) in
-  { rpc; me; guess; uid; next_seq = 0 }
+  { rpc; me; guess; uid; seqs = Seqs.create () }
 
 let client_id t = t.uid
-let peek_seq t = t.next_seq
+let peek_seq t = Seqs.peek t.seqs
 let leader_guess t = Guess.leader t.guess
 
 let call_outcome ?(retries = 8) ?(timeout = 0.1) t request =
@@ -142,14 +185,13 @@ let call_outcome ?(retries = 8) ?(timeout = 0.1) t request =
      reused verbatim on every retry — the replicas' session tables key
      their exactly-once guarantee on it.  A fresh [call] with the same
      payload is a new logical request. *)
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let envelope =
-    Session.Envelope.encode
-      { Session.Envelope.client = t.uid; seq; payload = request }
-  in
-  send t.rpc ~me:t.me t.guess client_backoff ~retries ~timeout
-    ~port:client_port envelope
+  Seqs.with_seq t.seqs (fun seq ->
+      let envelope =
+        Session.Envelope.encode
+          { Session.Envelope.client = t.uid; seq; payload = request }
+      in
+      send t.rpc ~me:t.me t.guess client_backoff ~retries ~timeout
+        ~port:client_port envelope)
 
 let reply_of = function Reply resp -> Some resp | Shed | Gave_up -> None
 

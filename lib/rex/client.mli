@@ -75,11 +75,32 @@ val send :
     (default: the guess's leader), the rest to the guess's leader.  The
     payload is resent verbatim, so an envelope keeps its identity. *)
 
+(** A session's request seqs, minted in one place for {!t} and
+    [Shard.Router].  A call waits before its first attempt while its seq
+    is {!Session.Table.default_window} or more past the oldest seq still
+    in flight on the session: the replicas' reply window then always
+    covers every live call, so a retry is never answered [Stale] (which
+    the frontend reports as [Dropped]).  A call that does not wait costs
+    no simulation event. *)
+module Seqs : sig
+  type t
+
+  val create : unit -> t
+
+  val peek : t -> int
+  (** The seq the next {!with_seq} mints. *)
+
+  val with_seq : t -> (int -> 'a) -> 'a
+  (** Mint the next seq, wait (parked) until it is within the window of
+      the oldest unfinished seq, run the call, and retire the seq when
+      the call returns or raises.  Must run in a fiber. *)
+end
+
 type t
 (** A client handle.  Concurrent calls on one handle, from several
-    fibers, are safe: each gets its own session seq, and they share one
-    {!Guess.t}, whose versions keep one call's timeout from undoing
-    another's redirect. *)
+    fibers, are safe: each gets its own session seq ({!Seqs}), and they
+    share one {!Guess.t}, whose versions keep one call's timeout from
+    undoing another's redirect. *)
 
 val create : Sim.Rpc.t -> me:int -> replicas:int list -> t
 (** Allocates a session identity ({!client_id}) from the simulation

@@ -76,7 +76,9 @@ module Table = struct
     let h = (Hashtbl.seeded_hash 1 reply lsl 30) lxor Hashtbl.seeded_hash 2 reply in
     mix (mix (mix client + seq) + h)
 
-  let create ?(window = 64) obs ~stack ~node () =
+  let default_window = 64
+
+  let create ?(window = default_window) obs ~stack ~node () =
     if window <= 0 then invalid_arg "Session.Table.create: window";
     let labels = [ ("stack", stack); ("node", string_of_int node) ] in
     {

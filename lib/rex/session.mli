@@ -54,14 +54,19 @@ module Table : sig
     | Stale
         (** [seq] trails [last_seq] by at least [window]: if it ever
             executed its reply has been evicted, and re-executing is not
-            safe.  Only reachable when a client overlaps more than
-            [window] outstanding requests. *)
+            safe.  Only reachable when a client's in-flight seqs span
+            [window] or more, which {!Client.Seqs} rules out for windows
+            of at least {!default_window}. *)
     | Miss  (** a fresh request (including a concurrency gap: a not yet
             executed seq below a committed one) *)
 
+  val default_window : int
+  (** 64: how many replies a client's window keeps by default.  Clients
+      keep their in-flight seqs within it ({!Client.Seqs}). *)
+
   val create :
     ?window:int -> Obs.t -> stack:string -> node:int -> unit -> t
-  (** [window] (default 64) bounds the per-client reply cache: the
+  (** [window] (default {!default_window}) bounds the per-client reply cache: the
       [window] highest-seq replies are kept, older ones are evicted
       (counted in [frontend/cache_evictions]).  Registers
       [frontend/dup_hits], [frontend/cache_evictions] (counters) and

@@ -1,8 +1,13 @@
 open Sim
 module R = Rex_core
 
+(* Each group has its own session identity and seqs: the reply window a
+   call must stay within is the group's session table, so a call stuck
+   on one group never holds calls to another. *)
 type group_state = {
   g_id : int;
+  uid : int;
+  seqs : R.Client.Seqs.t;
   guess : R.Client.Guess.t;
   c_routed : Obs.Metric.counter;
   c_redirects : Obs.Metric.counter;
@@ -16,11 +21,8 @@ type t = {
   eng : Engine.t;
   rpc : Rpc.t;
   me : int;
-  uid : int;  (* session identity, shared across all groups *)
-  mutable next_seq : int;
   mutable map : Shard_map.t;
   groups : (int, group_state) Hashtbl.t;
-  obs : Obs.t;
   c_requests : Obs.Metric.counter;
   c_hops : Obs.Metric.counter;
   c_remaps : Obs.Metric.counter;
@@ -38,11 +40,14 @@ type stats = {
   failures : int;
 }
 
-let mk_group_state obs g_id nodes =
+let mk_group_state eng g_id nodes =
   if nodes = [] then invalid_arg "Router: empty group";
+  let obs = Engine.obs eng in
   let labels = [ ("group", string_of_int g_id) ] in
   {
     g_id;
+    uid = Engine.fresh_uid eng;
+    seqs = R.Client.Seqs.create ();
     guess = R.Client.Guess.create nodes;
     c_routed = Obs.counter obs ~subsystem:"shard" ~labels "routed";
     c_redirects = Obs.counter obs ~subsystem:"shard" ~labels "redirects";
@@ -57,7 +62,7 @@ let create net rpc ~me ~map ~groups =
   let obs = Engine.obs eng in
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (g_id, nodes) -> Hashtbl.replace tbl g_id (mk_group_state obs g_id nodes))
+    (fun (g_id, nodes) -> Hashtbl.replace tbl g_id (mk_group_state eng g_id nodes))
     groups;
   List.iter
     (fun g ->
@@ -69,11 +74,8 @@ let create net rpc ~me ~map ~groups =
       eng;
       rpc;
       me;
-      uid = Engine.fresh_uid eng;
-      next_seq = 0;
       map;
       groups = tbl;
-      obs;
       c_requests = Obs.counter obs ~subsystem:"shard" "router_requests";
       c_hops = Obs.counter obs ~subsystem:"shard" "router_hops";
       c_remaps = Obs.counter obs ~subsystem:"shard" "router_remaps";
@@ -91,7 +93,7 @@ let map t = t.map
 let add_group t ~group ~nodes =
   match Hashtbl.find_opt t.groups group with
   | Some g -> R.Client.Guess.set_nodes g.guess nodes
-  | None -> Hashtbl.replace t.groups group (mk_group_state t.obs group nodes)
+  | None -> Hashtbl.replace t.groups group (mk_group_state t.eng group nodes)
 
 let set_group_nodes t ~group ~nodes =
   match Hashtbl.find_opt t.groups group with
@@ -185,21 +187,19 @@ let call_group ?retries ?timeout t ~group request =
   Obs.Metric.incr g.c_routed;
   (* One session identity per logical request, reused verbatim on every
      retry: the group's replicas deduplicate on it (exactly-once for
-     acknowledged requests).  The seq counter is shared across groups;
-     per-group gaps are fine — the session table tracks seqs, not
-     contiguity. *)
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let envelope =
-    R.Session.Envelope.encode
-      { R.Session.Envelope.client = t.uid; seq; payload = request }
-  in
-  let t0 = Engine.clock t.eng in
-  let reply =
-    send ~hops:true ~port:R.Client.client_port ?retries ?timeout t g envelope
-  in
-  if Option.is_some reply then note_success t g (Engine.clock t.eng -. t0);
-  reply
+     acknowledged requests). *)
+  R.Client.Seqs.with_seq g.seqs (fun seq ->
+      let envelope =
+        R.Session.Envelope.encode
+          { R.Session.Envelope.client = g.uid; seq; payload = request }
+      in
+      let t0 = Engine.clock t.eng in
+      let reply =
+        send ~hops:true ~port:R.Client.client_port ?retries ?timeout t g
+          envelope
+      in
+      if Option.is_some reply then note_success t g (Engine.clock t.eng -. t0);
+      reply)
 
 (* Reads carry no envelope: any replica with a valid lease or a quorum
    round can answer, and a [Not_leader] just means this one chose not

@@ -5,7 +5,10 @@
     hints), retries with exponential backoff across timeouts and
     failovers, and fans multi-key batches out to their groups
     concurrently with partial-failure reporting.  Concurrent calls on
-    one router are safe: see {!Rex_core.Client.Guess}.
+    one router are safe: see {!Rex_core.Client.Guess}.  Each group is
+    its own client session, whose calls {!Rex_core.Client.Seqs} keeps
+    within the group's reply window, so a call stuck on one group never
+    holds calls to another.
 
     Everything is instrumented under subsystem ["shard"]: total requests
     and RPC hops, per-group routed/redirect/retry/failure counters, a
@@ -54,8 +57,8 @@ val call :
     from the attached spec (counted on [shard/router_remaps]), a
     migrating reply backs off until the cutover lands (counted on
     [shard/migration_waits]).  Each re-route re-issues with a fresh
-    session identity, which is safe because the shard layer rejected
-    the original before it touched app state. *)
+    session seq, which is safe because the shard layer rejected the
+    original before it touched app state. *)
 
 val call_group :
   ?retries:int -> ?timeout:float -> t -> group:int -> string -> string option

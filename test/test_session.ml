@@ -934,4 +934,9 @@ let suite =
       (fault_exactly_once_log ~stack:"cbase" ~seed:2031 ~total:160 cbase_stack);
     Alcotest.test_case "exactly-once past the window: eve" `Quick
       (fault_exactly_once_log ~stack:"eve" ~seed:2039 ~total:160 eve_stack);
+    (* Four fibers on one session; without the client's seq window a
+       lagging seq fell 64 behind its siblings and came back Stale. *)
+    Alcotest.test_case "exactly-once, lagging seq held in the window: smr"
+      `Quick
+      (fault_exactly_once_log ~stack:"smr" ~seed:4243 ~total:200 smr_stack);
   ]

@@ -227,6 +227,42 @@ let test_multi_call_partial_failure () =
     | Router.Failed { group } -> Alcotest.(check int) "g1 key failed" 1 group
     | Router.Reply _ -> Alcotest.fail "dead group replied"
 
+(* --- A stuck group holds no other group's calls --- *)
+
+(* More calls than a reply window stuck on a silent group must not park
+   a call to a healthy one: each group is its own session, whose seqs
+   the window bounds. *)
+let test_stuck_group_holds_no_other () =
+  let eng = Engine.create ~seed:17 ~num_nodes:7 () in
+  let net = Net.create eng in
+  let rpc = Rpc.create net in
+  (* group 0 (nodes 0-2) never answers; group 1 (nodes 3-5) does *)
+  for node = 3 to 5 do
+    Rpc.serve rpc ~node ~port:R.Client.client_port (fun ~src:_ req ->
+        R.Client.encode_reply
+          (if node = 3 then R.Client.Ok_reply ("done:" ^ payload_of req)
+           else R.Client.Not_leader (Some 3)))
+  done;
+  let router =
+    Router.create net rpc ~me:6 ~map:(Map_.create ~groups:[ 0; 1 ] ())
+      ~groups:[ (0, [ 0; 1; 2 ]); (1, [ 3; 4; 5 ]) ]
+  in
+  let stuck = R.Session.Table.default_window + 6 in
+  for _ = 1 to stuck do
+    ignore
+      (Engine.spawn eng ~node:6 (fun () ->
+           ignore (Router.call_group ~retries:2 ~timeout:0.5 router ~group:0 "S")))
+  done;
+  let reply = ref None and took = ref infinity in
+  ignore
+    (Engine.spawn eng ~node:6 (fun () ->
+         let t0 = Engine.clock eng in
+         reply := Router.call_group router ~group:1 "F";
+         took := Engine.clock eng -. t0));
+  Engine.run ~until:5.0 eng;
+  Alcotest.(check (option string)) "healthy group answers" (Some "done:F") !reply;
+  Alcotest.(check bool) "without waiting for the stuck group" true (!took < 0.01)
+
 (* --- Two-group fleet end to end, through a shard failover --- *)
 
 let test_fleet_failover () =
@@ -466,6 +502,8 @@ let suite =
       test_router_gives_up;
     Alcotest.test_case "multi_call partial failure" `Quick
       test_multi_call_partial_failure;
+    Alcotest.test_case "stuck group holds no other group's calls" `Quick
+      test_stuck_group_holds_no_other;
     Alcotest.test_case "two-group fleet failover" `Quick test_fleet_failover;
     Alcotest.test_case "live split and merge under traffic" `Quick
       test_live_split_merge;
