@@ -134,11 +134,11 @@ let zero_result mode threads =
     compactions = 0;
   }
 
-(* Pump the engine until [done_p] or the wall-deadline; returns false on
-   timeout. *)
-let pump eng ~done_p ~virtual_deadline =
+(* Pump the engine [step] at a time until [done_p] or the virtual
+   deadline; returns false on timeout. *)
+let pump ?(step = 0.2) eng ~done_p ~virtual_deadline =
   let rec go () =
-    Engine.run ~until:(Engine.clock eng +. 0.2) eng;
+    Engine.run ~until:(Engine.clock eng +. step) eng;
     if done_p () then true
     else if Engine.clock eng > virtual_deadline then false
     else go ()
@@ -361,16 +361,16 @@ let run_rex ?(seed = 42) ?(cores = 16) ?net_latency ?(min_window = 0.)
 (* --- RSM: same Paxos, sequential execution. --- *)
 
 (* Closed-loop driving of a log-order leader: a fiber on [node] keeps
-   [outstanding] requests in flight through [submit], each completion launching
-   the next ([gen rng i] makes request [i]), until [warmup + measure]
-   have completed, pumping the engine [step] (0.2 s) at a time; the
-   stop time matters to callers that read counters afterwards.
-   [on_reply] sees every reply.  Returns the measure
-   window's throughput in requests per virtual second, [None] if the
-   run did not finish within an hour of virtual time. *)
+   [outstanding] requests in flight through [submit], each completion
+   launching the next ([gen rng i] makes request [i]), and the engine is
+   pumped [step] at a time until [warmup + measure] have completed.
+   The stop time matters to callers that read counters afterwards.
+   [on_reply] sees every reply.  Returns the measure window's throughput
+   in requests per virtual second, [None] if the run did not finish
+   within an hour of virtual time. *)
 let outstanding = 512
 
-let closed_loop eng ~node ~rng ~submit ~gen ?(on_reply = ignore) ?(step = 0.2)
+let closed_loop eng ~node ~rng ~submit ~gen ?(on_reply = ignore) ?step
     ~warmup ~measure () =
   let total = warmup + measure in
   let completed = ref 0 and launched = ref 0 in
@@ -392,15 +392,12 @@ let closed_loop eng ~node ~rng ~submit ~gen ?(on_reply = ignore) ?(step = 0.2)
          for _ = 1 to outstanding do
            submit_one ()
          done));
-  let deadline = Engine.clock eng +. 3600. in
-  let rec go () =
-    Engine.run ~until:(Engine.clock eng +. step) eng;
-    if !completed >= total then
-      Some (float_of_int measure /. (!t_end -. !t_warm))
-    else if Engine.clock eng > deadline then None
-    else go ()
-  in
-  go ()
+  if
+    pump ?step eng
+      ~done_p:(fun () -> !completed >= total)
+      ~virtual_deadline:(Engine.clock eng +. 3600.)
+  then Some (float_of_int measure /. (!t_end -. !t_warm))
+  else None
 
 let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
   let replicas = [ 0; 1; 2 ] in
