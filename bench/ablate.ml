@@ -90,7 +90,8 @@ let run_pipeline ~quick () =
       List.iter
         (fun depth ->
           let cfg =
-            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
+            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
+              ~propose_interval:2e-4
               ~pipeline_depth:depth ()
           in
           let r =
@@ -119,7 +120,8 @@ let run_sync_latency ~quick () =
       List.iter
         (fun depth ->
           let cfg =
-            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
+            R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
+              ~propose_interval:2e-4
               ~pipeline_depth:depth ~paxos_sync_latency:sync ()
           in
           let r =
@@ -141,7 +143,8 @@ let run_pacing ~quick () =
   List.iter
     (fun interval ->
       let cfg =
-        R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:interval ()
+        R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
+          ~propose_interval:interval ()
       in
       let r =
         rex_with cfg

@@ -74,17 +74,13 @@ let mk_point obs ~nodes ~total ~dt ~reads =
     ordered_falls = frontend_total obs ~nodes "reads_ordered_fallback";
   }
 
-let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
-  let cfg = R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:4 ~propose_interval:2e-4 () in
-  let cluster = R.Cluster.launch ~seed cfg (Apps.Kyoto.factory ()) in
-  let eng = R.Cluster.engine cluster in
-  let nodes = R.Cluster.replica_nodes cluster in
+(* Run the closed-loop mix against a deployed group: [client ()] makes
+   one fiber's client handle. *)
+let point eng ~node ~nodes ~client ~seed ~ratio ~fast ~clients ~ops =
   let reads = ref 0 in
-  let cl = Array.init clients (fun _ -> R.Cluster.client cluster) in
+  let cl = Array.init clients (fun _ -> client ()) in
   let dt =
-    drive eng
-      ~node:(R.Cluster.client_node cluster)
-      ~clients ~ops ~ratio ~seed
+    drive eng ~node ~clients ~ops ~ratio ~seed
       ~read:(fun c req ->
         incr reads;
         ignore
@@ -94,31 +90,29 @@ let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   in
   mk_point (Engine.obs eng) ~nodes ~total:(clients * ops) ~dt ~reads:!reads
 
+let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
+  let cfg =
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:4 ~propose_interval:2e-4 ()
+  in
+  let c = R.Cluster.launch ~seed cfg (Apps.Kyoto.factory ()) in
+  point (R.Cluster.engine c) ~node:(R.Cluster.client_node c)
+    ~nodes:(R.Cluster.replica_nodes c)
+    ~client:(fun () -> R.Cluster.client c)
+    ~seed ~ratio ~fast ~clients ~ops
+
 let smr_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
-  let cluster =
+  let c =
     R.Log_cluster.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))
   in
-  R.Log_cluster.start cluster;
-  ignore (R.Log_cluster.await_primary ~fallback:5.0 cluster);
-  let eng = R.Log_cluster.engine cluster in
-  let reads = ref 0 in
-  let cl = Array.init clients (fun _ -> R.Log_cluster.client cluster) in
-  let dt =
-    drive eng
-      ~node:(R.Log_cluster.client_node cluster)
-      ~clients ~ops ~ratio ~seed
-      ~read:(fun c req ->
-        incr reads;
-        ignore
-          (if fast then R.Client.query cl.(c) req
-           else R.Client.call cl.(c) req))
-      ~write:(fun c req -> ignore (R.Client.call cl.(c) req))
-  in
-  mk_point (Engine.obs eng) ~nodes:replicas ~total:(clients * ops) ~dt
-    ~reads:!reads
+  R.Log_cluster.start c;
+  ignore (R.Log_cluster.await_primary ~fallback:5.0 c);
+  point (R.Log_cluster.engine c) ~node:(R.Log_cluster.client_node c)
+    ~nodes:replicas
+    ~client:(fun () -> R.Log_cluster.client c)
+    ~seed ~ratio ~fast ~clients ~ops
 
 let fast_hits p = p.fast_lease + p.fast_quorum
 

@@ -18,7 +18,7 @@
    conflict rate, with the final state digest checked against a serial
    replay.
 
-   Sharded smoke: a 2-group fleet wired by hand — group 0 runs cbase,
+   Sharded smoke: a 2-group fleet on one engine — group 0 runs cbase,
    group 1 early — behind Shard.Router; writes and lease reads route by
    key, groups must converge internally. *)
 
@@ -77,7 +77,9 @@ let make_sched ~seed ~mode ~workers () =
   }
 
 let make_rex ~seed ~workers () =
-  let ccfg = R.Config.make ~replicas:[ 0; 1; 2 ] ~workers ~propose_interval () in
+  let ccfg =
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers ~propose_interval ()
+  in
   let cluster =
     R.Cluster.create ~seed ~cores_per_node:16 ccfg (Apps.Kyoto.factory ())
   in

@@ -137,7 +137,9 @@ module Seqs = struct
   let finish t seq =
     if seq <> t.oldest then t.finished <- seq :: t.finished
     else begin
-      let rec advance s = if List.mem s t.finished then advance (s + 1) else s in
+      let rec advance s =
+        if List.mem s t.finished then advance (s + 1) else s
+      in
       t.oldest <- advance (seq + 1);
       t.finished <- List.filter (fun s -> s > t.oldest) t.finished;
       if t.waiting <> [] then begin

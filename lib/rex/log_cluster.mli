@@ -1,19 +1,15 @@
 (** Harness for a whole log-order deployment (SMR, the CBASE/early
     sched stacks or Eve; {!Log_server}) inside one simulation: engine,
     network, RPC, the replica group and the per-node Paxos stores that
-    survive a crash.  The names follow {!Cluster}, Rex's deployer; the
-    checkpoint disks, [`Chain] agreement and log-driven reconfiguration
-    that only Rex has stay there.
-
-    A deployment is built from the stack's [create] ({!mk}), with the
-    stack's config and application already applied, so the deployer
-    never needs to know which stack it runs. *)
+    survive a crash.  The names follow {!Cluster}, Rex's deployer, which
+    keeps what only Rex has: checkpoint disks, [`Chain] agreement and
+    log-driven reconfiguration. *)
 
 type 'x mk =
   Sim.Net.t -> Sim.Rpc.t -> node:int -> paxos_store:Paxos.Store.t ->
   'x Log_server.t
-(** The stack's constructor, called once per replica and again by
-    {!upgrade}. *)
+(** The stack's constructor with its config and application applied,
+    called once per replica and again by {!upgrade}. *)
 
 type 'x t
 

@@ -62,7 +62,8 @@ let create net rpc ~me ~map ~groups =
   let obs = Engine.obs eng in
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (g_id, nodes) -> Hashtbl.replace tbl g_id (mk_group_state eng g_id nodes))
+    (fun (g_id, nodes) ->
+      Hashtbl.replace tbl g_id (mk_group_state eng g_id nodes))
     groups;
   List.iter
     (fun g ->

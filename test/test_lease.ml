@@ -249,7 +249,9 @@ let lease_read_on_primary () =
 (* Rex: the primary's fast-path read is gated on commit of the observed
    speculative cut, so a query right after an acked write sees it. *)
 let rex_reads_latest () =
-  let cfg = R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:2 ~propose_interval:2e-4 () in
+  let cfg =
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:2 ~propose_interval:2e-4 ()
+  in
   let cluster = R.Cluster.launch ~seed:11 cfg (Apps.Kyoto.factory ()) in
   let eng = R.Cluster.engine cluster in
   let cl = R.Cluster.client cluster in
