@@ -45,10 +45,11 @@ type row = {
   final : string;
 }
 
-(* A repeated response, or a counter past [total], is an execution too
-   many; a call that never got its response, or a final count short of
-   [total], is a lost request. *)
-let verdict ~total ~results ~values ~final ~dup_hits =
+(* [values]: the sorted responses of the calls that got one.  A repeated
+   response, or a counter past [total], is an execution too many; fewer
+   than [total] responses (a call that gave up or was still pending), or
+   a final count short of [total], is a lost request. *)
+let verdict ~total ~values ~final ~dup_hits =
   let final_n = int_of_string_opt final in
   let rec repeats = function
     | a :: (b :: _ as rest) -> a = b || repeats rest
@@ -59,8 +60,7 @@ let verdict ~total ~results ~values ~final ~dup_hits =
     || List.exists (fun v -> v > total) values
     || Option.fold ~none:false ~some:(fun n -> n > total) final_n
   then "DOUBLE-EXECUTION"
-  else if List.length values < List.length results || final_n <> Some total
-  then "LOST"
+  else if List.length values < total || final_n <> Some total then "LOST"
   else if dup_hits = 0 then "NO-DUPLICATE"
   else "exactly-once"
 
@@ -73,7 +73,7 @@ let mk_row ~stack ~total ~results ~dup_hits ~evictions ~sessions ~final =
     stack;
     total;
     completed = List.length values;
-    verdict = verdict ~total ~results:!results ~values ~final ~dup_hits;
+    verdict = verdict ~total ~values ~final ~dup_hits;
     dup_hits;
     evictions = evictions ();
     sessions = sessions ();
@@ -127,11 +127,9 @@ let lin_verdict ~stack h =
     (Format.asprintf "%a" Check.Lin.pp_result res)
 
 let pump eng remaining ~deadline =
-  let rec go () =
-    Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-    if !remaining > 0 && Engine.clock eng < deadline then go ()
-  in
-  go ()
+  ignore
+    (Harness.pump ~step:0.5 eng ~done_p:(fun () -> !remaining = 0)
+       ~virtual_deadline:deadline)
 
 let rex_run ~total ~seed ~check =
   let cluster =

@@ -138,7 +138,8 @@ let deploy ?record_cost ~seed ~admit stack =
     in
     let c = R.Log_cluster.create ~seed ~replicas mk in
     R.Log_cluster.start c;
-    ignore (R.Log_cluster.await_primary c);
+    (* The load runs whether or not a leader is up by then. *)
+    Engine.run ~until:1.0 (R.Log_cluster.engine c);
     {
       dp_eng = R.Log_cluster.engine c;
       dp_net = R.Log_cluster.net c;

@@ -122,12 +122,10 @@ let run_point ~quick ~app ~shards ~theta ~seed ~check =
              note_done ()
            done))
   done;
-  let deadline = Engine.clock eng +. 600. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if !completed + !dropped < n && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  ignore
+    (Harness.pump ~step:0.25 eng
+       ~done_p:(fun () -> !completed + !dropped >= n)
+       ~virtual_deadline:(Engine.clock eng +. 600.));
   Harness.note_run
     ~label:(Printf.sprintf "shard-%s-s%d-z%.2f" app shards theta)
     eng;

@@ -48,19 +48,16 @@ let counter_app : R.App.factory =
 
 let n_requests = 2000
 
-let run_rex_cluster name agreement =
-  let cfg = R.Config.make ~workers:8 ~replicas:[ 0; 1; 2 ] () in
-  let cluster = R.Cluster.create ~seed:5 ~agreement cfg counter_app in
-  R.Cluster.start cluster;
-  let primary = R.Cluster.await_primary cluster in
-  let eng = R.Cluster.engine cluster in
+(* Keep 64 random INCs outstanding through [submit] until [n_requests]
+   complete; the virtual time that took. *)
+let closed_loop eng ~node submit =
   let t0 = Engine.clock eng in
   let completed = ref 0 and launched = ref 0 in
   let rng = Rng.create 9 in
   let rec submit_one () =
     if !launched < n_requests then begin
       incr launched;
-      R.Server.submit primary
+      submit
         (Printf.sprintf "INC %d" (Rng.int rng 1000))
         (fun _ ->
           incr completed;
@@ -68,14 +65,24 @@ let run_rex_cluster name agreement =
     end
   in
   ignore
-    (Engine.spawn eng ~node:(R.Server.node primary) (fun () ->
+    (Engine.spawn eng ~node (fun () ->
          for _ = 1 to 64 do
            submit_one ()
          done));
   while !completed < n_requests do
     Engine.run ~until:(Engine.clock eng +. 0.1) eng
   done;
-  let dt = Engine.clock eng -. t0 in
+  Engine.clock eng -. t0
+
+let run_rex_cluster name agreement =
+  let cfg = R.Config.make ~workers:8 ~replicas:[ 0; 1; 2 ] () in
+  let cluster = R.Cluster.create ~seed:5 ~agreement cfg counter_app in
+  R.Cluster.start cluster;
+  let primary = R.Cluster.await_primary cluster in
+  let eng = R.Cluster.engine cluster in
+  let dt =
+    closed_loop eng ~node:(R.Server.node primary) (R.Server.submit primary)
+  in
   R.Cluster.run_for cluster 0.5;
   let digests =
     Array.to_list (R.Cluster.servers cluster) |> List.map R.Server.app_digest
@@ -98,28 +105,10 @@ let run_eve () =
   R.Log_cluster.start cluster;
   let primary = R.Log_cluster.await_primary cluster in
   let eng = R.Log_cluster.engine cluster in
-  let t0 = Engine.clock eng in
-  let completed = ref 0 and launched = ref 0 in
-  let rng = Rng.create 9 in
-  let rec submit_one () =
-    if !launched < n_requests then begin
-      incr launched;
-      Eve.submit primary
-        (Printf.sprintf "INC %d" (Rng.int rng 1000))
-        (fun _ ->
-          incr completed;
-          submit_one ())
-    end
+  let dt =
+    closed_loop eng ~node:(R.Log_cluster.client_node cluster)
+      (Eve.submit primary)
   in
-  ignore
-    (Engine.spawn eng ~node:(R.Log_cluster.client_node cluster) (fun () ->
-         for _ = 1 to 64 do
-           submit_one ()
-         done));
-  while !completed < n_requests do
-    Engine.run ~until:(Engine.clock eng +. 0.1) eng
-  done;
-  let dt = Engine.clock eng -. t0 in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
   let digests = R.Log_cluster.digests cluster in
   Printf.printf "%-14s %8.0f req/s   replicas agree: %b   (batches avg %.1f)\n%!"

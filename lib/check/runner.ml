@@ -348,7 +348,10 @@ let deploy_single history_of cfg =
   let history = history_of eng in
   let wire s = History.wire history [ R.Log_server.frontend s ] in
   L.start c;
-  ignore (L.await_primary c);
+  (* Not [L.await_primary]: a seed that elects no leader by 3 s still
+     runs, and its nemesis and verdict judge it. *)
+  Engine.run ~until:1.0 eng;
+  if L.primary c = None then Engine.run ~until:3.0 eng;
   Array.iter wire (L.servers c);
   L.set_on_new_server c (Some wire);
   let clients = Array.init cfg.clients (fun _ -> L.client c) in

@@ -154,13 +154,17 @@ module Seqs = struct
   let with_seq t f =
     let seq = t.next in
     t.next <- seq + 1;
-    if seq - t.oldest >= window then
-      Engine.park (fun w -> t.waiting <- (seq, w) :: t.waiting);
-    match f seq with
+    match
+      if seq - t.oldest >= window then
+        Engine.park (fun w -> t.waiting <- (seq, w) :: t.waiting);
+      f seq
+    with
     | r ->
       finish t seq;
       r
     | exception e ->
+      (* Also a fiber killed while parked: its waker must not linger. *)
+      t.waiting <- List.filter (fun (s, _) -> s <> seq) t.waiting;
       finish t seq;
       raise e
 end

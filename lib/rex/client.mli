@@ -93,7 +93,8 @@ module Seqs : sig
   val with_seq : t -> (int -> 'a) -> 'a
   (** Mint the next seq, wait (parked) until it is within the window of
       the oldest unfinished seq, run the call, and retire the seq when
-      the call returns or raises.  Must run in a fiber. *)
+      the call returns or raises, also when its fiber is killed while
+      waiting.  Must run in a fiber. *)
 end
 
 type t

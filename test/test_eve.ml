@@ -84,12 +84,10 @@ let drive eng primary n gen =
            Eve.submit primary (gen rng) (fun r ->
                match r with Some _ -> incr completed | None -> incr dropped)
          done));
-  let deadline = Engine.clock eng +. 120. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if !completed + !dropped < n && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  ignore
+    (Bench_lib.Harness.pump ~step:0.25 eng
+       ~done_p:(fun () -> !completed + !dropped >= n)
+       ~virtual_deadline:(Engine.clock eng +. 120.));
   (!completed, !dropped)
 
 let check_converged servers =
@@ -169,13 +167,10 @@ let enveloped_rollback_restores_sessions () =
                | None -> incr dropped)
            done
          done));
-  let deadline = Engine.clock eng +. 120. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if List.length !acked + !dropped < n && Engine.clock eng < deadline then
-      pump ()
-  in
-  pump ();
+  ignore
+    (Bench_lib.Harness.pump ~step:0.25 eng
+       ~done_p:(fun () -> List.length !acked + !dropped >= n)
+       ~virtual_deadline:(Engine.clock eng +. 120.));
   Alcotest.(check int) "all replied" n (List.length !acked);
   Engine.run ~until:(Engine.clock eng +. 1.0) eng;
   let s = Eve.stats primary in

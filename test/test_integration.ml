@@ -28,12 +28,10 @@ let drive cluster server ~n ~window gen =
          for _ = 1 to min window n do
            submit_one ()
          done));
-  let deadline = Engine.clock eng +. 120. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if !completed + !dropped < n && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  ignore
+    (Bench_lib.Harness.pump ~step:0.25 eng
+       ~done_p:(fun () -> !completed + !dropped >= n)
+       ~virtual_deadline:(Engine.clock eng +. 120.));
   (!completed, !dropped)
 
 let live_digests cluster =

@@ -441,12 +441,10 @@ let test_cluster_observability () =
          for _ = 1 to 32 do
            submit_one ()
          done));
-  let deadline = Engine.clock eng +. 60. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.25) eng;
-    if !completed < n && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  ignore
+    (Bench_lib.Harness.pump ~step:0.25 eng
+       ~done_p:(fun () -> !completed >= n)
+       ~virtual_deadline:(Engine.clock eng +. 60.));
   R.Cluster.run_for cluster 0.5;
   let counter_value ~subsystem ~node name =
     match

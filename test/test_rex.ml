@@ -101,12 +101,10 @@ let drive_requests ?(concurrency = 8) cl requests eng node =
            in
            loop ()))
   done;
-  let deadline = Engine.clock eng +. 120. in
-  let rec pump () =
-    Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-    if !remaining > 0 && Engine.clock eng < deadline then pump ()
-  in
-  pump ();
+  ignore
+    (Bench_lib.Harness.pump ~step:0.5 eng
+       ~done_p:(fun () -> !remaining = 0)
+       ~virtual_deadline:(Engine.clock eng +. 120.));
   !results
 
 (* Let secondaries finish replaying everything committed. *)

@@ -647,11 +647,9 @@ let check_exactly_once ~stack ~total ~remaining ~results ~dup_hits =
     true (dup_hits () > 0)
 
 let pump eng remaining ~deadline =
-  let rec go () =
-    Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-    if !remaining > 0 && Engine.clock eng < deadline then go ()
-  in
-  go ()
+  ignore
+    (Bench_lib.Harness.pump ~step:0.5 eng ~done_p:(fun () -> !remaining = 0)
+       ~virtual_deadline:deadline)
 
 let fault_exactly_once_rex () =
   let total = 40 in
@@ -896,6 +894,29 @@ let sessions_survive_checkpoint_and_failover () =
     "state not re-mutated" "1"
     (R.Server.query new_primary "GET")
 
+(* A call killed while it waits for the window must retire its seq, or
+   the session's oldest seq stays behind it and every call a window
+   further on parks forever. *)
+let seq_killed_while_waiting () =
+  let eng = Engine.create ~num_nodes:1 () in
+  let seqs = R.Client.Seqs.create () and finished = ref 0 in
+  let call f = R.Client.Seqs.with_seq seqs (fun _ -> f ()) in
+  let w = R.Session.Table.default_window in
+  let sleeper () = call (fun () -> Engine.sleep 0.5) in
+  for _ = 1 to w + 2 do
+    ignore (Engine.spawn eng ~node:0 sleeper)
+  done;
+  Engine.run ~until:0.25 eng;
+  Engine.crash_node eng 0;
+  Engine.restart_node eng 0;
+  ignore
+    (Engine.spawn eng ~node:0 (fun () ->
+         for _ = 1 to (2 * w) + 2 do
+           call (fun () -> incr finished)
+         done));
+  Engine.run ~until:2.0 eng;
+  Alcotest.(check int) "every later call ran" ((2 * w) + 2) !finished
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_envelope_roundtrip;
@@ -905,6 +926,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_guess_single_caller;
     QCheck_alcotest.to_alcotest prop_guess_no_stale_rotation;
     Alcotest.test_case "guess set_nodes" `Quick guess_set_nodes;
+    Alcotest.test_case "seq killed while waiting is retired" `Quick
+      seq_killed_while_waiting;
     Alcotest.test_case "table dedup semantics" `Quick table_dedup_semantics;
     Alcotest.test_case "table updates commute" `Quick table_updates_commute;
     QCheck_alcotest.to_alcotest table_codec_roundtrip;
