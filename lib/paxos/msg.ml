@@ -21,6 +21,8 @@ type t =
       (* a follower's lease extension for the heartbeat numbered [hb_seq];
          echoing the sequence number lets the leader anchor the grant
          window at the heartbeat's *send* time on its own clock *)
+  | Pre_vote of { ballot : Ballot.t }
+  | Pre_vote_reply of { ballot : Ballot.t; granted : bool }
 
 let write b = function
   | Prepare { ballot } ->
@@ -66,6 +68,13 @@ let write b = function
     Codec.write_byte b 9;
     Ballot.write b ballot;
     Codec.write_uvarint b hb_seq
+  | Pre_vote { ballot } ->
+    Codec.write_byte b 10;
+    Ballot.write b ballot
+  | Pre_vote_reply { ballot; granted } ->
+    Codec.write_byte b 11;
+    Ballot.write b ballot;
+    Codec.write_bool b granted
   | Learn { from_instance } ->
     Codec.write_byte b 7;
     Codec.write_uvarint b from_instance
@@ -121,6 +130,11 @@ let read s =
     let ballot = Ballot.read s in
     let hb_seq = Codec.read_uvarint s in
     Lease_grant { ballot; hb_seq }
+  | 10 -> Pre_vote { ballot = Ballot.read s }
+  | 11 ->
+    let ballot = Ballot.read s in
+    let granted = Codec.read_bool s in
+    Pre_vote_reply { ballot; granted }
   | 8 ->
     Learn_reply
       {
@@ -152,5 +166,8 @@ let pp ppf = function
       hb_seq
   | Lease_grant { ballot; hb_seq } ->
     Fmt.pf ppf "lease_grant(%a,#%d)" Ballot.pp ballot hb_seq
+  | Pre_vote { ballot } -> Fmt.pf ppf "pre_vote(%a)" Ballot.pp ballot
+  | Pre_vote_reply { ballot; granted } ->
+    Fmt.pf ppf "pre_vote_reply(%a,%b)" Ballot.pp ballot granted
   | Learn { from_instance } -> Fmt.pf ppf "learn(from %d)" from_instance
   | Learn_reply { entries } -> Fmt.pf ppf "learn_reply(%d)" (List.length entries)

@@ -30,6 +30,12 @@ type t =
       (** follower → leader: "I will promise no higher ballot for
           [lease_duration] on my clock from when I received heartbeat
           [hb_seq]" *)
+  | Pre_vote of { ballot : Ballot.t }
+      (** "I have lost the leader and would campaign with [ballot]; have
+          you lost it too?"  Changes no state at the receiver. *)
+  | Pre_vote_reply of { ballot : Ballot.t; granted : bool }
+      (** [granted]: the sender is not the leader and has followed no
+          leader for the detection delay *)
 
 val encode : t -> string
 val decode : string -> t

@@ -29,8 +29,10 @@ type config = {
   me : int;  (** this replica's node id *)
   peers : int list;  (** all replica node ids, including [me] *)
   heartbeat_period : float;
-  election_timeout : float;
-      (** base timeout; each campaign randomizes in [[t, 2t]] *)
+      (** also the election watchdog's poll period: a follower that has
+          followed no leader for [lease_duration] plus one heartbeat
+          (five heartbeats with leases off) runs a pre-vote, then
+          campaigns *)
   max_inflight : int;
       (** concurrent open instances: 1 = Rex's single-active-instance
           design; >1 pipelines, with earlier open proposals piggybacked
@@ -52,8 +54,8 @@ val default_config :
   ?max_inflight:int -> ?sync_latency:float -> ?lease_duration:float ->
   ?lease_drift_bound:float -> me:int -> peers:int list ->
   unit -> config
-(** 5 ms heartbeats, 30 ms election timeout, [max_inflight] 1, no modeled
-    fsync, 20 ms leases under a 0.2 drift bound. *)
+(** 5 ms heartbeats, [max_inflight] 1, no modeled fsync, 20 ms leases
+    under a 0.2 drift bound: leader loss is detected after 25 ms. *)
 
 type t
 
@@ -116,6 +118,9 @@ val read_index : t -> int
     acknowledged before the probe. *)
 
 val leader_hint : t -> int option
+(** The leader this replica follows; [None] once it has heard from no
+    leader for the detection delay (see [heartbeat_period]). *)
+
 val current_ballot : t -> Ballot.t
 val committed_upto : t -> int
 val next_instance : t -> int

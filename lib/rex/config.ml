@@ -7,7 +7,6 @@ type t = {
   flow_report_interval : float;
   flow_staleness : float;
   heartbeat_period : float;
-  election_timeout : float;
   reduce_edges : bool;
   partial_order : bool;
   check_versions : bool;
@@ -39,7 +38,7 @@ let admission t ~queue_depth =
 let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     ?(flow_window = 20_000) ?(flow_report_interval = 2e-3)
     ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
-    ?(election_timeout = 50e-3) ?(reduce_edges = true) ?(partial_order = true)
+    ?(reduce_edges = true) ?(partial_order = true)
     ?(check_versions = true) ?(record_cost = 5e-8) ?(replay_cost = 1.5e-7)
     ?(ckpt_byte_cost = 4e-8) ?(pipeline_depth = 1) ?(paxos_sync_latency = 0.)
     ?lease_duration ?(lease_drift_bound = 0.2) ?(lease_unsafe = false)
@@ -59,7 +58,6 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     flow_report_interval;
     flow_staleness;
     heartbeat_period;
-    election_timeout;
     reduce_edges;
     partial_order;
     check_versions;
@@ -68,8 +66,9 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     ckpt_byte_cost;
     pipeline_depth;
     paxos_sync_latency;
-    (* a lease must outlive a couple of lost heartbeats, yet expire well
-       inside the election timeout so failover latency is unchanged *)
+    (* a lease must outlive a couple of lost heartbeats; a follower
+       campaigns one heartbeat after its grant lapses, so the lease also
+       bounds how long a leader crash goes undetected *)
     lease_duration =
       (match lease_duration with
       | Some d -> d

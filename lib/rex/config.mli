@@ -13,7 +13,6 @@ type t = {
   flow_staleness : float;
       (** a secondary silent for this long no longer gates the primary *)
   heartbeat_period : float;
-  election_timeout : float;
   reduce_edges : bool;
   partial_order : bool;
   check_versions : bool;
@@ -31,7 +30,9 @@ type t = {
       (** modeled acceptor fsync before promises/accepts (0 disables) *)
   lease_duration : float;
       (** leader-lease length on each follower's clock; default
-          4 × [heartbeat_period]; [<= 0.] disables the lease read path *)
+          4 × [heartbeat_period]; [<= 0.] disables the lease read path.
+          A follower that hears from no leader for this plus one
+          heartbeat detects leader loss (see [Paxos.Replica.config]) *)
   lease_drift_bound : float;
       (** assumed clock-rate error bound backing the lease safety
           argument (see [Paxos.Replica.config]) *)
@@ -64,7 +65,6 @@ val make :
   ?flow_report_interval:float ->
   ?flow_staleness:float ->
   ?heartbeat_period:float ->
-  ?election_timeout:float ->
   ?reduce_edges:bool ->
   ?partial_order:bool ->
   ?check_versions:bool ->

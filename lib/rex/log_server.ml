@@ -272,7 +272,6 @@ let start t =
       Paxos.Replica.me = t.env.node;
       peers = cfg.Config.replicas;
       heartbeat_period = cfg.Config.heartbeat_period;
-      election_timeout = cfg.Config.election_timeout;
       max_inflight = 1;
       sync_latency = 0.;
       lease_duration = cfg.Config.lease_duration;

@@ -1084,7 +1084,6 @@ let start t =
           Paxos.Replica.me = t.node_id;
           peers = t.cfg.Config.replicas;
           heartbeat_period = t.cfg.Config.heartbeat_period;
-          election_timeout = t.cfg.Config.election_timeout;
           max_inflight = t.cfg.Config.pipeline_depth;
           sync_latency = t.cfg.Config.paxos_sync_latency;
           lease_duration = t.cfg.Config.lease_duration;

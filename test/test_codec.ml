@@ -163,13 +163,38 @@ let prop_decode_fuzz =
       | (_ : Event.t) -> true
       | exception Codec.Decode_error _ -> true)
 
+(* Garbage, and a pre-vote request or reply whole, cut short and with
+   one byte overwritten: a whole message round-trips, and nothing but
+   [Codec.Decode_error] escapes the decoder. *)
 let prop_paxos_msg_fuzz =
+  let pre_vote =
+    QCheck.Gen.(
+      map3
+        (fun round replica granted ->
+          let ballot = { Paxos.Ballot.round; replica } in
+          match granted with
+          | None -> Paxos.Msg.Pre_vote { ballot }
+          | Some granted -> Paxos.Msg.Pre_vote_reply { ballot; granted })
+        nat small_nat (opt bool))
+  in
+  let total s =
+    match Paxos.Msg.decode s with
+    | (_ : Paxos.Msg.t) -> true
+    | exception Codec.Decode_error _ -> true
+  in
   QCheck.Test.make ~name:"paxos msg decoder total on garbage" ~count:300
-    QCheck.(string_of_size (QCheck.Gen.int_bound 128))
-    (fun garbage ->
-      match Paxos.Msg.decode garbage with
-      | (_ : Paxos.Msg.t) -> true
-      | exception Codec.Decode_error _ -> true)
+    QCheck.(
+      pair
+        (string_of_size (Gen.int_bound 128))
+        (make Gen.(quad pre_vote nat nat (int_bound 255))))
+    (fun (garbage, (m, cut, at, byte)) ->
+      let s = Paxos.Msg.encode m in
+      let n = String.length s in
+      total garbage
+      && Paxos.Msg.decode s = m
+      && total (String.sub s 0 (cut mod n))
+      && total
+           (String.mapi (fun i c -> if i = at mod n then Char.chr byte else c) s))
 
 let suite =
   suite

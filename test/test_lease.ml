@@ -270,6 +270,39 @@ let rex_reads_latest () =
           (R.Client.query cl "GET rk")
       done)
 
+let campaigns eng ~node =
+  Obs.Metric.value
+    (Obs.counter (Engine.obs eng) ~subsystem:"paxos"
+       ~labels:[ ("node", string_of_int node) ]
+       "campaigns")
+
+(* Pre-vote: a follower cut off from its group for 1 s and then healed
+   must not depose the leader.  Campaigning alone in the partition, it
+   would raise its ballot each time; on heal it Nacks the leader's next
+   heartbeat with that ballot, and the leader steps down and has to
+   campaign again. *)
+let rejoin_keeps_leader () =
+  List.iter
+    (fun seed ->
+      let s = mk_smr ~seed () in
+      let eng = L.engine s and net = L.net s in
+      let leader = smr_primary s in
+      let before = campaigns eng ~node:leader in
+      let cut = List.find (fun i -> i <> leader) (L.replica_nodes s) in
+      List.iter
+        (fun i -> if i <> cut then Net.partition net cut i)
+        (L.replica_nodes s);
+      Engine.run ~until:(Engine.clock eng +. 1.0) eng;
+      Net.heal_all net;
+      Engine.run ~until:(Engine.clock eng +. 0.5) eng;
+      let what = Printf.sprintf "seed %d: " seed in
+      Alcotest.(check int)
+        (what ^ "the leader never campaigned again")
+        before
+        (campaigns eng ~node:leader);
+      Alcotest.(check int) (what ^ "it still leads") leader (smr_primary s))
+    [ 1; 2; 3; 4; 5 ]
+
 (* QCheck: after any acked write sequence, a fast-path read — on the
    primary or any secondary — observes the latest released write to
    that key.  Ops are derived from the generated seed so each case is a
@@ -319,5 +352,7 @@ let suite =
     Alcotest.test_case "lease read on the primary" `Quick
       lease_read_on_primary;
     Alcotest.test_case "rex: reads see latest write" `Quick rex_reads_latest;
+    Alcotest.test_case "rejoin after a partition keeps the leader" `Quick
+      rejoin_keeps_leader;
     QCheck_alcotest.to_alcotest prop_reads_see_latest_write;
   ]

@@ -295,6 +295,8 @@ let msg_roundtrip () =
       Msg.Learn { from_instance = 4 };
       Msg.Learn_reply { entries = [ (4, "a"); (5, "b") ] };
       Msg.Lease_grant { ballot = { round = 3; replica = 1 }; hb_seq = 42 };
+      Msg.Pre_vote { ballot = { round = 4; replica = 2 } };
+      Msg.Pre_vote_reply { ballot = { round = 4; replica = 2 }; granted = true };
     ]
   in
   List.iter

@@ -538,11 +538,69 @@ let smr_failover () =
   | d :: rest -> List.iter (Alcotest.(check string) "smr live agree" d) rest
   | [] -> Alcotest.fail "no live replicas"
 
+(* The [Not_leader] hint a surviving follower gives once the leader and
+   the third replica have crashed, so that no one can be elected: the
+   dead leader 5 ms after the crash, and no one once the follower has
+   missed its lease plus a heartbeat.  Naming the dead node then would
+   send the client back to it for one more attempt timeout. *)
+let hints_after_leader_crash eng rpc ~client_node ~primary ~crash =
+  let survivor, other =
+    match List.filter (fun n -> n <> primary) [ 0; 1; 2 ] with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  crash primary;
+  crash other;
+  let crashed = Engine.clock eng in
+  let hints = ref [] in
+  ignore
+    (Engine.spawn eng ~node:client_node (fun () ->
+         let uid = Engine.fresh_uid eng in
+         List.iteri
+           (fun seq at ->
+             Engine.sleep (crashed +. at -. Engine.now ());
+             let envelope =
+               R.Session.Envelope.encode
+                 { R.Session.Envelope.client = uid; seq; payload = "INC h" }
+             in
+             match
+               Rpc.call rpc ~src:client_node ~dst:survivor
+                 ~port:R.Client.client_port ~timeout:0.01 envelope
+             with
+             | Some r -> (
+               match R.Client.decode_reply r with
+               | R.Client.Not_leader hint -> hints := hint :: !hints
+               | _ -> Alcotest.fail "a follower answered other than Not_leader")
+             | None -> Alcotest.fail "the follower did not answer")
+           [ 5e-3; 40e-3 ]));
+  Engine.run ~until:(crashed +. 0.2) eng;
+  Alcotest.(check (list (option int)))
+    "hint: the dead leader, then no one" [ Some primary; None ]
+    (List.rev !hints)
+
+let rex_hint_forgets_dead_leader () =
+  let cluster = R.Cluster.create ~seed:11 (cfg ()) (test_app ()) in
+  R.Cluster.start cluster;
+  let primary = R.Server.node (R.Cluster.await_primary cluster) in
+  hints_after_leader_crash (R.Cluster.engine cluster) (R.Cluster.rpc cluster)
+    ~client_node:(R.Cluster.client_node cluster) ~primary
+    ~crash:(R.Cluster.crash cluster)
+
+let smr_hint_forgets_dead_leader () =
+  let cluster, eng, primary = smr_cluster ~seed:73 (test_app ()) in
+  hints_after_leader_crash eng (R.Log_cluster.rpc cluster)
+    ~client_node:(R.Log_cluster.client_node cluster) ~primary:(Smr.node primary)
+    ~crash:(R.Log_cluster.crash cluster)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "smr timers serialized" `Quick smr_timers_serialized;
       Alcotest.test_case "smr failover" `Quick smr_failover;
+      Alcotest.test_case "rex follower forgets a dead leader" `Quick
+        rex_hint_forgets_dead_leader;
+      Alcotest.test_case "smr follower forgets a dead leader" `Quick
+        smr_hint_forgets_dead_leader;
     ]
 
 (* --- Live topology: membership changes under traffic --- *)
@@ -676,18 +734,20 @@ let router_handle cluster =
 
 (* With an unversioned leader guess the shared client's calls undo each
    other's redirects: at each of these seeds some calls give up, the
-   slowest takes 0.61 s and the fibers finish under 1 900 calls.  The
-   bound allows two attempt timeouts, because a follower that has not
-   yet noticed the crash hints the dead leader and sends one retry back
-   to it (seed 7 takes 0.21 s that way with a client per fiber, too). *)
+   slowest takes 0.61 s and the fibers finish under 1 900 calls.  With
+   a fixed 100 ms attempt timeout and followers that kept naming the
+   dead leader, the slowest took up to 0.21 s.  Now it takes 31 ms: two
+   10 ms attempts at the dead leader, the second because a follower
+   that has not yet noticed the crash sends the call back there, and by
+   then a follower leads.  The bound leaves 19 ms of slack. *)
 let shared_handle_rides_failover name make_call seed () =
   let calls, failed, worst = shared_handle_failover ~seed make_call in
   let what s = Printf.sprintf "%s seed %d: %s" name seed s in
   Alcotest.(check bool) (what "calls kept flowing") true (calls > 5000);
   Alcotest.(check int) (what "no call gave up") 0 failed;
   Alcotest.(check bool)
-    (what (Printf.sprintf "slowest call %.3fs within 0.25 s" worst))
-    true (worst <= 0.25)
+    (what (Printf.sprintf "slowest call %.3fs within 0.05 s" worst))
+    true (worst <= 0.05)
 
 let suite =
   suite
@@ -704,3 +764,79 @@ let suite =
             (shared_handle_rides_failover "router" router_handle seed);
         ])
       [ 1; 4; 7 ]
+
+(* --- No spurious elections under CPU load --- *)
+
+let counter_total eng subsystem name =
+  Obs.Registry.fold (Obs.registry (Engine.obs eng)) ~init:0
+    ~f:(fun acc (key : Obs.Registry.key) inst ->
+      match inst with
+      | Obs.Registry.Counter c
+        when key.subsystem = subsystem && key.name = name ->
+        acc + Obs.Metric.value c
+      | _ -> acc)
+
+(* kv-cpu's shape for 2 s: 8 cores and 8 workers per replica, INCs that
+   each spend 500 us of CPU, and Poisson arrivals at two thirds of SMR's
+   sequential capacity (1,333 req/s), each from a session of its own.
+   Busy cores must not pass for a dead leader: no follower campaigns
+   after the set-up election, and no client gives up on the loaded
+   leader and resends (the reply cache is never hit). *)
+let no_elections_under_cpu_load stack () =
+  let factory = test_app ~shards:64 ~work:500e-6 () in
+  let config = R.Config.make ~workers:8 ~replicas:[ 0; 1; 2 ] () in
+  let conflict req =
+    match String.split_on_char ' ' req with _ :: k :: _ -> [ k ] | _ -> []
+  in
+  let eng, rpc, client_node, leader =
+    match Check.Runner.stack_of_string stack with
+    | Some Check.Runner.Rex ->
+      let c = R.Cluster.create ~seed:5 config factory in
+      R.Cluster.start c;
+      let p = R.Cluster.await_primary c in
+      ( R.Cluster.engine c, R.Cluster.rpc c, R.Cluster.client_node c,
+        R.Server.node p )
+    | Some s ->
+      let (Check.Runner.Log_stack mk) =
+        Check.Runner.log_stack s config ~conflict factory
+      in
+      let c = R.Log_cluster.create ~seed:5 ~replicas:[ 0; 1; 2 ] mk in
+      R.Log_cluster.start c;
+      let p = R.Log_cluster.await_primary c in
+      ( R.Log_cluster.engine c, R.Log_cluster.rpc c,
+        R.Log_cluster.client_node c, R.Log_server.node p )
+    | None -> invalid_arg stack
+  in
+  let set_up = counter_total eng "paxos" "campaigns" in
+  let rng = Rng.create 11 in
+  let stop = Engine.clock eng +. 2.0 in
+  let sent = ref 0 and answered = ref 0 in
+  let replicas = leader :: List.filter (fun n -> n <> leader) [ 0; 1; 2 ] in
+  ignore
+    (Engine.spawn eng ~node:client_node ~name:"arrivals" (fun () ->
+         while Engine.now () < stop do
+           Engine.sleep (Rng.exponential rng ~mean:(1. /. 1333.));
+           incr sent;
+           let req = Printf.sprintf "INC k%d" (Rng.int rng 4096) in
+           ignore
+             (Engine.spawn eng ~node:client_node (fun () ->
+                  let cl = R.Client.create rpc ~me:client_node ~replicas in
+                  if R.Client.call cl req <> None then incr answered))
+         done));
+  Engine.run ~until:(stop +. 1.0) eng;
+  Alcotest.(check bool) "load offered" true (!sent > 2000);
+  Alcotest.(check int) "every request answered" !sent !answered;
+  Alcotest.(check int) "campaigns: the set-up election's only" set_up
+    (counter_total eng "paxos" "campaigns");
+  Alcotest.(check int) "no reply-cache hits" 0
+    (counter_total eng "frontend" "dup_hits")
+
+let suite =
+  suite
+  @ List.map
+      (fun stack ->
+        Alcotest.test_case
+          (Printf.sprintf "no elections under cpu load: %s" stack)
+          `Quick
+          (no_elections_under_cpu_load stack))
+      [ "rex"; "smr"; "cbase"; "early" ]
