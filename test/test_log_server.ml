@@ -161,15 +161,15 @@ let eve_new_leader_recovers_lost_verdict () =
 let suite =
   [
     Alcotest.test_case "golden smr run" `Quick
-      (golden "smr" smr memcache_op "f5a4afb2450ed6ff37b0e99159fb55dd");
+      (golden "smr" smr memcache_op "4e8f8d0d97f91119cb45369c6996858d");
     Alcotest.test_case "golden cbase run" `Quick
       (golden "cbase" (sched Sched.Exec.Cbase) memcache_op
-         "225221217c55dbfad76a35ecccacf974");
+         "e6ae4e51d674e91b9d2b9b1c361d27f3");
     Alcotest.test_case "golden early run" `Quick
       (golden "early" (sched Sched.Exec.Early) memcache_op
-         "502b4fb25807a83bfadb75999dbf1b87");
+         "5553606bf8a509cde54eabf327bd9368");
     Alcotest.test_case "golden eve run" `Quick
-      (golden "eve" eve lock_op "d75cfab665e70203f69ddf3d36eb5dc0");
+      (golden "eve" eve lock_op "5d39ccaf98db856f62b9f62ddda07806");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
       (forged_ticks_dropped smr);
     Alcotest.test_case "cbase drops forged timer ticks" `Quick
