@@ -129,10 +129,21 @@ let closed_loop run ~seed ~conflict_rate ~warmup ~measure ~label =
   Harness.note_run ~label eng;
   (throughput, List.hd !digest, run.extras ())
 
+(* The zero-conflict gate: cbase must reach 95% of Rex.  A quick point
+   drains one burst of 512 requests, and Rex commits it in about five
+   batches, so one run's rate follows where those commits fall: Rex's
+   quick w=8 point spans 604-720 k req/s over seeds 42-49, and moving
+   the burst by a quarter of a millisecond moves it as much.  The gate
+   compares each stack's median over these seeds; the table keeps the
+   first. *)
+let gate_seeds = [ 42; 43; 44; 45; 46 ]
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
 let sim_sweep ~quick ~workers_list ~rates () =
   let warmup = if quick then 100 else 300 in
   let measure = if quick then 400 else 1500 in
-  let seed = 42 in
+  let seed = List.hd gate_seeds in
   Printf.printf
     "\n== sched (sim): conflict rate x workers x stack, kv closed-loop ==\n";
   Printf.printf
@@ -140,25 +151,27 @@ let sim_sweep ~quick ~workers_list ~rates () =
      req/virtual-second)\n"
     warmup measure Harness.outstanding (propose_interval *. 1e6);
   Printf.printf "conflict\tworkers\tcbase\tearly\trex\tcbase_extras\n%!";
+  let gate = ref [] in
   List.iter
     (fun conflict_rate ->
       List.iter
         (fun workers ->
-          let point stack make =
+          let point ~seed stack make =
             let label =
-              Printf.sprintf "sched-sim-%s-c%g-w%d" stack conflict_rate
+              Printf.sprintf "sched-sim-%s-c%g-w%d%s" stack conflict_rate
                 workers
+                (if seed = List.hd gate_seeds then ""
+                 else Printf.sprintf "-s%d" seed)
             in
-            closed_loop (make ()) ~seed ~conflict_rate ~warmup ~measure
+            closed_loop (make ~seed ()) ~seed ~conflict_rate ~warmup ~measure
               ~label
           in
-          let cb_tp, cb_dig, cb_x =
-            point "cbase" (make_sched ~seed ~mode:Sched.Exec.Cbase ~workers)
-          in
+          let cbase = make_sched ~mode:Sched.Exec.Cbase ~workers in
+          let cb_tp, cb_dig, cb_x = point ~seed "cbase" cbase in
           let ea_tp, ea_dig, _ =
-            point "early" (make_sched ~seed ~mode:Sched.Exec.Early ~workers)
+            point ~seed "early" (make_sched ~mode:Sched.Exec.Early ~workers)
           in
-          let rx_tp, rx_dig, _ = point "rex" (make_rex ~seed ~workers) in
+          let rx_tp, rx_dig, _ = point ~seed "rex" (make_rex ~workers) in
           (* Same seed => same request stream.  cbase and early both
              execute conflicting writes in log order, so their final
              states must match at every conflict rate.  Rex is
@@ -175,15 +188,42 @@ let sim_sweep ~quick ~workers_list ~rates () =
               "sched sim w=%d: sched stacks diverged from Rex on the \
                zero-conflict mix (%s / %s)"
               workers cb_dig rx_dig;
-          if conflict_rate = 0. && cb_tp < 0.95 *. rx_tp then
-            Harness.fail
-              "sched sim w=%d: cbase (%.0f/s) lost to Rex (%.0f/s) on the \
-               zero-conflict mix"
-              workers cb_tp rx_tp;
           Printf.printf "%g\t%d\t%.0f\t%.0f\t%.0f\t%s\n%!" conflict_rate
-            workers cb_tp ea_tp rx_tp cb_x)
+            workers cb_tp ea_tp rx_tp cb_x;
+          if conflict_rate = 0. then begin
+            let over_seeds first stack make =
+              first
+              :: List.map
+                   (fun seed ->
+                     let tp, _, _ = point ~seed stack make in
+                     tp)
+                   (List.tl gate_seeds)
+            in
+            let cb = median (over_seeds cb_tp "cbase" cbase) in
+            let rx = median (over_seeds rx_tp "rex" (make_rex ~workers)) in
+            gate := (workers, cb, rx) :: !gate
+          end)
         workers_list)
-    rates
+    rates;
+  if !gate <> [] then begin
+    Printf.printf
+      "\n== sched (sim) gate: zero-conflict, median over seeds %s ==\n"
+      (String.concat "," (List.map string_of_int gate_seeds));
+    Printf.printf "workers\tcbase\trex\tcbase/rex\n";
+    let gate = List.rev !gate in
+    List.iter
+      (fun (workers, cb, rx) ->
+        Printf.printf "%d\t%.0f\t%.0f\t%.3f\n%!" workers cb rx (cb /. rx))
+      gate;
+    List.iter
+      (fun (workers, cb, rx) ->
+        if cb < 0.95 *. rx then
+          Harness.fail
+            "sched sim w=%d: cbase (median %.0f/s) lost to Rex (median \
+             %.0f/s) on the zero-conflict mix"
+            workers cb rx)
+      gate
+  end
 
 (* --- domains: execution stage on real cores ----------------------- *)
 
