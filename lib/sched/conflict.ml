@@ -25,17 +25,17 @@ let counter _req = [ counter_key ]
 
 let session_key client = "\x00session:" ^ string_of_int client
 
+type claim = { client : int option; keys : string list }
+
 (* Session-envelope handling shared by Eve's mixer and both sched
-   stacks: a decoded envelope prepends the per-client ordering key (a
-   client's requests must never execute concurrently with each other —
-   the in-execute duplicate check is only deterministic when a client's
-   requests are totally ordered), then hands the payload to the
-   app-level oracle.  A raw (un-enveloped) request passes straight
-   through.  A request that *looks* enveloped (magic byte) but fails to
-   decode degrades to payload-only keys — that silently drops the
-   per-client ordering key, so the degradation is counted in
-   [<subsystem>/envelope_decode_errors] instead of being swallowed. *)
-let with_session ~obs ~subsystem ~node oracle =
+   stacks: a decoded envelope names its client and hands the payload to
+   the app-level oracle; a raw (un-enveloped) request passes straight
+   through with no client.  A request that *looks* enveloped (magic
+   byte) but fails to decode degrades to payload-only keys with no
+   client — that silently drops the per-client order, so the degradation
+   is counted in [<subsystem>/envelope_decode_errors] instead of being
+   swallowed. *)
+let claim ~obs ~subsystem ~node oracle =
   let c_decode_errors =
     Obs.counter obs ~subsystem
       ~labels:[ ("node", string_of_int node) ]
@@ -44,9 +44,20 @@ let with_session ~obs ~subsystem ~node oracle =
   fun req ->
     match R.Session.Envelope.decode req with
     | Some e ->
-      session_key e.R.Session.Envelope.client
-      :: oracle e.R.Session.Envelope.payload
-    | None -> oracle req
+      { client = Some e.R.Session.Envelope.client;
+        keys = oracle e.R.Session.Envelope.payload }
+    | None -> { client = None; keys = oracle req }
     | exception Codec.Decode_error _ ->
       Obs.Metric.incr c_decode_errors;
-      oracle req
+      { client = None; keys = oracle req }
+
+(* A client's requests must never execute concurrently with each other
+   (the in-execute duplicate check is only deterministic when a client's
+   requests are totally ordered): as a key, the client's order is one
+   more conflict. *)
+let with_session ~obs ~subsystem ~node oracle =
+  let claim = claim ~obs ~subsystem ~node oracle in
+  fun req ->
+    match claim req with
+    | { client = Some c; keys } -> session_key c :: keys
+    | { client = None; keys } -> keys

@@ -23,14 +23,25 @@ val counter : oracle
 val counter_key : string
 
 val session_key : int -> string
-(** The per-client ordering key ["\x00session:<client>"] prepended by
-    {!with_session} (NUL-prefixed: application grammars are ASCII, so it
-    can never collide with an app-level key). *)
+(** The per-client ordering key ["\x00session:<client>"] (NUL-prefixed:
+    application grammars are ASCII, so it can never collide with an
+    app-level key). *)
+
+type claim = { client : int option; keys : string list }
+(** What a request claims: its session client ([Some] for an enveloped
+    request) apart from the app-level keys of its payload. *)
+
+val claim :
+  obs:Obs.t -> subsystem:string -> node:int -> oracle -> string -> claim
+(** Wrap an app-level oracle with session-envelope handling: an
+    enveloped request's client and its payload's keys; a raw request's
+    keys and no client.  A corrupt envelope (magic byte present, body
+    undecodable) degrades to payload-only keys with no client and bumps
+    [<subsystem>/envelope_decode_errors] for the given node. *)
 
 val with_session :
   obs:Obs.t -> subsystem:string -> node:int -> oracle -> oracle
-(** Wrap an app-level oracle with session-envelope handling: enveloped
-    requests get {!session_key} prepended and their payload passed to
-    the oracle; raw requests pass through.  A corrupt envelope (magic
-    byte present, body undecodable) degrades to payload-only keys and
-    bumps [<subsystem>/envelope_decode_errors] for the given node. *)
+(** {!claim} read as one key list, Eve's reading: an enveloped request
+    gets {!session_key} prepended to its payload's keys, so a client's
+    requests always conflict (an enveloped request with no app keys
+    claims its session key alone). *)

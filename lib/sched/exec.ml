@@ -5,14 +5,21 @@
      order; a pool of worker fibers pulls ready nodes and trims them on
      completion (graph dispatch).
    - [Early]: requests are assigned to worker queues at ordering time
-     from their conflict-key classes (class = key hash mod workers); a
+     from their app-key classes (class = key hash mod workers); a
      request spanning several classes becomes a rendezvous barrier — all
      involved workers meet at it, the last arrival executes, the rest
      stall (Alchieri et al., "Early Scheduling in Parallel SMR").
 
-   Requests with no known conflict keys ([]) are serialized against
-   everything (a DAG barrier / an all-workers rendezvous): safety for
-   timer ticks and unparseable requests.
+   A client's requests never run at once (the in-execute duplicate
+   check relies on it): cbase chains them on the client's session key;
+   early keeps a precedence, not a class — a worker holds a request
+   until the same client's previous admitted one has completed.  Every
+   such wait is on an earlier-admitted task and the queues are FIFO in
+   admission order, so it cannot deadlock (DESIGN.md §12).
+
+   Requests with no known app keys ([], enveloped or not) are
+   serialized against everything (a DAG barrier / an all-workers
+   rendezvous): safety for timer ticks and unparseable requests.
 
    One backend mutex guards all scheduler state; execution itself runs
    lock-free on the worker fiber.  Contextual ops (park inside cond
@@ -28,7 +35,16 @@ let mode_of_string = function
   | "early" -> Some Early
   | _ -> None
 
-type task = { t_keys : string list; t_run : unit -> unit }
+type task = {
+  t_keys : string list;  (* app keys *)
+  t_client : int option;  (* early, keyed: its entry in [last] *)
+  mutable t_prev : task option;
+      (* early: the client's previous admitted task, until this one starts *)
+  mutable t_done : bool;
+  t_run : unit -> unit;
+}
+
+module Clients = Hashtbl.Make (Int)
 
 type etask =
   | Single of task
@@ -46,7 +62,7 @@ type t = {
   node : int;
   mode : mode;
   workers : int;
-  conflict : string -> string list;
+  claim : string -> Conflict.claim;
   execute : string -> string;
   m : Par.Backend.mutex;
   work_c : Par.Backend.cond;  (* workers: new work / newly-ready nodes *)
@@ -54,6 +70,7 @@ type t = {
   barrier_c : Par.Backend.cond;  (* early: rendezvous release *)
   dag : task Dag.t;  (* cbase *)
   queues : etask Queue.t array;  (* early: one per worker *)
+  last : task Clients.t;  (* early: each client's latest in-flight task *)
   key_live : (string, int) Hashtbl.t;  (* in-flight claims per key *)
   mutable global_live : int;  (* in-flight no-key (global) tasks *)
   mutable in_flight : int;  (* admitted, not yet completed *)
@@ -64,6 +81,7 @@ type t = {
   c_executed : Obs.Metric.counter;
   c_barriers : Obs.Metric.counter;
   c_stalls : Obs.Metric.counter;
+  c_waits : Obs.Metric.counter;
   g_graph : Obs.Metric.gauge;
   g_graph_max : Obs.Metric.gauge;
   g_ready : Obs.Metric.gauge;
@@ -76,6 +94,7 @@ type stats = {
   executed : int;
   barriers : int;
   barrier_stalls : int;
+  precedence_waits : int;
   graph_max : int;
   ready_max : int;
   busy_time : float;
@@ -86,6 +105,7 @@ let stats t =
     executed = Obs.Metric.value t.c_executed;
     barriers = Obs.Metric.value t.c_barriers;
     barrier_stalls = Obs.Metric.value t.c_stalls;
+    precedence_waits = Obs.Metric.value t.c_waits;
     graph_max = int_of_float (Obs.Metric.get t.g_graph_max);
     ready_max = int_of_float (Obs.Metric.get t.g_ready_max);
     busy_time = t.busy_time;
@@ -126,12 +146,34 @@ let note_done t task =
         | Some c -> Hashtbl.replace t.key_live k (c - 1)
         | None -> ())
       keys);
+  (match task.t_client with
+  | Some c -> (
+    match Clients.find t.last c with
+    | last when last == task -> Clients.remove t.last c
+    | _ | (exception Not_found) -> ())
+  | None -> ());
+  task.t_done <- true;
   t.in_flight <- t.in_flight - 1;
   Obs.Metric.incr t.c_executed;
   t.quiet_c.Par.Backend.c_broadcast ()
 
+(* Early: hold a task until its client's previous one has completed
+   (every completion broadcasts [quiet_c]). *)
+let await_prev t task =
+  match task.t_prev with
+  | None -> ()
+  | Some prev ->
+    if not prev.t_done then begin
+      Obs.Metric.incr t.c_waits;
+      while not prev.t_done do
+        t.quiet_c.Par.Backend.c_wait t.m
+      done
+    end;
+    task.t_prev <- None
+
 (* Run a task's body with the busy gauge held; no lock across it. *)
 let run_body t task =
+  await_prev t task;
   t.busy_workers <- t.busy_workers + 1;
   Obs.Metric.set t.g_busy (float_of_int t.busy_workers);
   unlock t;
@@ -215,6 +257,7 @@ let early_worker t w () =
 let create backend ~node ~mode ~workers ~conflict ~execute =
   if workers <= 0 then invalid_arg "Exec.create: workers";
   let obs = Par.Backend.obs backend in
+  let claim = Conflict.claim ~obs ~subsystem:"sched" ~node conflict in
   let labels =
     [ ("node", string_of_int node); ("stack", mode_name mode) ]
   in
@@ -226,7 +269,7 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
       node;
       mode;
       workers;
-      conflict;
+      claim;
       execute;
       m = Par.Backend.mutex backend;
       work_c = Par.Backend.cond backend;
@@ -234,6 +277,7 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
       barrier_c = Par.Backend.cond backend;
       dag = Dag.create ();
       queues = Array.init workers (fun _ -> Queue.create ());
+      last = Clients.create 64;
       key_live = Hashtbl.create 64;
       global_live = 0;
       in_flight = 0;
@@ -243,6 +287,7 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
       c_executed = c "requests_executed";
       c_barriers = c "barriers";
       c_stalls = c "barrier_stalls";
+      c_waits = c "precedence_waits";
       g_graph = g "graph_size";
       g_graph_max = g "graph_size_max";
       g_ready = g "ready_width";
@@ -261,7 +306,7 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
 
 (* --- admission (log order; caller may be any fiber) --- *)
 
-let add t ~keys ~run =
+let add t ~client ~keys ~run =
   lock t;
   t.in_flight <- t.in_flight + 1;
   (match keys with
@@ -274,14 +319,32 @@ let add t ~keys ~run =
         Hashtbl.replace t.key_live k
           (1 + Option.value (Hashtbl.find_opt t.key_live k) ~default:0))
       keys);
-  let task = { t_keys = keys; t_run = run } in
+  let task client =
+    { t_keys = keys; t_client = client; t_prev = None; t_done = false;
+      t_run = run }
+  in
   (match t.mode with
   | Cbase ->
-    (match keys with
-    | [] -> ignore (Dag.insert_barrier t.dag task)
-    | _ -> ignore (Dag.insert t.dag ~keys task));
+    (match (keys, client) with
+    | [], _ -> ignore (Dag.insert_barrier t.dag (task None))
+    | _, None -> ignore (Dag.insert t.dag ~keys (task None))
+    | _, Some c ->
+      (* the client's order is one more edge *)
+      ignore
+        (Dag.insert t.dag ~keys:(Conflict.session_key c :: keys) (task None)));
     note_graph t
   | Early -> (
+    (* a barrier orders behind everything in every queue already, so
+       only keyed requests join their client's precedence chain *)
+    let task =
+      match (keys, client) with
+      | _ :: _, Some c ->
+        let task = task client in
+        task.t_prev <- Clients.find_opt t.last c;
+        Clients.replace t.last c task;
+        task
+      | _ -> task None
+    in
     match (if keys = [] then List.init t.workers Fun.id
            else owners_of_keys t keys)
     with
@@ -296,8 +359,8 @@ let add t ~keys ~run =
   unlock t
 
 let admit t req cb =
-  let keys = t.conflict req in
-  add t ~keys ~run:(fun () ->
+  let { Conflict.client; keys } = t.claim req in
+  add t ~client ~keys ~run:(fun () ->
       let resp =
         try t.execute req with
         | Sim.Engine.Killed as e -> raise e
@@ -308,7 +371,7 @@ let admit t req cb =
       in
       cb resp)
 
-let admit_barrier t f = add t ~keys:[] ~run:f
+let admit_barrier t f = add t ~client:None ~keys:[] ~run:f
 
 (* --- read routing / quiescence --- *)
 

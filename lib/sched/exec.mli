@@ -7,7 +7,10 @@
     [Cbase] dispatches from a conflict DAG ({!Dag}); [Early] maps
     conflict classes to workers at admission time, synchronizing
     multi-class requests with rendezvous barriers.  Requests whose
-    oracle returns [[]] (no known keys) serialize against everything.
+    oracle returns [[]] (no known keys) serialize against everything,
+    enveloped or not.  A session client's requests never run at once:
+    [Cbase] orders them by a DAG edge on {!Conflict.session_key},
+    [Early] by a precedence wait on the client's previous request.
 
     Admission order is execution order wherever conflicts exist, so a
     serial replay of the same stream yields the same state. *)
@@ -28,7 +31,8 @@ val create :
   execute:(string -> string) ->
   t
 (** Spawns [workers] worker fibers on [backend] for [node].  [conflict]
-    is the (session-wrapped) oracle; [execute] the app step function.
+    is the app-level oracle (session envelopes are decoded here, see
+    {!Conflict.claim}); [execute] the app step function.
     Raises [Invalid_argument] when [workers <= 0]. *)
 
 val admit : t -> string -> (string -> unit) -> unit
@@ -61,7 +65,9 @@ val shutdown : t -> unit
 type stats = {
   executed : int;
   barriers : int;
-  barrier_stalls : int;
+  barrier_stalls : int;  (** early: workers stalled at a rendezvous *)
+  precedence_waits : int;
+      (** early: tasks held for their client's previous request *)
   graph_max : int;
   ready_max : int;
   busy_time : float;  (** summed worker-seconds spent executing *)

@@ -21,9 +21,7 @@ let executor ~mode ~conflict (env : L.env) =
   let exec =
     Exec.create env.backend ~node:env.node ~mode
       ~workers:(max 1 env.cfg.R.Config.workers)
-      ~conflict:
-        (Conflict.with_session ~obs:(Sim.Engine.obs env.eng) ~subsystem:"sched"
-           ~node:env.node conflict)
+      ~conflict
       ~execute:(fun request -> env.app.R.App.execute ~request)
   in
   let applied_q : (int * int ref) Queue.t = Queue.create () in

@@ -25,7 +25,7 @@ val create :
   Rex_core.App.factory ->
   t
 (** [Config.workers] sizes the worker pool (min 1); [conflict] is the
-    app-level oracle, wrapped with {!Conflict.with_session} internally.
+    app-level oracle ({!Exec} decodes the session envelopes).
     [propose_interval] paces batching, as in the other stacks. *)
 
 val start : t -> unit

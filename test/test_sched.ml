@@ -7,14 +7,17 @@
    - the conflict DAG (same-key serialization, distinct-key parallelism,
      multi-key fan-in, barriers, trim-on-complete, double-complete);
    - the execution stage on the sim backend: log order preserved for
-     conflicts in both modes, unknown requests serialize as barriers,
-     early-mode rendezvous ordering across workers, read parking — plus
-     the qcheck property that both modes reproduce a serial replay's
-     state digest on random order-sensitive kv mixes;
+     conflicts in both modes, unknown requests (enveloped or not)
+     serialize as barriers, early-mode rendezvous ordering across
+     workers, a session client's order without a rendezvous, read
+     parking, the decode-error counter at admission — plus the qcheck
+     property that both modes reproduce a serial replay's state digest
+     on random order-sensitive kv mixes;
    - the full stack: a 3-replica cluster per mode (replies, replica
      convergence, lease reads), checkpoint/restore through the codec
-     path, and one seeded fault-schedule run per mode through the check
-     runner. *)
+     path, exactly-once with concurrent calls on one client across a
+     leader crash, and one seeded fault-schedule run per mode through
+     the check runner. *)
 
 open Sim
 module R = Rex_core
@@ -247,6 +250,146 @@ let exec_park_until_quiet () =
   check_bool "unrelated read did not park" false !unrelated_waited;
   check_bool "conflicting read parked until the write" true !read_after_write
 
+(* --- session clients: order as precedence, unkeyed envelopes as
+   barriers --- *)
+
+let envelope client seq payload =
+  R.Session.Envelope.encode { R.Session.Envelope.client; seq; payload }
+
+let payload_of req =
+  match R.Session.Envelope.decode req with
+  | Some e -> e.R.Session.Envelope.payload
+  | None -> req
+
+(* Admit [reqs] (enveloped or raw) from a driver fiber and record each
+   execution's virtual-time interval, by payload; [cost payload] is its
+   Engine.work. *)
+let run_spans ?(workers = 4) ~mode ~cost reqs =
+  let eng = Engine.create ~seed:7 ~cores_per_node:8 ~num_nodes:1 () in
+  let backend = Par.Backend.of_sim eng in
+  let spans = Hashtbl.create 16 in
+  let execute req =
+    let p = payload_of req in
+    let t0 = Engine.now () in
+    Engine.work (cost p);
+    Hashtbl.replace spans p (t0, Engine.now ());
+    "OK"
+  in
+  let exec =
+    Sched.Exec.create backend ~node:0 ~mode ~workers ~conflict:C.kv ~execute
+  in
+  ignore
+    (Engine.spawn eng ~node:0 (fun () ->
+         List.iter (fun r -> Sched.Exec.admit exec r ignore) reqs;
+         Sched.Exec.drain exec));
+  Engine.run ~until:600. eng;
+  let span p =
+    match Hashtbl.find_opt spans p with
+    | Some s -> s
+    | None -> Alcotest.fail (p ^ " never executed")
+  in
+  (span, Sched.Exec.stats exec)
+
+let owner ~workers k = Hashtbl.hash k mod workers
+
+let key_owned_by ~workers w =
+  List.find
+    (fun k -> owner ~workers k = w)
+    (List.init 64 (Printf.sprintf "k%d"))
+
+(* [COUNT] names no key, so it reads the whole store: enveloped or not
+   it must be a barrier.  The SET's key sits on another worker than
+   client 2's session key, so a scheduler that read the session key as
+   the COUNT's class let the two overlap, and the COUNT's reply (cached
+   in the session table) depended on timing. *)
+let exec_unkeyed_envelope_is_barrier mode () =
+  let workers = 4 in
+  let k =
+    List.find
+      (fun k -> owner ~workers k <> owner ~workers (C.session_key 2))
+      (List.init 64 (Printf.sprintf "k%d"))
+  in
+  let set = Printf.sprintf "SET %s 1" k in
+  let cost p = if p = set then 1e-3 else 1e-5 in
+  let span, stats =
+    run_spans ~workers ~mode ~cost [ envelope 1 1 set; envelope 2 1 "COUNT" ]
+  in
+  let _, set_end = span set and count_start, _ = span "COUNT" in
+  check_bool "COUNT starts after the SET ends" true (count_start >= set_end);
+  check_int "one barrier" 1 stats.Sched.Exec.barriers
+
+(* One client, two requests on keys of different early workers: the
+   second waits for the first (the precedence path), in both modes. *)
+let exec_client_order mode () =
+  let workers = 4 in
+  let ka = key_owned_by ~workers 0 and kb = key_owned_by ~workers 1 in
+  let first = Printf.sprintf "SET %s 1" ka
+  and second = Printf.sprintf "SET %s 1" kb in
+  let cost p = if p = first then 1e-3 else 1e-5 in
+  let span, stats =
+    run_spans ~workers ~mode ~cost [ envelope 1 1 first; envelope 1 2 second ]
+  in
+  let _, first_end = span first and second_start, _ = span second in
+  check_bool "the client's second request starts after its first ends" true
+    (second_start >= first_end);
+  check_int "no rendezvous" 0 stats.Sched.Exec.barrier_stalls;
+  if mode = Sched.Exec.Early then
+    check_int "one precedence wait" 1 stats.Sched.Exec.precedence_waits
+
+(* Single-key enveloped traffic from 8 clients: early places each
+   request by its key alone — no barrier, no rendezvous — and still
+   runs each client's requests in its order. *)
+let early_single_key_no_rendezvous () =
+  let rng = Random.State.make [| 3 |] in
+  let reqs =
+    List.init 64 (fun i ->
+        let client = i mod 8 and seq = (i / 8) + 1 in
+        let k = Random.State.int rng 16 in
+        (client, seq, Printf.sprintf "RMW k%d c%d.%d" k client seq))
+  in
+  let cost _ = 1e-4 in
+  let span, stats =
+    run_spans ~mode:Sched.Exec.Early ~cost
+      (List.map (fun (c, s, p) -> envelope c s p) reqs)
+  in
+  check_int "all executed" 64 stats.Sched.Exec.executed;
+  check_int "no barriers" 0 stats.Sched.Exec.barriers;
+  check_int "no rendezvous stalls" 0 stats.Sched.Exec.barrier_stalls;
+  let payload c s =
+    let _, _, p = List.find (fun (c', s', _) -> c' = c && s' = s) reqs in
+    p
+  in
+  List.iter
+    (fun (c, s, p) ->
+      if s > 1 then
+        check_bool (p ^ " after the client's previous request") true
+          (fst (span p) >= snd (span (payload c (s - 1)))))
+    reqs
+
+(* A corrupt envelope reaching admission degrades to payload-only keys
+   and is counted under sched/envelope_decode_errors. *)
+let exec_counts_corrupt_envelope () =
+  let eng = Engine.create ~seed:7 ~cores_per_node:8 ~num_nodes:1 () in
+  let backend = Par.Backend.of_sim eng in
+  let exec =
+    Sched.Exec.create backend ~node:0 ~mode:Sched.Exec.Early ~workers:2
+      ~conflict:C.kv
+      ~execute:(fun _ -> "OK")
+  in
+  let enc = envelope 7 3 "SET a v" in
+  let replies = ref 0 in
+  ignore
+    (Engine.spawn eng ~node:0 (fun () ->
+         Sched.Exec.admit exec (String.sub enc 0 (String.length enc - 1))
+           (fun _ -> incr replies);
+         Sched.Exec.drain exec));
+  Engine.run ~until:60. eng;
+  check_int "still executed" 1 !replies;
+  check_int "decode error counted" 1
+    (Obs.Metric.value
+       (Obs.counter (Engine.obs eng) ~subsystem:"sched"
+          ~labels:[ ("node", "0") ] "envelope_decode_errors"))
+
 (* qcheck: random order-sensitive kv mixes through both modes must end
    in the state a serial replay reaches (mirrors test_par's equivalence
    group).  RMW appends, so any per-key reordering changes the digest. *)
@@ -379,6 +522,133 @@ let checkpoint_roundtrip () =
   check_string "restore rewound to the checkpoint cut" !d0
     (Sched.Server.app_digest primary)
 
+(* --- exactly once with concurrent calls on one client --- *)
+
+(* Counters keyed by name: [INC k] adds one to [k] and answers its new
+   value, [GET k] reads it. *)
+let counters : R.App.factory =
+ fun api ->
+  let tbl = Hashtbl.create 16 in
+  let get k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
+  let bindings () =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let execute ~request =
+    R.Api.work api 5e-5;
+    match String.split_on_char ' ' request with
+    | [ "INC"; k ] ->
+      Hashtbl.replace tbl k (get k + 1);
+      string_of_int (get k)
+    | [ "GET"; k ] -> string_of_int (get k)
+    | _ -> "ERR:bad-request"
+  in
+  {
+    R.App.name = "counters";
+    execute;
+    query = (fun ~request -> execute ~request);
+    write_checkpoint =
+      (fun sink ->
+        Codec.write_list sink
+          (fun b (k, v) ->
+            Codec.write_string b k;
+            Codec.write_uvarint b v)
+          (bindings ()));
+    read_checkpoint =
+      (fun src ->
+        Hashtbl.reset tbl;
+        Codec.read_list src (fun s ->
+            let k = Codec.read_string s in
+            (k, Codec.read_uvarint s))
+        |> List.iter (fun (k, v) -> Hashtbl.replace tbl k v));
+    digest =
+      (fun () ->
+        String.concat ";"
+          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (bindings ())));
+  }
+
+let counter_keys req =
+  match String.split_on_char ' ' req with
+  | [ ("INC" | "GET"); k ] -> [ k ]
+  | _ -> []
+
+(* test_rex's shared-handle failover on a sched stack: four fibers share
+   one handle, each sending an INC every 1 ms on a key that moves over
+   eight keys (so one client's calls cross worker classes); the primary
+   crashes 0.3 s in.  No call may come back [None]; the live replicas'
+   counters must add up to the number of calls (each executed exactly
+   once) and their app and session digests must agree. *)
+let shared_handle_exactly_once mode handle () =
+  let replicas = [ 0; 1; 2 ] in
+  let cfg = R.Config.make ~workers:4 ~replicas () in
+  let cluster =
+    R.Log_cluster.create ~seed:1 ~replicas (fun net rpc ~node ~paxos_store ->
+        Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
+          ~conflict:counter_keys counters)
+  in
+  R.Log_cluster.start cluster;
+  let primary = R.Log_cluster.await_primary cluster in
+  let eng = R.Log_cluster.engine cluster in
+  let call = handle cluster in
+  let stop = Engine.clock eng +. 3.0 in
+  let calls = ref 0 and failed = ref 0 in
+  for f = 1 to 4 do
+    ignore
+      (Engine.spawn eng ~node:(R.Log_cluster.client_node cluster)
+         ~name:"shared" (fun () ->
+           let i = ref 0 in
+           while Engine.now () < stop do
+             let k = ((3 * f) + !i) mod 8 in
+             if call (Printf.sprintf "INC k%d" k) = None then incr failed;
+             incr calls;
+             incr i;
+             Engine.sleep 1e-3
+           done))
+  done;
+  Engine.run ~until:(Engine.clock eng +. 0.3) eng;
+  R.Log_cluster.crash cluster (R.Log_server.node primary);
+  Engine.run ~until:(stop +. 2.0) eng;
+  check_bool "calls kept flowing" true (!calls > 5000);
+  check_int "no call gave up" 0 !failed;
+  let live = R.Log_cluster.live cluster in
+  check_int "two live replicas" 2 (List.length live);
+  let sums =
+    List.map
+      (fun s ->
+        (* the session wrapper appends "#s<table digest>" *)
+        let d = R.Log_server.app_digest s in
+        String.split_on_char ';' (String.sub d 0 (String.index d '#'))
+        |> List.fold_left
+             (fun acc kv ->
+               match String.split_on_char '=' kv with
+               | [ _; v ] -> acc + int_of_string v
+               | _ -> acc)
+             0)
+      live
+  in
+  List.iter (check_int "every call executed exactly once" !calls) sums;
+  if mode = Sched.Exec.Early then
+    check_bool "the precedence path ran" true
+      (List.exists
+         (fun s -> (Sched.Exec.stats (Sched.Server.exec s)).precedence_waits > 0)
+         live);
+  let digest f = List.sort_uniq compare (List.map f live) in
+  check_int "app digests converge" 1
+    (List.length (digest R.Log_server.app_digest));
+  check_int "session digests converge" 1
+    (List.length
+       (digest (fun s -> R.Session.Table.digest (R.Log_server.session_table s))))
+
+let client_handle cluster = R.Client.call (R.Log_cluster.client cluster)
+
+let router_handle cluster =
+  let router =
+    Shard.Router.create (R.Log_cluster.net cluster) (R.Log_cluster.rpc cluster)
+      ~me:(R.Log_cluster.client_node cluster)
+      ~map:(Shard.Shard_map.create ~groups:[ 0 ] ())
+      ~groups:[ (0, R.Log_cluster.replica_nodes cluster) ]
+  in
+  Shard.Router.call_group router ~group:0
+
 let runner_one_seed stack () =
   let nemesis = Option.get (Check.Nemesis.profile_of_string "crash") in
   let cfg =
@@ -414,6 +684,18 @@ let suite =
       early_rendezvous_ordering;
     Alcotest.test_case "exec: reads park behind conflicting writes" `Quick
       exec_park_until_quiet;
+    Alcotest.test_case "exec: cbase runs unkeyed envelopes as barriers" `Quick
+      (exec_unkeyed_envelope_is_barrier Sched.Exec.Cbase);
+    Alcotest.test_case "exec: early runs unkeyed envelopes as barriers" `Quick
+      (exec_unkeyed_envelope_is_barrier Sched.Exec.Early);
+    Alcotest.test_case "exec: cbase keeps a client's order" `Quick
+      (exec_client_order Sched.Exec.Cbase);
+    Alcotest.test_case "exec: early keeps a client's order" `Quick
+      (exec_client_order Sched.Exec.Early);
+    Alcotest.test_case "exec: early single-key envelopes need no rendezvous"
+      `Quick early_single_key_no_rendezvous;
+    Alcotest.test_case "exec: admission counts corrupt envelopes" `Quick
+      exec_counts_corrupt_envelope;
     QCheck_alcotest.to_alcotest (prop_digest_matches_serial Sched.Exec.Cbase);
     QCheck_alcotest.to_alcotest (prop_digest_matches_serial Sched.Exec.Early);
     Alcotest.test_case "stack: cbase cluster smoke" `Quick
@@ -422,6 +704,14 @@ let suite =
       (cluster_smoke Sched.Exec.Early);
     Alcotest.test_case "stack: checkpoint round-trip" `Quick
       checkpoint_roundtrip;
+    Alcotest.test_case "stack: cbase shared client exactly once" `Quick
+      (shared_handle_exactly_once Sched.Exec.Cbase client_handle);
+    Alcotest.test_case "stack: early shared client exactly once" `Quick
+      (shared_handle_exactly_once Sched.Exec.Early client_handle);
+    Alcotest.test_case "stack: cbase shared router exactly once" `Quick
+      (shared_handle_exactly_once Sched.Exec.Cbase router_handle);
+    Alcotest.test_case "stack: early shared router exactly once" `Quick
+      (shared_handle_exactly_once Sched.Exec.Early router_handle);
     Alcotest.test_case "stack: check runner passes on cbase" `Quick
       (runner_one_seed Check.Runner.Cbase);
     Alcotest.test_case "stack: check runner passes on early" `Quick
