@@ -167,7 +167,7 @@ let suite =
          "e6ae4e51d674e91b9d2b9b1c361d27f3");
     Alcotest.test_case "golden early run" `Quick
       (golden "early" (sched Sched.Exec.Early) memcache_op
-         "5553606bf8a509cde54eabf327bd9368");
+         "b492166259f75b2d4d0b3eb4c67bd7c1");
     Alcotest.test_case "golden eve run" `Quick
       (golden "eve" eve lock_op "5d39ccaf98db856f62b9f62ddda07806");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
