@@ -58,6 +58,13 @@ let write_string b s =
   | Buf buf -> Buffer.add_string buf s
   | Count c -> c.n <- c.n + String.length s
 
+let write_raw b s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Codec.write_raw";
+  match b with
+  | Buf buf -> Buffer.add_substring buf s pos len
+  | Count c -> c.n <- c.n + len
+
 let write_list b f l =
   write_uvarint b (List.length l);
   List.iter (f b) l

@@ -52,6 +52,10 @@ val write_float : sink -> float -> unit
 val write_string : sink -> string -> unit
 (** Length-prefixed. *)
 
+val write_raw : sink -> string -> pos:int -> len:int -> unit
+(** Append [len] bytes of the string from [pos] as they are, with no
+    length prefix: splices bytes an encoder wrote earlier. *)
+
 val write_list : sink -> (sink -> 'a -> unit) -> 'a list -> unit
 val write_array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
 val write_option : sink -> (sink -> 'a -> unit) -> 'a option -> unit

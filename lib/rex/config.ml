@@ -11,7 +11,6 @@ type t = {
   partial_order : bool;
   check_versions : bool;
   record_cost : float;
-  replay_cost : float;
   ckpt_byte_cost : float;
   pipeline_depth : int;
   paxos_sync_latency : float;
@@ -39,7 +38,7 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     ?(flow_window = 20_000) ?(flow_report_interval = 2e-3)
     ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
     ?(reduce_edges = true) ?(partial_order = true)
-    ?(check_versions = true) ?(record_cost = 5e-8) ?(replay_cost = 1.5e-7)
+    ?(check_versions = true) ?(record_cost = 5e-8)
     ?(ckpt_byte_cost = 4e-8) ?(pipeline_depth = 1) ?(paxos_sync_latency = 0.)
     ?lease_duration ?(lease_drift_bound = 0.2) ?(lease_unsafe = false)
     ?(admit_global = 0) ?(admit_per_client = 0) ?(admit_queue_soft = 0)
@@ -62,7 +61,6 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     partial_order;
     check_versions;
     record_cost;
-    replay_cost;
     ckpt_byte_cost;
     pipeline_depth;
     paxos_sync_latency;

@@ -18,7 +18,6 @@ type t = {
   check_versions : bool;
   record_cost : float;
       (** modeled CPU cost of logging one event on the primary *)
-  replay_cost : float;  (** modeled CPU cost of replaying one event *)
   ckpt_byte_cost : float;
       (** modeled cost (seconds per byte) of serializing and writing a
           checkpoint on a secondary — the source of Fig. 10's dips *)
@@ -69,7 +68,6 @@ val make :
   ?partial_order:bool ->
   ?check_versions:bool ->
   ?record_cost:float ->
-  ?replay_cost:float ->
   ?ckpt_byte_cost:float ->
   ?pipeline_depth:int ->
   ?paxos_sync_latency:float ->

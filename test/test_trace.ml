@@ -618,6 +618,32 @@ let prop_v1_roundtrip_structural =
       in
       check (Trace.Cut.zero ~slots:(Trace.num_slots t)) && check mid)
 
+(* Only [Codec.Decode_error] may escape the v1 decoder: every truncation
+   of an encoding raises it, and so may (but need not) an encoding with
+   one byte overwritten, at every offset, by a generated byte. *)
+let prop_v1_decode_fuzz =
+  QCheck.Test.make ~name:"v1 delta decode: truncations and corruptions"
+    ~count:100
+    (QCheck.pair (QCheck.make random_trace_gen) QCheck.(int_bound 255))
+    (fun (spec, byte) ->
+      let t = build_random_trace spec in
+      let d = Trace.Delta.extract t ~base:(Trace.Cut.zero ~slots:(Trace.num_slots t)) in
+      let enc = Codec.encode (Fun.flip Trace.Delta.write) d in
+      let decode s = Codec.decode Trace.Delta.read s in
+      let n = String.length enc in
+      List.for_all
+        (fun len ->
+          match decode (String.sub enc 0 len) with
+          | _ -> false
+          | exception Codec.Decode_error _ -> true)
+        (List.init n Fun.id)
+      && List.for_all
+           (fun at ->
+             match decode (String.mapi (fun i c -> if i = at then Char.chr byte else c) enc) with
+             | _ -> true
+             | exception Codec.Decode_error _ -> true)
+           (List.init n Fun.id))
+
 let codec_suite =
   [
     Alcotest.test_case "legacy v0 bytes rejected" `Quick legacy_v0_rejected;
@@ -625,6 +651,7 @@ let codec_suite =
     Alcotest.test_case "counting sink sizes exact" `Quick
       wire_size_matches_encoding;
     QCheck_alcotest.to_alcotest prop_v1_roundtrip_structural;
+    QCheck_alcotest.to_alcotest prop_v1_decode_fuzz;
   ]
 
 let suite = suite @ render_suite @ compaction_suite @ codec_suite
