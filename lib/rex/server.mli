@@ -87,6 +87,11 @@ val runtime : t -> Rexsync.Runtime.t
 val stats : t -> stats
 val runtime_stats : t -> Rexsync.Runtime.stats
 val queue_length : t -> int
+
+val idle_workers : t -> int
+(** Workers parked on an empty request queue.  A request wakes one of
+    them; a checkpoint pause and a rebuild wake them all. *)
+
 val divergence : t -> string option
 (** Set when replay detected divergence (§5 validity checking); the
     replica halts its slots. *)
