@@ -164,9 +164,7 @@ let rex_run ~total ~seed ~check =
   R.Cluster.check_no_divergence cluster;
   R.Cluster.run_for cluster 1.0;
   let servers = Array.to_list (R.Cluster.servers cluster) in
-  let live =
-    List.filter (fun s -> Engine.node_alive eng (R.Server.node s)) servers
-  in
+  let live = R.Cluster.live cluster in
   Option.iter (fun h -> lin_verdict ~stack:"rex" h) history;
   let sum f = List.fold_left (fun a s -> a + f (R.Server.session_table s)) 0 in
   mk_row ~stack:"rex" ~total ~results
@@ -181,7 +179,7 @@ let rex_run ~total ~seed ~check =
       | s :: _ -> R.Server.query s "GET"
       | [] -> "no-live-replica")
 
-(* SMR and Eve: the same scenario over {!R.Log_cluster}. *)
+(* SMR and Eve: the same scenario over a log-order {!R.Cluster}. *)
 let log_run stack ~total ~seed ~check =
   let name = Check.Runner.stack_name stack in
   let replicas = [ 0; 1; 2 ] in
@@ -191,10 +189,10 @@ let log_run stack ~total ~seed ~check =
       ~conflict:(fun _ -> [ "k" ])
       (counter_factory ())
   in
-  let cluster = R.Log_cluster.create ~seed ~replicas mk in
-  let eng = R.Log_cluster.engine cluster in
-  let net = R.Log_cluster.net cluster in
-  let all = Array.to_list (R.Log_cluster.servers cluster) in
+  let cluster = R.Cluster.create_log ~seed ~replicas mk in
+  let eng = R.Cluster.engine cluster in
+  let net = R.Cluster.net cluster in
+  let all = Array.to_list (R.Cluster.servers cluster) in
   let history =
     if not check then None
     else begin
@@ -203,15 +201,16 @@ let log_run stack ~total ~seed ~check =
       Some h
     end
   in
-  R.Log_cluster.start cluster;
-  let leader = R.Log_cluster.await_primary cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let leader = R.Cluster.await_primary cluster in
   Net.set_drop_probability net 0.08;
   let results, remaining =
-    drive ~eng ~node:(R.Log_cluster.client_node cluster)
-      ~cl:(R.Log_cluster.client cluster) ?history ~total ()
+    drive ~eng ~node:(R.Cluster.client_node cluster)
+      ~cl:(R.Cluster.client cluster) ?history ~total ()
   in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  R.Log_cluster.crash cluster (R.Log_server.node leader);
+  R.Cluster.crash cluster (R.Log_server.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 180.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 90.);
@@ -227,7 +226,7 @@ let log_run stack ~total ~seed ~check =
         (fun a s -> max a (R.Session.Table.sessions (table s)))
         0 all)
     ~final:
-      (match R.Log_cluster.live cluster with
+      (match R.Cluster.live cluster with
       | s :: _ -> R.Log_server.query s "GET"
       | [] -> "no-live-replica")
 

@@ -18,17 +18,18 @@ let run_eve ?(seed = 42) ?(miss_rate = 0.) ~locks ~frac ~warmup ~measure () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = Eve.default_config ~workers:threads ~miss_rate ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed ~cores_per_node:16 ~replicas
+    R.Cluster.create_log ~seed ~cores_per_node:16 ~replicas
       (fun net rpc ~node ~paxos_store ->
         Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys
           (Fig8.micro_factory ~frac ~locks ()))
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
   let throughput =
     Harness.closed_loop
-      (R.Log_cluster.engine cluster)
-      ~node:(R.Log_cluster.client_node cluster) ~rng:(Rng.create (seed + 13))
+      (R.Cluster.engine cluster)
+      ~node:(R.Cluster.client_node cluster) ~rng:(Rng.create (seed + 13))
       ~submit:(Eve.submit primary)
       ~gen:(fun rng _ -> Fig8.gen ~locks rng)
       ~step:0.25 ~warmup ~measure ()

@@ -403,15 +403,16 @@ let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed ~cores_per_node:cores ~replicas
+    R.Cluster.create_log ~seed ~cores_per_node:cores ~replicas
       (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store factory)
   in
-  let eng = R.Log_cluster.engine cluster in
+  let eng = R.Cluster.engine cluster in
   arm_tracing eng;
   let tl = arm_timeline () in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
   let throughput =
     closed_loop eng ~node:(Smr.node primary) ~rng:(Rng.create (seed + 17))
       ~submit:(Smr.submit primary)

@@ -136,17 +136,17 @@ let deploy ?record_cost ~seed ~admit stack =
     let (Stack.Log_stack mk) =
       Stack.log_stack stack cfg ~conflict (keyed_factory ())
     in
-    let c = R.Log_cluster.create ~seed ~replicas mk in
-    R.Log_cluster.start c;
+    let c = R.Cluster.create_log ~seed ~replicas mk in
+    R.Cluster.start c;
     (* The load runs whether or not a leader is up by then. *)
-    Engine.run ~until:1.0 (R.Log_cluster.engine c);
+    Engine.run ~until:1.0 (R.Cluster.engine c);
     {
-      dp_eng = R.Log_cluster.engine c;
-      dp_net = R.Log_cluster.net c;
-      dp_rpc = R.Log_cluster.rpc c;
-      dp_node = R.Log_cluster.client_node c;
+      dp_eng = R.Cluster.engine c;
+      dp_net = R.Cluster.net c;
+      dp_rpc = R.Cluster.rpc c;
+      dp_node = R.Cluster.client_node c;
       dp_fronts =
-        Array.to_list (R.Log_cluster.servers c)
+        Array.to_list (R.Cluster.servers c)
         |> List.map R.Log_server.frontend;
     }
 

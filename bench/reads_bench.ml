@@ -104,14 +104,15 @@ let smr_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
   let c =
-    R.Log_cluster.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
+    R.Cluster.create_log ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))
   in
-  R.Log_cluster.start c;
-  ignore (R.Log_cluster.await_primary ~fallback:5.0 c);
-  point (R.Log_cluster.engine c) ~node:(R.Log_cluster.client_node c)
+  R.Cluster.start c;
+  R.Cluster.run ~until:1.0 c;
+  ignore (R.Cluster.await_primary c);
+  point (R.Cluster.engine c) ~node:(R.Cluster.client_node c)
     ~nodes:replicas
-    ~client:(fun () -> R.Log_cluster.client c)
+    ~client:(fun () -> R.Cluster.client c)
     ~seed ~ratio ~fast ~clients ~ops
 
 let fast_hits p = p.fast_lease + p.fast_quorum

@@ -55,19 +55,20 @@ let make_sched ~seed ~mode ~workers () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~workers ~propose_interval ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed ~cores_per_node:16 ~replicas
+    R.Cluster.create_log ~seed ~cores_per_node:16 ~replicas
       (fun net rpc ~node ~paxos_store ->
         Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
           ~conflict:Sched.Conflict.kv (Apps.Kyoto.factory ()))
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
   {
-    eng = R.Log_cluster.engine cluster;
+    eng = R.Cluster.engine cluster;
     submit = Sched.Server.submit primary;
     digests =
       (fun () ->
-        Array.to_list (R.Log_cluster.servers cluster)
+        Array.to_list (R.Cluster.servers cluster)
         |> List.map Sched.Server.app_digest);
     extras =
       (fun () ->
@@ -366,18 +367,17 @@ let sharded_smoke ~quick () =
       if group = 0 then Sched.Exec.Cbase else Sched.Exec.Early
     in
     ( group,
-      R.Log_cluster.create_in net rpc ~client_node:6 ~replicas
+      R.Cluster.create_log_in net rpc ~client_node:6 ~replicas
         (fun net rpc ~node ~paxos_store ->
           Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
             ~conflict:Sched.Conflict.kv
             (Shard.Partition.factory ~map ~group (Apps.Kyoto.factory ()))) )
   in
   let fleet = List.map make_group groups in
-  List.iter (fun (_, c) -> R.Log_cluster.start c) fleet;
+  List.iter (fun (_, c) -> R.Cluster.start c) fleet;
+  Engine.run ~until:1.0 eng;
   (try
-     List.iter
-       (fun (_, c) -> ignore (R.Log_cluster.await_primary ~fallback:5.0 c))
-       fleet
+     List.iter (fun (_, c) -> ignore (R.Cluster.await_primary c)) fleet
    with Failure _ -> Harness.fail "sched shard: no leaders elected");
   let router = Shard.Router.create net rpc ~me:6 ~map ~groups in
   let ok_writes = ref 0 and ok_reads = ref 0 and finished = ref false in
@@ -416,7 +416,7 @@ let sharded_smoke ~quick () =
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
   List.iter
     (fun (group, c) ->
-      match R.Log_cluster.digests c with
+      match R.Cluster.digests c with
       | d :: rest when List.for_all (( = ) d) rest -> ()
       | _ -> Harness.fail "sched shard: group %d replicas diverged" group)
     fleet;

@@ -213,12 +213,7 @@ let run_single ~factory ~gen ~n ~threads ~seed ~kill_primary ~checkpoints
       end)
     (R.Cluster.servers cluster);
   export eng metrics_out trace_out;
-  let digests =
-    Array.to_list (R.Cluster.servers cluster)
-    |> List.filter (fun s -> Engine.node_alive eng (R.Server.node s))
-    |> List.map R.Server.app_digest
-  in
-  match digests with
+  match R.Cluster.digests cluster with
   | d :: rest when List.for_all (( = ) d) rest ->
     print_endline "replicas CONVERGED"
   | _ ->

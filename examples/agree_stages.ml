@@ -98,19 +98,20 @@ let run_eve () =
     match String.split_on_char ' ' req with [ "INC"; s ] -> [ s ] | _ -> []
   in
   let cluster =
-    R.Log_cluster.create ~seed:5 ~cores_per_node:16 ~replicas
+    R.Cluster.create_log ~seed:5 ~cores_per_node:16 ~replicas
       (fun net rpc ~node ~paxos_store ->
         Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys counter_app)
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary cluster in
-  let eng = R.Log_cluster.engine cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
+  let eng = R.Cluster.engine cluster in
   let dt =
-    closed_loop eng ~node:(R.Log_cluster.client_node cluster)
+    closed_loop eng ~node:(R.Cluster.client_node cluster)
       (Eve.submit primary)
   in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  let digests = R.Log_cluster.digests cluster in
+  let digests = R.Cluster.digests cluster in
   Printf.printf "%-14s %8.0f req/s   replicas agree: %b   (batches avg %.1f)\n%!"
     "eve"
     (float_of_int n_requests /. dt)

@@ -39,11 +39,13 @@ type t = {
   (* payload -> Busy rejections seen at the frontend *)
   rejects : (string, int) Hashtbl.t;
   resolved_cells : (int, string) Hashtbl.t;
+  rejected : string -> bool;
 }
 
-let create eng =
+let create ?(rejected = fun _ -> false) eng =
   {
     eng;
+    rejected;
     cells = Hashtbl.create 256;
     n = 0;
     commits = Hashtbl.create 256;
@@ -53,6 +55,10 @@ let create eng =
   }
 
 let tap t = function
+  | F.Tap_commit { response; _ } | F.Tap_dup { response; _ }
+    when t.rejected response ->
+    (* the attempt was turned away and touched no state *)
+    ()
   | F.Tap_commit { payload; response; _ } ->
     (match Hashtbl.find_opt t.commits payload with
     | None -> Hashtbl.replace t.commits payload (response, 1)

@@ -48,7 +48,12 @@ type stats = {
 
 type t
 
-val create : Sim.Engine.t -> t
+val create : ?rejected:(string -> bool) -> Sim.Engine.t -> t
+(** [rejected] (default: none) marks the replies that reject an attempt
+    rather than execute it — a shard's wrong-shard or migrating answer.
+    A rejected attempt is not an execution: its commit and reply-cache
+    taps neither resolve an op nor count in [double_commits].  An app's
+    own error reply is not a rejection. *)
 
 val wire : t -> Rex_core.Frontend.t list -> unit
 (** Attach this recorder's tap to each frontend (replacing any previous

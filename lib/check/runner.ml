@@ -185,16 +185,13 @@ let probe_requests cfg =
 type deploy = {
   eng : Engine.t;
   target : Nemesis.target;
-  (* [call cidx ~retries req]: update-path request from client [cidx],
-     one request identity per invocation of the underlying client's call
-     (so [retries:1] in a loop defeats dedup — the canary). *)
+  (* One request identity per [call] of the underlying client (so
+     [retries:1] in a loop defeats dedup — the canary). *)
   call : int -> retries:int -> string -> string option;
-  (* [query cidx req]: read-path request — the lease/quorum fast path
-     when the stack has one, exercised when [config.reads_via_query]. *)
   query : int -> string -> string option;
-  (* One inner list per replica group; convergence means each group's
-     live replicas agree internally (groups hold disjoint key ranges, so
-     cross-group digests never match by design). *)
+  (* Convergence means each group's live replicas agree internally
+     (groups hold disjoint key ranges, so cross-group digests never
+     match by design). *)
   digests : unit -> string list list;
   diverged : unit -> bool;
 }
@@ -222,87 +219,12 @@ let conflict_keys_for cfg =
   | Counter -> Sched.Conflict.counter
   | Kv -> Sched.Conflict.kv
 
-let deploy_rex history_of cfg =
-  let ccfg =
-    R.Config.make ~workers:4 ~checkpoint_interval:cfg.checkpoint_interval
-      ~lease_unsafe:cfg.lease_unsafe ~replicas:[ 0; 1; 2 ] ()
-  in
-  let cluster = R.Cluster.create ~seed:cfg.seed ccfg (factory_for cfg) in
-  R.Cluster.start cluster;
-  ignore (R.Cluster.await_primary cluster);
-  let eng = R.Cluster.engine cluster in
-  let history = history_of eng in
-  let wire_node n =
-    History.wire history [ R.Server.frontend (R.Cluster.server cluster n) ]
-  in
-  List.iter wire_node (R.Cluster.replica_nodes cluster);
-  (* Every later server — restarts, reconfiguration newcomers — gets its
-     history tap from this hook (so the restart action below must not
-     wire again). *)
-  R.Cluster.set_on_new_server cluster
-    (Some (fun s -> History.wire history [ R.Server.frontend s ]));
-  let target =
-    {
-      Nemesis.net = R.Cluster.net cluster;
-      nodes = R.Cluster.replica_nodes cluster;
-      others = [ R.Cluster.client_node cluster ];
-      crash = R.Cluster.crash cluster;
-      restart = Some (fun n -> R.Cluster.restart cluster n);
-      leader =
-        (fun () -> Option.map R.Server.node (R.Cluster.primary cluster));
-      down = [];
-      topo = Nemesis.no_topo;
-    }
-  in
-  target.Nemesis.topo <-
-    {
-      Nemesis.no_topo with
-      Nemesis.t_reconfig =
-        Some
-          (fun () ->
-            (* Replace a live non-primary member through the log. *)
-            let primary_node =
-              Option.map R.Server.node (R.Cluster.primary cluster)
-            in
-            match
-              R.Cluster.members cluster
-              |> List.filter (fun n ->
-                     Some n <> primary_node
-                     && not (List.mem n target.Nemesis.down))
-            with
-            | [] -> ()
-            | victim :: _ ->
-              ignore (R.Cluster.replace_replica cluster victim);
-              target.Nemesis.nodes <- R.Cluster.members cluster);
-      t_upgrade = Some (fun () -> R.Cluster.rolling_restart cluster);
-    };
-  let clients =
-    Array.init cfg.clients (fun _ -> R.Cluster.client cluster)
-  in
-  let live_servers () =
-    R.Cluster.servers cluster |> Array.to_list
-    |> List.filter (fun s -> Engine.node_alive eng (R.Server.node s))
-  in
-  {
-    eng;
-    target;
-    call =
-      (fun cidx ~retries req -> R.Client.call ~retries clients.(cidx) req);
-    query = (fun cidx req -> R.Client.query clients.(cidx) req);
-    digests = (fun () -> [ List.map R.Server.app_digest (live_servers ()) ]);
-    diverged =
-      (fun () ->
-        match R.Cluster.check_no_divergence cluster with
-        | () -> false
-        | exception Failure _ -> true);
-  }
-
 (* {1 The log-order stacks}
 
    The one place that maps a stack name to its constructor, so the
    checker and `bench load` deploy the same servers. *)
 
-type log_stack = Log_stack : 'x R.Log_cluster.mk -> log_stack
+type log_stack = Log_stack : 'x R.Cluster.log_mk -> log_stack
 
 let log_stack stack cfg ~conflict factory =
   match stack with
@@ -330,40 +252,28 @@ let log_stack stack cfg ~conflict factory =
   | Rex | Sharded ->
     invalid_arg ("Runner.log_stack: not a log-order stack: " ^ stack_name stack)
 
-let deploy_single history_of cfg =
-  (* Three replicas on nodes 0-2, clients on node 3.  No restart path:
-     these stacks have no recovery from disk, so the rolling upgrade
-     replays the committed log into a fresh server instead. *)
-  let replicas = [ 0; 1; 2 ] in
-  let rcfg =
-    R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
-  in
-  let (Log_stack mk) =
-    log_stack cfg.stack rcfg ~conflict:(conflict_keys_for cfg)
-      (factory_for cfg)
-  in
-  let module L = R.Log_cluster in
-  let c = L.create ~seed:cfg.seed ~replicas mk in
-  let eng = L.engine c in
+(* Wire a started group of any unsharded stack (three replicas on nodes
+   0-2, clients on node 3) into the checker. *)
+let deploy_group history_of cfg c =
+  let module C = R.Cluster in
+  ignore (C.await_primary c);
+  let eng = C.engine c in
   let history = history_of eng in
-  let wire s = History.wire history [ R.Log_server.frontend s ] in
-  L.start c;
-  (* Not [L.await_primary]: a seed that elects no leader by 3 s still
-     runs, and its nemesis and verdict judge it. *)
-  Engine.run ~until:1.0 eng;
-  if L.primary c = None then Engine.run ~until:3.0 eng;
-  Array.iter wire (L.servers c);
-  L.set_on_new_server c (Some wire);
-  let clients = Array.init cfg.clients (fun _ -> L.client c) in
-  let leader () = Option.map R.Log_server.node (L.primary c) in
+  let wire s = History.wire history [ C.frontend c s ] in
+  Array.iter wire (C.servers c);
+  (* Every later server — restarts, reconfiguration newcomers — gets its
+     history tap from this hook (so the restart action must not wire
+     again). *)
+  C.set_on_new_server c (Some wire);
+  let primary_node () = Option.map (C.node c) (C.primary c) in
   let target =
     {
-      Nemesis.net = L.net c;
-      nodes = replicas;
-      others = [ L.client_node c ];
-      crash = L.crash c;
-      restart = None;
-      leader;
+      Nemesis.net = C.net c;
+      nodes = C.replica_nodes c;
+      others = [ C.client_node c ];
+      crash = C.crash c;
+      restart = (if allow_restart cfg then Some (C.restart c) else None);
+      leader = primary_node;
       down = [];
       topo = Nemesis.no_topo;
     }
@@ -371,31 +281,35 @@ let deploy_single history_of cfg =
   target.Nemesis.topo <-
     {
       Nemesis.no_topo with
-      Nemesis.t_upgrade =
+      Nemesis.t_reconfig =
         Some
           (fun () ->
-            (* One replica at a time, pumping between restarts so the
-               group re-elects before the next one goes down. *)
-            List.iter
-              (fun i ->
-                if not (List.mem i target.Nemesis.down) then begin
-                  L.upgrade c i;
-                  Engine.run ~until:(Engine.clock eng +. 0.3) eng;
-                  let deadline = Engine.clock eng +. 5. in
-                  while leader () = None && Engine.clock eng < deadline do
-                    Engine.run ~until:(Engine.clock eng +. 0.1) eng
-                  done
-                end)
-              replicas);
+            (* Replace a live non-primary member through the log. *)
+            let p = primary_node () in
+            match
+              List.filter
+                (fun n -> Some n <> p && not (List.mem n target.Nemesis.down))
+                (C.members c)
+            with
+            | [] -> ()
+            | victim :: _ ->
+              ignore (C.replace_replica c victim);
+              target.Nemesis.nodes <- C.members c);
+      t_upgrade = Some (fun () -> C.rolling_restart c);
     };
+  let clients = Array.init cfg.clients (fun _ -> C.client c) in
   {
     eng;
     target;
     call =
       (fun cidx ~retries req -> R.Client.call ~retries clients.(cidx) req);
     query = (fun cidx req -> R.Client.query clients.(cidx) req);
-    digests = (fun () -> [ L.digests c ]);
-    diverged = (fun () -> false);
+    digests = (fun () -> [ C.digests c ]);
+    diverged =
+      (fun () ->
+        match C.check_no_divergence c with
+        | () -> false
+        | exception Failure _ -> true);
   }
 
 let deploy_sharded history_of cfg =
@@ -497,9 +411,30 @@ let deploy_sharded history_of cfg =
   }
 
 let deploy history_of cfg =
+  let replicas = [ 0; 1; 2 ] in
   match cfg.stack with
-  | Rex -> deploy_rex history_of cfg
-  | Smr | Eve | Cbase | Early -> deploy_single history_of cfg
+  | Rex ->
+    let ccfg =
+      R.Config.make ~workers:4 ~checkpoint_interval:cfg.checkpoint_interval
+        ~lease_unsafe:cfg.lease_unsafe ~replicas ()
+    in
+    let c = R.Cluster.create ~seed:cfg.seed ccfg (factory_for cfg) in
+    R.Cluster.start c;
+    deploy_group history_of cfg c
+  | Smr | Eve | Cbase | Early ->
+    let rcfg =
+      R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
+    in
+    let (Log_stack mk) =
+      log_stack cfg.stack rcfg ~conflict:(conflict_keys_for cfg)
+        (factory_for cfg)
+    in
+    let c = R.Cluster.create_log ~seed:cfg.seed ~replicas mk in
+    R.Cluster.start c;
+    (* Their workloads start at 1.0 s of virtual time, as recorded
+       histories of these stacks always have. *)
+    R.Cluster.run ~until:1.0 c;
+    deploy_group history_of cfg c
   | Sharded ->
     if cfg.app <> Kv then
       invalid_arg "Runner: the sharded stack checks the kv app only";
@@ -549,11 +484,16 @@ let run_one ?schedule cfg =
      engine's clock: hand deploy a memoizing constructor it calls as soon
      as its engine exists. *)
   let history_ref = ref None in
+  let rejected =
+    match cfg.stack with
+    | Sharded -> Some (fun r -> Shard.Partition.classify r <> `App)
+    | Rex | Smr | Eve | Cbase | Early -> None
+  in
   let history_of eng =
     match !history_ref with
     | Some h -> h
     | None ->
-      let h = History.create eng in
+      let h = History.create ?rejected eng in
       history_ref := Some h;
       h
   in

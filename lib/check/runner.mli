@@ -15,15 +15,15 @@ val stack_of_string : string -> stack option
 val stack_name : stack -> string
 
 (** A log-order stack's constructor, its state type hidden. *)
-type log_stack = Log_stack : 'x Rex_core.Log_cluster.mk -> log_stack
+type log_stack = Log_stack : 'x Rex_core.Cluster.log_mk -> log_stack
 
 val log_stack :
   stack -> Rex_core.Config.t -> conflict:(string -> string list) ->
   Rex_core.App.factory -> log_stack
 (** The constructor of [Smr], [Cbase], [Early] or [Eve] (its
     {!Eve.config} is [Eve.default_config] with the given config as its
-    base), for {!Rex_core.Log_cluster}.  Raises [Invalid_argument] for
-    [Rex] and [Sharded]. *)
+    base), for {!Rex_core.Cluster.create_log}.  Raises
+    [Invalid_argument] for [Rex] and [Sharded]. *)
 
 val app_of_string : string -> app option
 val app_name : app -> string
@@ -73,6 +73,30 @@ type outcome = {
   elapsed_virtual : float;
   history_lines : string list;
 }
+
+type deploy = {
+  eng : Sim.Engine.t;
+  target : Nemesis.target;
+      (** its [nodes] track the membership; its [topo] hooks run the
+          live-topology operations *)
+  call : int -> retries:int -> string -> string option;
+      (** [call cidx ~retries req]: an update-path request from client
+          [cidx], one request identity per invocation (from a fiber) *)
+  query : int -> string -> string option;
+      (** the read fast path (leases / quorum reads) where the stack has
+          one *)
+  digests : unit -> string list list;
+      (** the live replicas' app digests, one list per replica group *)
+  diverged : unit -> bool;
+}
+(** A started deployment of [config.stack] with a primary elected. *)
+
+val deploy : (Sim.Engine.t -> History.t) -> config -> deploy
+(** Build, start and wire a deployment: every unsharded stack is one
+    {!Rex_core.Cluster} group of three replicas (nodes 0-2, clients on
+    node 3), the sharded stack a {!Shard.Fleet}.  The function makes the
+    history every frontend is tapped into, from the deployment's
+    engine. *)
 
 val passed : outcome -> bool
 (** Linearizable and converged and live. *)

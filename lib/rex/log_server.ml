@@ -59,6 +59,16 @@ let frontend t =
   | Some f -> f
   | None -> invalid_arg "Log_server.frontend: not registered"
 
+let peers t =
+  match !(t.pax) with
+  | Some p -> Paxos.Replica.peers p
+  | None -> t.env.cfg.Config.replicas
+
+let reconfig t members =
+  match !(t.pax) with
+  | Some p -> Paxos.Replica.propose_reconfig p members
+  | None -> false
+
 (* Clients may not forge ticks: a reserved-prefix request is dropped
    before it reaches the queue the batcher proposes from. *)
 let submit t request cb =
@@ -230,11 +240,7 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
            (Config.admission cfg ~queue_depth:(fun () -> Queue.length t.queue))
          ~reads:
            {
-             Frontend.r_peers =
-               (fun () ->
-                 match !pax with
-                 | Some p -> Paxos.Replica.peers p
-                 | None -> cfg.Config.replicas);
+             Frontend.r_peers = (fun () -> peers t);
              r_lease_valid =
                (fun () ->
                  t.leader

@@ -94,6 +94,16 @@ val app : 'x t -> App.t
 val session_table : 'x t -> Session.Table.t
 val frontend : 'x t -> Frontend.t
 
+val peers : 'x t -> int list
+(** Current membership ({!Paxos.Replica.peers}; the configured replicas
+    before {!start}). *)
+
+val reconfig : 'x t -> int list -> bool
+(** Propose a new membership through the log
+    ({!Paxos.Replica.propose_reconfig}: leader only, one replica added or
+    removed); [false] when refused.  A newcomer catches up through
+    Paxos [Learn] over the log, which this core never truncates. *)
+
 val submit : 'x t -> string -> callback -> unit
 (** Queue a request on the leader; [None] elsewhere and for requests
     with the reserved tick prefix. *)

@@ -89,8 +89,15 @@ let insert t ~keys payload =
    barrier). *)
 let insert_barrier t payload =
   let n = fresh t [] payload in
-  let seen = ref [] in
-  Hashtbl.iter (fun _ pred -> add_dep seen n pred) t.live;
+  (* [live] holds each uncompleted node once, so no duplicate scan: a
+     replayed log can put a whole log's nodes in the graph at once. *)
+  Hashtbl.iter
+    (fun _ pred ->
+      if pred != n then begin
+        pred.succs <- n :: pred.succs;
+        n.deps <- n.deps + 1
+      end)
+    t.live;
   t.barrier_tail <- Some n;
   if n.deps = 0 then mark_ready t n;
   n

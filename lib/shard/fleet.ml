@@ -157,10 +157,7 @@ let total_replies t =
 
 let check_no_divergence t = Array.iter R.Cluster.check_no_divergence t.clusters_
 
-let digests t g =
-  Array.to_list (R.Cluster.servers (cluster t g))
-  |> List.filter (fun s -> Engine.node_alive t.eng (R.Server.node s))
-  |> List.map R.Server.app_digest
+let digests t g = R.Cluster.digests (cluster t g)
 
 let converged t =
   let ok g =

@@ -354,6 +354,67 @@ let upgrade_nemesis_all_stacks () =
     [ Runner.Rex; Runner.Smr; Runner.Eve; Runner.Cbase; Runner.Early;
       Runner.Sharded ]
 
+(* A log-order group replaces a replica through its log: the newcomer
+   catches up by Learn over the untruncated log and serves as a member. *)
+let log_order_replacement stack () =
+  let cfg =
+    topo_cfg ~app:Runner.Counter ~stack ~nemesis:N.Reconfigs ~seed:76 ()
+  in
+  let d = Runner.deploy (fun eng -> H.create eng) cfg in
+  let before = d.Runner.target.N.nodes in
+  let eng = d.Runner.eng in
+  let in_fiber reqs =
+    let replies = ref [] and finished = ref false in
+    ignore
+      (Sim.Engine.spawn eng ~node:(List.hd d.Runner.target.N.others)
+         (fun () ->
+           List.iter
+             (fun req -> replies := d.Runner.call 0 ~retries:12 req :: !replies)
+             reqs;
+           finished := true));
+    while not !finished do
+      Sim.Engine.run ~until:(Sim.Engine.clock eng +. 0.1) eng
+    done;
+    List.rev !replies
+  in
+  let incs tag = List.init 10 (fun i -> Printf.sprintf "INC %s.%d" tag i) in
+  let acked rs = List.length (List.filter Option.is_some rs) in
+  let first = in_fiber (incs "a") in
+  (match d.Runner.target.N.topo.N.t_reconfig with
+  | Some replace -> replace ()
+  | None -> Alcotest.fail "no reconfig hook");
+  let second = in_fiber (incs "b") in
+  Sim.Engine.run ~until:(Sim.Engine.clock eng +. 1.) eng;
+  let after = d.Runner.target.N.nodes in
+  let gone = List.filter (fun n -> not (List.mem n after)) before in
+  let added = List.filter (fun n -> not (List.mem n before)) after in
+  Alcotest.(check int) "one victim dropped" 1 (List.length gone);
+  Alcotest.(check int) "one newcomer gained" 1 (List.length added);
+  Alcotest.(check int) "every write acknowledged" 20
+    (acked first + acked second);
+  Alcotest.(check (list (option string))) "the count survives" [ Some "20" ]
+    (in_fiber [ "GET" ]);
+  match d.Runner.digests () with
+  | [ (d0 :: _ as ds) ] ->
+    Alcotest.(check int) "three live replicas" 3 (List.length ds);
+    Alcotest.(check bool) "live digests converge" true
+      (List.for_all (String.equal d0) ds)
+  | _ -> Alcotest.fail "expected one replica group"
+
+(* The shard stack's split sweep once flagged these seeds: a write gave
+   up during a migration and was resolved from its "ERR:migrating"
+   reply, a rejection that touched no state. *)
+let split_rejection_is_not_an_execution () =
+  List.iter
+    (fun seed ->
+      let o =
+        Runner.run_one
+          (topo_cfg ~stack:Runner.Sharded ~nemesis:N.Splits ~seed ())
+      in
+      if not (Runner.passed o) then
+        Alcotest.fail (String.concat "\n" (Runner.describe_outcome o)))
+    [ 1024; 1026 ]
+
 let topo_noop_without_hooks () =
   (* A split profile on an unsharded stack must degrade to a clean run,
      so `--nemesis all` stays runnable everywhere. *)
@@ -395,4 +456,10 @@ let suite =
       upgrade_nemesis_all_stacks;
     Alcotest.test_case "nemesis: topology no-op without hooks" `Quick
       topo_noop_without_hooks;
+    Alcotest.test_case "nemesis: reconfig replaces an smr replica" `Quick
+      (log_order_replacement Runner.Smr);
+    Alcotest.test_case "nemesis: reconfig replaces a cbase replica" `Quick
+      (log_order_replacement Runner.Cbase);
+    Alcotest.test_case "regression: split rejections (seeds 1024, 1026)"
+      `Quick split_rejection_is_not_an_execution;
   ]

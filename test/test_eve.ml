@@ -67,13 +67,14 @@ let mk_cluster ?(seed = 5) ?(miss_rate = 0.) () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = Eve.default_config ~workers:4 ~miss_rate ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
+    R.Cluster.create_log ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Eve.create net rpc cfg ~node ~paxos_store ~conflict_keys
           (counter_factory ()))
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary cluster in
-  (R.Log_cluster.engine cluster, R.Log_cluster.servers cluster, primary)
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
+  (R.Cluster.engine cluster, R.Cluster.servers cluster, primary)
 
 let drive eng primary n gen =
   let completed = ref 0 and dropped = ref 0 in

@@ -35,9 +35,7 @@ let drive cluster server ~n ~window gen =
   (!completed, !dropped)
 
 let live_digests cluster =
-  Array.to_list (R.Cluster.servers cluster)
-  |> List.filter (fun s ->
-         Engine.node_alive (R.Cluster.engine cluster) (R.Server.node s))
+  R.Cluster.live cluster
   |> List.map (fun s -> (R.Server.node s, R.Server.app_digest s))
 
 let check_converged what cluster =

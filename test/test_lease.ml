@@ -145,7 +145,7 @@ let no_two_leases_during_churn () =
 
 (* --- Stack level: an SMR cluster with real clients --- *)
 
-module L = R.Log_cluster
+module L = R.Cluster
 
 let client_node = 3
 
@@ -153,11 +153,12 @@ let mk_smr ?(seed = 42) () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
   let s =
-    L.create ~seed ~replicas (fun net rpc ~node ~paxos_store ->
+    L.create_log ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))
   in
   L.start s;
-  ignore (L.await_primary ~fallback:5.0 s);
+  L.run ~until:1.0 s;
+  ignore (L.await_primary s);
   s
 
 (* Run [f] to completion in a client fiber, pumping the engine. *)

@@ -38,9 +38,10 @@ let eve cfg net rpc ~node ~paxos_store =
 let deploy stack =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~workers:4 ~replicas () in
-  let cluster = R.Log_cluster.create ~seed:7 ~replicas (stack cfg) in
-  R.Log_cluster.start cluster;
-  let leader = R.Log_server.node (R.Log_cluster.await_primary cluster) in
+  let cluster = R.Cluster.create_log ~seed:7 ~replicas (stack cfg) in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let leader = R.Log_server.node (R.Cluster.await_primary cluster) in
   (cluster, leader)
 
 let memcache_op c i =
@@ -73,12 +74,12 @@ let counter_sum eng qualified =
 
 let golden_digest stack op =
   let cluster, first_leader = deploy stack in
-  let eng = R.Log_cluster.engine cluster in
+  let eng = R.Cluster.engine cluster in
   let answers = Buffer.create 4096 in
   for c = 0 to 2 do
     ignore
       (Engine.spawn eng ~node:3 ~name:"golden.client" (fun () ->
-           let cl = R.Log_cluster.client cluster in
+           let cl = R.Cluster.client cluster in
            for i = 0 to 59 do
              let r =
                match op c i with
@@ -94,7 +95,8 @@ let golden_digest stack op =
   (* Rolling upgrade: a replacement server over the same Paxos store
      rebuilds app and session state by replaying the committed log. *)
   Engine.schedule eng ~at:1.05 (fun () ->
-      R.Log_cluster.upgrade cluster follower);
+      R.Cluster.crash cluster follower;
+      R.Cluster.restart cluster follower);
   Engine.schedule eng ~at:1.1 (fun () -> Engine.crash_node eng first_leader);
   Engine.run ~until:3.0 eng;
   let b = Buffer.create 4096 in
@@ -104,7 +106,7 @@ let golden_digest stack op =
       Printf.bprintf b "node %d app %s session %s\n" (R.Log_server.node s)
         (R.Log_server.app_digest s)
         (R.Session.Table.digest (R.Log_server.session_table s)))
-    (R.Log_cluster.servers cluster);
+    (R.Cluster.servers cluster);
   Printf.bprintf b "clock %h\n" (Engine.clock eng);
   List.iter
     (fun c -> Printf.bprintf b "%s %d\n" c (counter_sum eng c))
@@ -121,8 +123,8 @@ let golden name stack op expected () =
    timer out of schedule and never answered) may reach the log. *)
 let forged_ticks_dropped stack () =
   let cluster, leader = deploy stack in
-  let eng = R.Log_cluster.engine cluster in
-  let rpc = R.Log_cluster.rpc cluster in
+  let eng = R.Cluster.engine cluster in
+  let rpc = R.Cluster.rpc cluster in
   let replies = ref [] in
   ignore
     (Engine.spawn eng ~node:3 (fun () ->
@@ -142,6 +144,43 @@ let forged_ticks_dropped stack () =
         Alcotest.failf "%S was not answered Dropped" payload)
     !replies;
   Alcotest.(check int) "both answered" 2 (List.length !replies)
+
+(* A rolling restart of an SMR group: each member in turn is crashed
+   and rebuilt from its Paxos store by replaying the committed log,
+   while a client keeps writing.  The group re-elects after every step,
+   serves every write, and its replicas converge. *)
+let smr_rolling_restart () =
+  let cluster, _ = deploy smr in
+  let eng = R.Cluster.engine cluster in
+  let before = Array.copy (R.Cluster.servers cluster) in
+  let acked = ref 0 and finished = ref false in
+  ignore
+    (Engine.spawn eng ~node:3 ~name:"rolling.client" (fun () ->
+         let cl = R.Cluster.client cluster in
+         for i = 0 to 29 do
+           let req = Printf.sprintf "SET k%d v%d" (i mod 7) i in
+           if R.Client.call ~retries:12 cl req = Some "STORED" then incr acked;
+           Engine.sleep 0.1
+         done;
+         finished := true));
+  R.Cluster.rolling_restart ~pause:0.3 cluster;
+  while not !finished do
+    R.Cluster.run_for cluster 0.1
+  done;
+  R.Cluster.run_for cluster 0.5;
+  Array.iteri
+    (fun i s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d restarted" (R.Log_server.node s))
+        true (s != before.(i)))
+    (R.Cluster.servers cluster);
+  Alcotest.(check bool) "a primary leads" true
+    (R.Cluster.primary cluster <> None);
+  Alcotest.(check int) "every write served" 30 !acked;
+  match R.Cluster.digests cluster with
+  | [ a; b; c ] ->
+    Alcotest.(check bool) "one digest" true (a = b && b = c)
+  | ds -> Alcotest.failf "%d live replicas" (List.length ds)
 
 (* Eve under rolling upgrades and message loss: an upgraded replica
    that becomes leader again can lose the verdict for a batch it
@@ -176,4 +215,5 @@ let suite =
       (forged_ticks_dropped (sched Sched.Exec.Cbase));
     Alcotest.test_case "eve new leader recovers a lost verdict" `Quick
       eve_new_leader_recovers_lost_verdict;
+    Alcotest.test_case "smr rolling restart" `Quick smr_rolling_restart;
   ]

@@ -112,9 +112,7 @@ let quiesce cluster =
   R.Cluster.run_for cluster 0.5
 
 let all_digests cluster =
-  Array.to_list (R.Cluster.servers cluster)
-  |> List.filter (fun s ->
-         Engine.node_alive (R.Cluster.engine cluster) (R.Server.node s))
+  R.Cluster.live cluster
   |> List.map (fun s -> (R.Server.node s, R.Server.app_digest s))
 
 let check_digests_equal what cluster =
@@ -281,18 +279,19 @@ let query_semantics () =
 let smr_cluster ~seed ?cores_per_node factory =
   let config = cfg () in
   let cluster =
-    R.Log_cluster.create ~seed ?cores_per_node
+    R.Cluster.create_log ~seed ?cores_per_node
       ~replicas:config.R.Config.replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc config ~node ~paxos_store factory)
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary cluster in
-  (cluster, R.Log_cluster.engine cluster, primary)
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
+  (cluster, R.Cluster.engine cluster, primary)
 
 let smr_baseline_replicates () =
   let cluster, eng, _ = smr_cluster ~seed:31 ~cores_per_node:16 (test_app ()) in
-  let servers = R.Log_cluster.servers cluster in
-  let cl = R.Log_cluster.client cluster in
+  let servers = R.Cluster.servers cluster in
+  let cl = R.Cluster.client cluster in
   let answered = ref 0 in
   ignore
     (Engine.spawn eng ~node:3 (fun () ->
@@ -517,24 +516,24 @@ let smr_timers_serialized () =
   Engine.run ~until:4.0 eng;
   (* Compaction (a timer) ran identically everywhere: digests equal even
      though the memtable/disktable split is part of the digest's input. *)
-  let ds = Array.map Smr.app_digest (R.Log_cluster.servers cluster) in
+  let ds = Array.map Smr.app_digest (R.Cluster.servers cluster) in
   Alcotest.(check string) "0=1" ds.(0) ds.(1);
   Alcotest.(check string) "0=2" ds.(0) ds.(2)
 
 let smr_failover () =
   let cluster, eng, _ = smr_cluster ~seed:73 (test_app ()) in
-  let cl = R.Log_cluster.client cluster in
+  let cl = R.Cluster.client cluster in
   let phase n = drive_requests cl (List.init n (fun i -> Printf.sprintf "INC s%d" (i mod 3))) eng 3 in
   ignore (phase 20);
-  let leader = Option.get (R.Log_cluster.primary cluster) in
-  R.Log_cluster.crash cluster (Smr.node leader);
+  let leader = Option.get (R.Cluster.primary cluster) in
+  R.Cluster.crash cluster (Smr.node leader);
   Engine.run ~until:(Engine.clock eng +. 2.0) eng;
   let results = phase 20 in
   Alcotest.(check bool) "service resumed after SMR failover" true
     (List.exists (fun (_, r) -> r <> None) results);
   (* note: the crashed node stays down; the two live replicas agree *)
   Engine.run ~until:(Engine.clock eng +. 1.0) eng;
-  match R.Log_cluster.digests cluster with
+  match R.Cluster.digests cluster with
   | d :: rest -> List.iter (Alcotest.(check string) "smr live agree" d) rest
   | [] -> Alcotest.fail "no live replicas"
 
@@ -588,9 +587,9 @@ let rex_hint_forgets_dead_leader () =
 
 let smr_hint_forgets_dead_leader () =
   let cluster, eng, primary = smr_cluster ~seed:73 (test_app ()) in
-  hints_after_leader_crash eng (R.Log_cluster.rpc cluster)
-    ~client_node:(R.Log_cluster.client_node cluster) ~primary:(Smr.node primary)
-    ~crash:(R.Log_cluster.crash cluster)
+  hints_after_leader_crash eng (R.Cluster.rpc cluster)
+    ~client_node:(R.Cluster.client_node cluster) ~primary:(Smr.node primary)
+    ~crash:(R.Cluster.crash cluster)
 
 let suite =
   suite
@@ -800,11 +799,12 @@ let no_elections_under_cpu_load stack () =
       let (Check.Runner.Log_stack mk) =
         Check.Runner.log_stack s config ~conflict factory
       in
-      let c = R.Log_cluster.create ~seed:5 ~replicas:[ 0; 1; 2 ] mk in
-      R.Log_cluster.start c;
-      let p = R.Log_cluster.await_primary c in
-      ( R.Log_cluster.engine c, R.Log_cluster.rpc c,
-        R.Log_cluster.client_node c, R.Log_server.node p )
+      let c = R.Cluster.create_log ~seed:5 ~replicas:[ 0; 1; 2 ] mk in
+      R.Cluster.start c;
+      R.Cluster.run ~until:1.0 c;
+      let p = R.Cluster.await_primary c in
+      ( R.Cluster.engine c, R.Cluster.rpc c,
+        R.Cluster.client_node c, R.Log_server.node p )
     | None -> invalid_arg stack
   in
   let set_up = counter_total eng "paxos" "campaigns" in

@@ -456,13 +456,14 @@ let make_cluster ~mode =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~workers:4 ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed:5 ~replicas (fun net rpc ~node ~paxos_store ->
+    R.Cluster.create_log ~seed:5 ~replicas (fun net rpc ~node ~paxos_store ->
         Sched.Server.create net rpc cfg ~node ~paxos_store ~mode ~conflict:C.kv
           (Apps.Kyoto.factory ()))
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary ~fallback:5.0 cluster in
-  (R.Log_cluster.engine cluster, R.Log_cluster.servers cluster, primary)
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
+  (R.Cluster.engine cluster, R.Cluster.servers cluster, primary)
 
 let cluster_smoke mode () =
   let eng, servers, primary = make_cluster ~mode in
@@ -581,19 +582,20 @@ let shared_handle_exactly_once mode handle () =
   let replicas = [ 0; 1; 2 ] in
   let cfg = R.Config.make ~workers:4 ~replicas () in
   let cluster =
-    R.Log_cluster.create ~seed:1 ~replicas (fun net rpc ~node ~paxos_store ->
+    R.Cluster.create_log ~seed:1 ~replicas (fun net rpc ~node ~paxos_store ->
         Sched.Server.create net rpc cfg ~node ~paxos_store ~mode
           ~conflict:counter_keys counters)
   in
-  R.Log_cluster.start cluster;
-  let primary = R.Log_cluster.await_primary cluster in
-  let eng = R.Log_cluster.engine cluster in
+  R.Cluster.start cluster;
+  R.Cluster.run ~until:1.0 cluster;
+  let primary = R.Cluster.await_primary cluster in
+  let eng = R.Cluster.engine cluster in
   let call = handle cluster in
   let stop = Engine.clock eng +. 3.0 in
   let calls = ref 0 and failed = ref 0 in
   for f = 1 to 4 do
     ignore
-      (Engine.spawn eng ~node:(R.Log_cluster.client_node cluster)
+      (Engine.spawn eng ~node:(R.Cluster.client_node cluster)
          ~name:"shared" (fun () ->
            let i = ref 0 in
            while Engine.now () < stop do
@@ -605,11 +607,11 @@ let shared_handle_exactly_once mode handle () =
            done))
   done;
   Engine.run ~until:(Engine.clock eng +. 0.3) eng;
-  R.Log_cluster.crash cluster (R.Log_server.node primary);
+  R.Cluster.crash cluster (R.Log_server.node primary);
   Engine.run ~until:(stop +. 2.0) eng;
   check_bool "calls kept flowing" true (!calls > 5000);
   check_int "no call gave up" 0 !failed;
-  let live = R.Log_cluster.live cluster in
+  let live = R.Cluster.live cluster in
   check_int "two live replicas" 2 (List.length live);
   let sums =
     List.map
@@ -638,14 +640,14 @@ let shared_handle_exactly_once mode handle () =
     (List.length
        (digest (fun s -> R.Session.Table.digest (R.Log_server.session_table s))))
 
-let client_handle cluster = R.Client.call (R.Log_cluster.client cluster)
+let client_handle cluster = R.Client.call (R.Cluster.client cluster)
 
 let router_handle cluster =
   let router =
-    Shard.Router.create (R.Log_cluster.net cluster) (R.Log_cluster.rpc cluster)
-      ~me:(R.Log_cluster.client_node cluster)
+    Shard.Router.create (R.Cluster.net cluster) (R.Cluster.rpc cluster)
+      ~me:(R.Cluster.client_node cluster)
       ~map:(Shard.Shard_map.create ~groups:[ 0 ] ())
-      ~groups:[ (0, R.Log_cluster.replica_nodes cluster) ]
+      ~groups:[ (0, R.Cluster.replica_nodes cluster) ]
   in
   Shard.Router.call_group router ~group:0
 
