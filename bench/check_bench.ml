@@ -202,17 +202,17 @@ let run ?(quick = false) ?(stack = "rex") ?(app = "kv") ?(nemesis = "mixed")
     (fun stack ->
       List.iter
         (fun app ->
-          if not (stack = Runner.Sharded && app = Runner.Counter) then
-            List.iter
-              (fun nemesis ->
-                let f =
-                  sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off
-                    ~reads ~quick ~repro_out
-                in
-                List.iter
-                  (fun (seed, o) -> failures := (stack, app, seed, o) :: !failures)
-                  f)
-              nemeses)
+          List.iter
+            (fun nemesis ->
+              let f =
+                sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off
+                  ~reads ~quick ~repro_out
+              in
+              List.iter
+                (fun (seed, o) ->
+                  failures := (stack, app, seed, o) :: !failures)
+                f)
+            nemeses)
         apps)
     stacks;
   if dedup_off then begin

@@ -4,7 +4,7 @@
    req/s-over-time + update-lag + failover-timeline measurement of live
    reconfiguration (cf. Redis-Cluster-style live-patching studies).
 
-   Each enabled phase is book-ended with timeline marks; the per-bucket
+   Each phase is book-ended with timeline marks; the per-bucket
    rows expose the throughput dip and latency spike each operation
    costs, and the shard/router counters give the migration lag (keys
    moved, migration wall-time, router remaps and requests parked on a
@@ -16,21 +16,7 @@ module Map_ = Shard.Shard_map
 module Fleet = Shard.Fleet
 module Router = Shard.Router
 
-type phases = {
-  reconfig : bool;  (* replace one replica of group 0 through the log *)
-  split : bool;  (* live split a third group off *)
-  merge : bool;  (* merge it back out (needs [split]) *)
-  upgrade : bool;  (* rolling restart of every active group *)
-}
-
-let phase_count p =
-  List.length (List.filter Fun.id [ p.reconfig; p.split; p.merge; p.upgrade ])
-
-let run ?(quick = false) ?(phases = { reconfig = true; split = true;
-                                      merge = true; upgrade = true })
-    ?(bucket = 1.0) () =
-  if phases.merge && not phases.split then
-    Harness.fail "liveops: --merge on requires --split on";
+let run ?(quick = false) ?(bucket = 1.0) () =
   let fleet =
     Fleet.create ~seed:42 ~groups:2 (fun ~map ~group ->
         Shard.Partition.factory ~map ~group (Apps.Memcache.factory ()))
@@ -83,14 +69,14 @@ let run ?(quick = false) ?(phases = { reconfig = true; split = true;
     Printf.printf "  %-10s t=%6.2f..%6.2f (%.2fs)\n%!" name t0 t1 (t1 -. t0);
     Fleet.run_for fleet quiet
   in
-  if phases.reconfig then
-    phase "reconfig" (fun () -> ignore (Fleet.reconfig_group fleet 0));
+  (* replace one replica of group 0 through the log *)
+  phase "reconfig" (fun () -> ignore (Fleet.reconfig_group fleet 0));
+  (* live split a third group off, then merge it back out *)
   let split_group = ref None in
-  if phases.split then
-    phase "split" (fun () -> split_group := Some (Fleet.split fleet));
-  if phases.merge then
-    phase "merge" (fun () -> Fleet.merge fleet (Option.get !split_group));
-  if phases.upgrade then phase "upgrade" (fun () -> Fleet.rolling_upgrade fleet);
+  phase "split" (fun () -> split_group := Some (Fleet.split fleet));
+  phase "merge" (fun () -> Fleet.merge fleet (Option.get !split_group));
+  (* rolling restart of every active group *)
+  phase "upgrade" (fun () -> Fleet.rolling_upgrade fleet);
   Fleet.run_for fleet quiet;
   stop := true;
   Fleet.run_for fleet 1.0;
@@ -129,24 +115,23 @@ let run ?(quick = false) ?(phases = { reconfig = true; split = true;
       !completed;
   if !completed <= baseline then
     Harness.fail "liveops: no traffic completed after the quiet period";
-  let expect_migrations =
-    (if phases.split then 1 else 0) + if phases.merge then 1 else 0
-  in
+  (* the split and the merge *)
+  let expect_migrations = 2 in
   if c "migrations" <> expect_migrations then
     Harness.fail "liveops: expected %d migration(s), observed %d"
       expect_migrations (c "migrations");
-  if phases.reconfig && c "group_reconfigs" <> 1 then
+  if c "group_reconfigs" <> 1 then
     Harness.fail "liveops: replica replacement not recorded";
-  if phases.upgrade && c "rolling_upgrades" = 0 then
+  if c "rolling_upgrades" = 0 then
     Harness.fail "liveops: rolling upgrade not recorded";
-  if expect_migrations > 0 && c "migrated_keys" = 0 then
+  if c "migrated_keys" = 0 then
     Harness.fail "liveops: migrations moved no keys";
   let expected_epoch = float_of_int expect_migrations in
   let epoch = Obs.Metric.get (Obs.gauge obs ~subsystem:"shard" "fleet_epoch") in
   if epoch <> expected_epoch then
     Harness.fail "liveops: fleet epoch %.0f, expected %.0f" epoch
       expected_epoch;
-  if phase_count phases > 0 && Obs.Timeline.marks tl = [] then
+  if Obs.Timeline.marks tl = [] then
     Harness.fail "liveops: timeline recorded no phase marks";
   Fleet.check_no_divergence fleet;
   if not (Fleet.converged fleet) then

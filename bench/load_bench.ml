@@ -30,61 +30,6 @@ module Stack = Check.Runner
 let all_stacks = Stack.[ Rex; Smr; Eve; Cbase; Early ]
 let stack_names = List.map Stack.stack_name all_stacks
 
-(* The app under load: striped counters keyed by the request's first
-   argument, wire-compatible with Check.Spec.keyed_counter.  The stripes
-   are Rex locks so that on the Rex stack the recorded lock order makes
-   replay — and hence every response value — deterministic; the other
-   stacks run the same factory through their native serial paths. *)
-let stripes = 32
-
-let keyed_factory () : R.App.factory =
- fun api ->
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let locks =
-    Array.init stripes (fun i -> R.Api.lock api (Printf.sprintf "s%d" i))
-  in
-  let stripe k = Hashtbl.hash k mod stripes in
-  let get k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
-  let bindings () =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [] |> List.sort compare
-  in
-  {
-    R.App.name = "keyed-counter";
-    execute =
-      (fun ~request ->
-        match Check.Spec.words request with
-        | "INC" :: k :: _ ->
-          Rexsync.Lock.with_lock locks.(stripe k) (fun () ->
-              let v = get k + 1 in
-              Hashtbl.replace counts k v;
-              string_of_int v)
-        | [ "GET"; k ] ->
-          Rexsync.Lock.with_lock locks.(stripe k) (fun () ->
-              string_of_int (get k))
-        | _ -> "ERR:bad-request");
-    query =
-      (fun ~request ->
-        match Check.Spec.words request with
-        | [ "GET"; k ] -> string_of_int (get k)
-        | _ -> "ERR:bad-query");
-    write_checkpoint =
-      (fun sink ->
-        Codec.write_list sink
-          (fun b (k, v) ->
-            Codec.write_string b k;
-            Codec.write_uvarint b v)
-          (bindings ()));
-    read_checkpoint =
-      (fun src ->
-        Hashtbl.reset counts;
-        List.iter
-          (fun (k, v) -> Hashtbl.replace counts k v)
-          (Codec.read_list src (fun s ->
-               let k = Codec.read_string s in
-               (k, Codec.read_uvarint s))));
-    digest = (fun () -> string_of_int (Hashtbl.hash (bindings ())));
-  }
-
 (* Conflict oracle for the sched stacks and Eve: ops conflict iff they
    touch the same counter key. *)
 let conflict req =
@@ -120,7 +65,9 @@ let deploy ?record_cost ~seed ~admit stack =
   in
   match stack with
   | Stack.Rex ->
-    let cluster = R.Cluster.create ~seed cfg (keyed_factory ()) in
+    let cluster =
+      R.Cluster.create ~seed cfg (Stack.keyed_counter_factory ())
+    in
     R.Cluster.start cluster;
     ignore (R.Cluster.await_primary cluster);
     {
@@ -134,7 +81,7 @@ let deploy ?record_cost ~seed ~admit stack =
     }
   | stack ->
     let (Stack.Log_stack mk) =
-      Stack.log_stack stack cfg ~conflict (keyed_factory ())
+      Stack.log_stack stack cfg ~conflict (Stack.keyed_counter_factory ())
     in
     let c = R.Cluster.create_log ~seed ~replicas mk in
     R.Cluster.start c;

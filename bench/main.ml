@@ -310,40 +310,7 @@ let dedup_cmd =
 
 (* --- `liveops`: the control-plane timeline bench. ---
 
-   Phase selectors follow the `--backend` convention: Arg.enum, so an
-   unknown value is a usage error at parse time, as is a non-positive
-   --bucket. *)
-
-let off_on_arg name doc =
-  Arg.(
-    value
-    & opt (enum [ ("off", false); ("on", true) ]) true
-    & info [ name ] ~doc)
-
-let reconfig_arg =
-  Arg.(
-    value
-    & opt (enum [ ("off", false); ("replace", true) ]) true
-    & info [ "reconfig" ]
-        ~doc:
-          "$(b,replace) one replica of group 0 through the replicated log, \
-           or $(b,off).")
-
-let split_arg =
-  off_on_arg "split" "Live-split a third group off ($(b,on)/$(b,off))."
-
-let merge_arg =
-  off_on_arg "merge"
-    "Merge the split group back out ($(b,on)/$(b,off)); requires --split on."
-
-let upgrade_arg =
-  Arg.(
-    value
-    & opt (enum [ ("off", false); ("rolling", true) ]) true
-    & info [ "upgrade" ]
-        ~doc:
-          "$(b,rolling) restart of every active group's replicas, or \
-           $(b,off).")
+   A non-positive --bucket is a usage error at parse time. *)
 
 let bucket_conv =
   let parse s =
@@ -367,11 +334,7 @@ let bucket_arg =
         ~doc:"Timeline window width in virtual seconds (default 1.0).")
 
 let liveops_cmd =
-  let run quick reconfig split merge upgrade bucket () =
-    Liveops.run ~quick
-      ~phases:{ Liveops.reconfig; split; merge; upgrade }
-      ~bucket ()
-  in
+  let run quick bucket () = Liveops.run ~quick ~bucket () in
   Cmd.v
     (Cmd.info "liveops"
        ~doc:
@@ -380,8 +343,7 @@ let liveops_cmd =
           migration lag and failover info from the metrics registry")
     (instrumented
        Term.(
-         const run $ quick_arg $ reconfig_arg $ split_arg $ merge_arg
-         $ upgrade_arg $ bucket_arg))
+         const run $ quick_arg $ bucket_arg))
 
 (* --- `check`: the fault-schedule explorer + linearizability sweep. --- *)
 

@@ -1,7 +1,9 @@
 module R = Rex_core
 
-let factory ?(slices = 1024) ?(op_cost = 7e-6) ?(meta_cost = 1.5e-6) () :
-    R.App.factory =
+(* CPU time spent under the metadata lock by each update. *)
+let meta_cost = 1.5e-6
+
+let factory ?(slices = 1024) ?(op_cost = 7e-6) () : R.App.factory =
  fun api ->
   let meta_lock = R.Api.lock api "kc.meta" in
   let flush_cond = R.Api.cond api "kc.flush" in

@@ -7,7 +7,5 @@
     Requests: ["SET <key> <value>"], ["GET <key>"], ["DEL <key>"].
     Synchronization: [Lock], [Cond], [ReadWriteLock] (Table 1). *)
 
-val factory :
-  ?slices:int -> ?op_cost:float -> ?meta_cost:float -> unit ->
-  Rex_core.App.factory
+val factory : ?slices:int -> ?op_cost:float -> unit -> Rex_core.App.factory
 (** Defaults: 1024 slices, 7 µs per op, 1.5 µs under the metadata lock. *)

@@ -2,8 +2,10 @@ module R = Rex_core
 
 type entry = { mutable size : int; mutable lease : int; mutable generation : int }
 
-let factory ?(slices = 128) ?(op_cost = 8e-6) ?(byte_cost = 1e-9) () :
-    R.App.factory =
+(* CPU time per payload byte of a CREATE or UPDATE. *)
+let byte_cost = 1e-9
+
+let factory ?(slices = 128) ?(op_cost = 8e-6) () : R.App.factory =
  fun api ->
   let namespace = R.Api.rwlock api "ls.namespace" in
   let slice_locks =

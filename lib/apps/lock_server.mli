@@ -8,7 +8,5 @@
     readers-writer lock (creates take it in write mode) over per-slice
     readers-writer locks. *)
 
-val factory :
-  ?slices:int -> ?op_cost:float -> ?byte_cost:float -> unit ->
-  Rex_core.App.factory
+val factory : ?slices:int -> ?op_cost:float -> unit -> Rex_core.App.factory
 (** Defaults: 128 slices, 8 µs per op, 1 ns per payload byte. *)

@@ -1,17 +1,16 @@
 open Sim
 
+let seek_time = 4.5e-3
+let bandwidth = 200e6
+
 type t = {
-  seek_time : float;
-  bandwidth : float;
   ncq : Par.Backend.sem;
   transfer : Par.Backend.mutex;
   mutable completed : int;
 }
 
-let create ?(seek_time = 4.5e-3) ?(bandwidth = 200e6) ?(queue_depth = 5) bk =
+let create ?(queue_depth = 5) bk =
   {
-    seek_time;
-    bandwidth;
     ncq = Par.Backend.sem bk queue_depth;
     transfer = Par.Backend.mutex bk;
     completed = 0;
@@ -19,10 +18,10 @@ let create ?(seek_time = 4.5e-3) ?(bandwidth = 200e6) ?(queue_depth = 5) bk =
 
 let io t ~bytes_len =
   t.ncq.s_acquire ();
-  Engine.sleep t.seek_time;
+  Engine.sleep seek_time;
   t.ncq.s_release ();
   t.transfer.m_lock ();
-  Engine.sleep (float_of_int bytes_len /. t.bandwidth);
+  Engine.sleep (float_of_int bytes_len /. bandwidth);
   t.transfer.m_unlock ();
   t.completed <- t.completed + 1
 

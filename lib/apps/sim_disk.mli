@@ -12,10 +12,8 @@
 
 type t
 
-val create :
-  ?seek_time:float -> ?bandwidth:float -> ?queue_depth:int ->
-  Par.Backend.t -> t
-(** Defaults: 4.5 ms seek, 200 MB/s, depth 5. *)
+val create : ?queue_depth:int -> Par.Backend.t -> t
+(** A 4.5 ms seek and 200 MB/s.  Default: depth 5. *)
 
 val io : t -> bytes_len:int -> unit
 (** Block the calling fiber for one random-access I/O of the given size. *)

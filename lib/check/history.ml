@@ -106,17 +106,21 @@ let iter_cells t f =
     f (Hashtbl.find t.cells id)
   done
 
-let resolve t =
-  (* Payload multiplicity across the whole history: resolution is only
-     sound for payloads a single logical op used. *)
+(* Payloads a single logical op used.  Only their taps speak for one
+   op: a repeated payload ([GET k], [DEL k]) commits once per use. *)
+let unique_payloads t =
   let uses = Hashtbl.create 256 in
   iter_cells t (fun c ->
       let k = c.c_request in
       Hashtbl.replace uses k
         (1 + Option.value ~default:0 (Hashtbl.find_opt uses k)));
+  fun payload -> Hashtbl.find_opt uses payload = Some 1
+
+let resolve t =
+  let unique = unique_payloads t in
   iter_cells t (fun c ->
       if c.c_resp = None && not (Hashtbl.mem t.resolved_cells c.c_id) then
-        if Hashtbl.find_opt uses c.c_request = Some 1 then begin
+        if unique c.c_request then begin
           match Hashtbl.find_opt t.commits c.c_request with
           | Some (resp, _) -> Hashtbl.replace t.resolved_cells c.c_id resp
           | None -> (
@@ -148,8 +152,12 @@ let stats t =
       | Returned _ -> incr completed
       | Resolved _ -> incr resolved
       | Timed_out -> incr timeouts);
+  let unique = unique_payloads t in
   let doubles =
-    Hashtbl.fold (fun _ (_, k) acc -> acc + max 0 (k - 1)) t.commits 0
+    Hashtbl.fold
+      (fun payload (_, k) acc ->
+        if unique payload then acc + max 0 (k - 1) else acc)
+      t.commits 0
   in
   {
     ops = t.n;

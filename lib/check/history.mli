@@ -41,9 +41,9 @@ type stats = {
   timeouts : int;  (** [Timed_out] after resolution *)
   resolved : int;  (** [Resolved] *)
   double_commits : int;
-      (** extra commits observed for a payload beyond the first — in a
-          correct stack always 0; the dedup-off injection makes it
-          positive *)
+      (** extra commits observed beyond the first for a payload that one
+          op invoked (the ops {!resolve} may resolve) — in a correct
+          stack always 0; the dedup-off injection makes it positive *)
 }
 
 type t

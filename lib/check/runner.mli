@@ -28,9 +28,19 @@ val log_stack :
 val app_of_string : string -> app option
 val app_name : app -> string
 
+val keyed_counter_factory : unit -> Rex_core.App.factory
+(** Per-key counters in the {!Spec.keyed_counter} grammar
+    (["INC k tag"] → the new count, ["GET k"] → the count), plus
+    ["SET k n"] → ["OK"], with which a shard migration imports a count.
+    Runs on every stack; on Rex its striped locks keep replay
+    deterministic. *)
+
 type config = {
   stack : stack;
-  app : app;  (** [Sharded] supports [Kv] only (a counter is one key) *)
+  app : app;
+      (** [Sharded] runs [Counter] as per-key counters
+          ({!keyed_counter_factory}, {!Spec.keyed_counter}): one counter
+          would live in one group *)
   nemesis : Nemesis.profile;
   seed : int;
   clients : int;

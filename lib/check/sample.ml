@@ -44,7 +44,6 @@ type t = {
   rng : Sim.Rng.t;
   keys_cap : int;
   window_cap : int;
-  flush_min : int;
   max_steps : int option;
   max_configs : int option;
   mu : Mutex.t;
@@ -71,17 +70,15 @@ type t = {
   mutable limited : bool;
 }
 
-let create ?(keys_cap = 64) ?(window_cap = 512) ?(flush_min = 1) ?max_steps
-    ?max_configs ~seed (spec : Spec.t) =
+let create ?(keys_cap = 64) ?(window_cap = 512) ?max_steps ?max_configs
+    ~seed (spec : Spec.t) =
   if keys_cap < 1 then invalid_arg "Sample.create: keys_cap < 1";
   if window_cap < 2 then invalid_arg "Sample.create: window_cap < 2";
-  if flush_min < 1 then invalid_arg "Sample.create: flush_min < 1";
   {
     spec;
     rng = Sim.Rng.create seed;
     keys_cap;
     window_cap;
-    flush_min;
     max_steps;
     max_configs;
     mu = Mutex.create ();
@@ -195,7 +192,7 @@ let flush t key kt =
   end
 
 let maybe_flush t key kt =
-  if kt.k_inflight = 0 && kt.k_nbuf >= t.flush_min then flush t key kt
+  if kt.k_inflight = 0 && kt.k_nbuf > 0 then flush t key kt
   else if kt.k_nbuf >= t.window_cap then begin
     (* The key refuses to quiesce: bound memory by re-anchoring at ⊥. *)
     reanchor t kt;

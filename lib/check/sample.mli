@@ -58,15 +58,14 @@ type stats = {
 val create :
   ?keys_cap:int ->
   ?window_cap:int ->
-  ?flush_min:int ->
   ?max_steps:int ->
   ?max_configs:int ->
   seed:int ->
   Spec.t ->
   t
 (** Defaults: [keys_cap] 64 tracked keys, [window_cap] 512 buffered ops
-    per key before a ⊥ reset, [flush_min] 1 (advance at every quiescent
-    cut). [seed] drives the reservoir's coin only. *)
+    per key before a ⊥ reset; a window advances at every quiescent cut.
+    [seed] drives the reservoir's coin only. *)
 
 val wire : t -> Rex_core.Frontend.t list -> unit
 (** Attach commit/dup taps (replacing any previous tap) — enables fate

@@ -27,9 +27,6 @@ let make ?(bot = false) (model : Spec.t) =
 
 let cardinal t = List.length t.cfgs
 
-let max_pending t =
-  List.fold_left (fun a (_, p) -> max a (List.length p)) 0 t.cfgs
-
 let state_key = function Bot -> "\001" | St s -> "\000" ^ s
 
 exception Out_of_steps

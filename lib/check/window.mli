@@ -67,9 +67,6 @@ val close : cset -> (unit, error) result
 val cardinal : cset -> int
 (** Configurations currently carried. *)
 
-val max_pending : cset -> int
-(** Largest undecided-op set across carried configurations. *)
-
 (** {1 Whole-history convenience}
 
     Same entry preprocessing as {!Lin.check} (fate handling, ambiguous

@@ -5,19 +5,13 @@ module L = R.Log_server
 let digest_port = "eve.digest"
 let verdict_port = "eve.verdict"
 
-type config = { base : R.Config.t; batch_max : int; miss_rate : float }
+type config = { base : R.Config.t; miss_rate : float }
 
-let default_config ?(workers = 8) ?(batch_max = 64) ?(miss_rate = 0.)
-    ?lease_duration ?lease_drift_bound ?lease_unsafe ?admit_global
-    ?admit_per_client ?admit_queue_soft ?admit_queue_hard ~replicas () =
-  {
-    base =
-      R.Config.make ~workers ?lease_duration ?lease_drift_bound ?lease_unsafe
-        ?admit_global ?admit_per_client ?admit_queue_soft ?admit_queue_hard
-        ~replicas ();
-    batch_max;
-    miss_rate;
-  }
+let default_config ?(workers = 8) ?(miss_rate = 0.) ~replicas () =
+  { base = R.Config.make ~workers ~replicas (); miss_rate }
+
+(* The most requests the mixer packs into one batch. *)
+let batch_max = 64
 
 (* How often the leader's mixer forms a batch. *)
 let mix_interval = 2e-4
@@ -318,7 +312,7 @@ let form_batch e pending =
   let claimed = Hashtbl.create 32 in
   let batch = ref [] and skipped = ref [] in
   let count = ref 0 in
-  while !count < e.cfg.batch_max && not (Queue.is_empty pending) do
+  while !count < batch_max && not (Queue.is_empty pending) do
     let (req, cb) = Queue.pop pending in
     let keys = e.conflict_keys req in
     let blind = e.cfg.miss_rate > 0. && Rng.float e.rng 1.0 < e.cfg.miss_rate in

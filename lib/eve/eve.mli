@@ -38,14 +38,11 @@ type config = {
           lease and admission settings (the admission queue-depth probe
           is the mixer's pending queue); [propose_interval] is unused:
           the mixer runs every 0.2 ms *)
-  batch_max : int;
   miss_rate : float;  (** P(mixer misses a true conflict) *)
 }
 
-val default_config : ?workers:int -> ?batch_max:int -> ?miss_rate:float ->
-  ?lease_duration:float -> ?lease_drift_bound:float -> ?lease_unsafe:bool ->
-  ?admit_global:int -> ?admit_per_client:int -> ?admit_queue_soft:int ->
-  ?admit_queue_hard:int -> replicas:int list -> unit -> config
+val default_config :
+  ?workers:int -> ?miss_rate:float -> replicas:int list -> unit -> config
 (** {!Rex_core.Config.make}'s defaults, 8 workers, batches of at most 64
     and a perfect mixer. *)
 

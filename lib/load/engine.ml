@@ -19,13 +19,11 @@ type config = {
   slo : float;
   seed : int;
   trace_cap : int;
-  wheel_tick : float;
 }
 
 let config ?(keys = 1024) ?(theta = 0.99) ?(read_ratio = 0.5)
     ?(session_inflight = 1) ?(queue_cap = 4096) ?(callers = 128) ?(slo = 0.05)
-    ?(trace_cap = 0) ?(wheel_tick = 1e-3) ~sessions ~profile ~duration ~seed ()
-    =
+    ?(trace_cap = 0) ~sessions ~profile ~duration ~seed () =
   if sessions <= 0 then invalid_arg "Load.Engine.config: sessions";
   if duration <= 0. then invalid_arg "Load.Engine.config: duration";
   if keys <= 0 then invalid_arg "Load.Engine.config: keys";
@@ -52,7 +50,6 @@ let config ?(keys = 1024) ?(theta = 0.99) ?(read_ratio = 0.5)
     slo;
     seed;
     trace_cap;
-    wheel_tick;
   }
 
 type stats = {
@@ -103,9 +100,9 @@ let run b ~node ?timeline ~target cfg =
   let reg_hist = Obs.histogram obs ~subsystem:"load" "latency" in
   let hist = Obs.Histogram.create () in
   let gen =
-    Gen.create ~wheel_tick:cfg.wheel_tick ~sessions:cfg.sessions
-      ~duration:cfg.duration ~profile:cfg.profile ~keys:cfg.keys
-      ~theta:cfg.theta ~read_ratio:cfg.read_ratio ~seed:cfg.seed ()
+    Gen.create ~sessions:cfg.sessions ~duration:cfg.duration
+      ~profile:cfg.profile ~keys:cfg.keys ~theta:cfg.theta
+      ~read_ratio:cfg.read_ratio ~seed:cfg.seed ()
   in
   let m = B.mutex b in
   let nonempty = B.cond b in
@@ -115,17 +112,20 @@ let run b ~node ?timeline ~target cfg =
   let n_inflight = ref 0 in
   let outstanding = ref 0 in
   let gen_done = ref false in
-  let generated = ref 0
-  and admitted = ref 0
-  and ok = ref 0
-  and shed_session = ref 0
-  and shed_queue = ref 0
-  and busy = ref 0
-  and timeouts = ref 0
-  and errors = ref 0
-  and slo_ok = ref 0
-  and slo_breach = ref 0
-  and max_queue = ref 0 in
+  (* the registry's counters are the outcome counts; [stats] reports
+     their change over this run *)
+  let value = Obs.Metric.value in
+  let gen0 = value c_gen
+  and adm0 = value c_adm
+  and ok0 = value c_ok
+  and shed_session0 = value c_shed_session
+  and shed_queue0 = value c_shed_queue
+  and busy0 = value c_busy
+  and timeout0 = value c_timeout
+  and error0 = value c_error
+  and slo_ok0 = value c_slo_ok
+  and slo_breach0 = value c_slo_breach in
+  let max_queue = ref 0 in
   let trace = Array.make cfg.trace_cap (0., 0, 0) in
   let trace_n = ref 0 in
   let tl_record lat now =
@@ -138,7 +138,6 @@ let run b ~node ?timeline ~target cfg =
   in
   let t_start = B.clock b in
   let handle (ev : Gen.ev) =
-    incr generated;
     Obs.Metric.incr c_gen;
     if !trace_n < cfg.trace_cap then begin
       trace.(!trace_n) <- (ev.at, ev.session, ev.key);
@@ -147,12 +146,10 @@ let run b ~node ?timeline ~target cfg =
     m.m_lock ();
     let infl = Char.code (Bytes.get inflight ev.session) in
     if infl >= cfg.session_inflight then begin
-      incr shed_session;
       Obs.Metric.incr c_shed_session;
       tl_shed (t_start +. ev.at)
     end
     else if Queue.length q >= cfg.queue_cap then begin
-      incr shed_queue;
       Obs.Metric.incr c_shed_queue;
       tl_shed (t_start +. ev.at)
     end
@@ -160,7 +157,6 @@ let run b ~node ?timeline ~target cfg =
       Bytes.set inflight ev.session (Char.chr (infl + 1));
       incr n_inflight;
       incr outstanding;
-      incr admitted;
       Obs.Metric.incr c_adm;
       Queue.push
         {
@@ -193,7 +189,7 @@ let run b ~node ?timeline ~target cfg =
       | Some at ->
         (* never sleep less than a wheel tick: an arrival due in the past
            fires on the next tick, and a zero sleep would spin *)
-        E.sleep (Float.max (t_start +. at -. E.now ()) cfg.wheel_tick);
+        E.sleep (Float.max (t_start +. at -. E.now ()) Gen.wheel_tick);
         loop ()
     in
     loop ()
@@ -221,30 +217,18 @@ let run b ~node ?timeline ~target cfg =
         decr outstanding;
         (match outcome with
         | Done ->
-          incr ok;
           Obs.Metric.incr c_ok;
           Obs.Histogram.observe hist lat;
           Obs.Histogram.observe reg_hist lat;
-          if lat <= cfg.slo then begin
-            incr slo_ok;
-            Obs.Metric.incr c_slo_ok
-          end
-          else begin
-            incr slo_breach;
-            Obs.Metric.incr c_slo_breach
-          end;
+          Obs.Metric.incr (if lat <= cfg.slo then c_slo_ok else c_slo_breach);
           tl_record (Some lat) fin
         | Rejected ->
-          incr busy;
           Obs.Metric.incr c_busy;
           tl_shed fin
         | Timeout ->
-          incr timeouts;
           Obs.Metric.incr c_timeout;
-          incr slo_breach;
           Obs.Metric.incr c_slo_breach
         | Error ->
-          incr errors;
           Obs.Metric.incr c_error);
         if !gen_done && !outstanding = 0 && Queue.is_empty q then
           alldone.c_broadcast ();
@@ -263,17 +247,18 @@ let run b ~node ?timeline ~target cfg =
     alldone.c_wait m
   done;
   m.m_unlock ();
+  let since c c0 = value c - c0 in
   {
-    generated = !generated;
-    admitted = !admitted;
-    ok = !ok;
-    shed_session = !shed_session;
-    shed_queue = !shed_queue;
-    busy = !busy;
-    timeouts = !timeouts;
-    errors = !errors;
-    slo_ok = !slo_ok;
-    slo_breach = !slo_breach;
+    generated = since c_gen gen0;
+    admitted = since c_adm adm0;
+    ok = since c_ok ok0;
+    shed_session = since c_shed_session shed_session0;
+    shed_queue = since c_shed_queue shed_queue0;
+    busy = since c_busy busy0;
+    timeouts = since c_timeout timeout0;
+    errors = since c_error error0;
+    slo_ok = since c_slo_ok slo_ok0;
+    slo_breach = since c_slo_breach slo_breach0;
     max_queue = !max_queue;
     mean = Obs.Histogram.mean hist;
     p50 = Obs.Histogram.p50 hist;

@@ -40,7 +40,6 @@ type config = private {
   slo : float;  (** latency SLO threshold (s) for burn counters *)
   seed : int;
   trace_cap : int;  (** how many arrivals to capture in [stats.trace] *)
-  wheel_tick : float;
 }
 
 val config :
@@ -52,7 +51,6 @@ val config :
   ?callers:int ->
   ?slo:float ->
   ?trace_cap:int ->
-  ?wheel_tick:float ->
   sessions:int ->
   profile:Arrivals.profile ->
   duration:float ->
@@ -60,7 +58,7 @@ val config :
   unit ->
   config
 (** Defaults: keys 1024, theta 0.99, read_ratio 0.5, session_inflight 1,
-    queue_cap 4096, callers 128, slo 50 ms, trace_cap 0, wheel_tick 1 ms.
+    queue_cap 4096, callers 128, slo 50 ms, trace_cap 0.
     @raise Invalid_argument on out-of-range values. *)
 
 type stats = {
@@ -84,6 +82,9 @@ type stats = {
       (** first [trace_cap] arrivals as (rel time, session, key) — the
           cross-backend determinism witness *)
 }
+(** The counts from [generated] to [slo_breach] are how far the
+    backend's [load/*] counters moved during the run ([timeouts] is
+    [load/timeout], [errors] is [load/error]). *)
 
 val shed : stats -> int
 (** Everything that never reached the target:

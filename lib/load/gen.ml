@@ -12,8 +12,9 @@ type t = {
   mutable count : int;
 }
 
-let create ?(wheel_tick = 1e-3) ~sessions ~duration ~profile ~keys ~theta
-    ~read_ratio ~seed () =
+let wheel_tick = 1e-3
+
+let create ~sessions ~duration ~profile ~keys ~theta ~read_ratio ~seed () =
   if sessions <= 0 then invalid_arg "Load.Gen.create: sessions";
   if duration <= 0. then invalid_arg "Load.Gen.create: duration";
   Arrivals.validate profile;

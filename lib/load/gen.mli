@@ -19,8 +19,11 @@ type ev = {
 
 type t
 
+val wheel_tick : float
+(** The arrival wheel's granularity, 1 ms: an arrival fires at the first
+    pull at or after its time, and the runner never sleeps less. *)
+
 val create :
-  ?wheel_tick:float ->
   sessions:int ->
   duration:float ->
   profile:Arrivals.profile ->

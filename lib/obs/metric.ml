@@ -9,7 +9,6 @@ let counter () = Atomic.make 0
 let incr m = Atomic.incr m
 let add m n = ignore (Atomic.fetch_and_add m n)
 let value m = Atomic.get m
-let reset m = Atomic.set m 0
 
 type gauge = float Atomic.t
 
@@ -21,4 +20,3 @@ let rec set_max m v =
   if v > cur && not (Atomic.compare_and_set m cur v) then set_max m v
 
 let get m = Atomic.get m
-let reset_gauge m = Atomic.set m 0.

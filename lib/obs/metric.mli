@@ -8,13 +8,12 @@
     a lookup. *)
 
 type counter
-(** Monotone (except {!reset}) integer count of discrete occurrences. *)
+(** Monotone integer count of discrete occurrences. *)
 
 val counter : unit -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val reset : counter -> unit
 
 type gauge
 (** Last-observed float value (queue depth, ratio, watermark). *)
@@ -25,4 +24,3 @@ val set_max : gauge -> float -> unit
 (** Keep the maximum of the current and the new value (high-watermark). *)
 
 val get : gauge -> float
-val reset_gauge : gauge -> unit

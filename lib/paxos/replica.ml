@@ -30,16 +30,15 @@ type config = {
          a grant before the leader stops trusting it *)
 }
 
-let default_config ?(max_inflight = 1) ?(sync_latency = 0.)
-    ?(lease_duration = 20e-3) ?(lease_drift_bound = 0.2) ~me ~peers () =
+let default_config ?(max_inflight = 1) ~me ~peers () =
   {
     me;
     peers;
     heartbeat_period = 5e-3;
     max_inflight;
-    sync_latency;
-    lease_duration;
-    lease_drift_bound;
+    sync_latency = 0.;
+    lease_duration = 20e-3;
+    lease_drift_bound = 0.2;
   }
 
 type role = Follower | Candidate | Leader

@@ -51,9 +51,7 @@ type config = {
 }
 
 val default_config :
-  ?max_inflight:int -> ?sync_latency:float -> ?lease_duration:float ->
-  ?lease_drift_bound:float -> me:int -> peers:int list ->
-  unit -> config
+  ?max_inflight:int -> me:int -> peers:int list -> unit -> config
 (** 5 ms heartbeats, [max_inflight] 1, no modeled fsync, 20 ms leases
     under a 0.2 drift bound: leader loss is detected after 25 ms. *)
 

@@ -79,7 +79,10 @@ let encode m = Codec.encode (Fun.flip write) m
 
 (* --- View manager --- *)
 
-let view_manager ?(heartbeat_timeout = 50e-3) net ~node ~replicas () =
+(* A member silent this long is dropped from the chain. *)
+let heartbeat_timeout = 50e-3
+
+let view_manager net ~node ~replicas () =
   let eng = Net.engine net in
   let last_seen : (int, float) Hashtbl.t = Hashtbl.create 8 in
   let chain = ref [] in

@@ -20,10 +20,9 @@
     joining replica pulls the missing prefix from its predecessor before
     acknowledging. *)
 
-val view_manager :
-  ?heartbeat_timeout:float -> Sim.Net.t -> node:int -> replicas:int list ->
-  unit -> unit
-(** Start the view manager service on [node]. *)
+val view_manager : Sim.Net.t -> node:int -> replicas:int list -> unit -> unit
+(** Start the view manager service on [node]; it drops a member silent for
+    50 ms. *)
 
 val make :
   ?window:int ->

@@ -84,13 +84,11 @@ let make_in sv ~client_node net rpc replicas =
 
 (* A fresh engine whose nodes [0 .. n-1] host the replicas and node [n]
    the clients. *)
-let fabric ~seed ~cores_per_node ~extra_nodes ~net_latency replicas =
+let fabric ~seed ~cores_per_node ~net_latency replicas =
   let n = List.length replicas in
   if replicas <> List.init n Fun.id then
     invalid_arg "Cluster.create: replicas must be nodes 0..n-1";
-  let eng =
-    Engine.create ~seed ~cores_per_node ~num_nodes:(n + extra_nodes) ()
-  in
+  let eng = Engine.create ~seed ~cores_per_node ~num_nodes:(n + 1) () in
   let net = Net.create ~base_latency:net_latency eng in
   (net, Rpc.create net, n)
 
@@ -134,10 +132,10 @@ let create_in ?agreement ?vm_node ~client_node net rpc cfg factory =
     (rex_server ?agreement ?vm_node ~client_node net rpc cfg factory)
     ~client_node net rpc cfg.Config.replicas
 
-let create ?(seed = 7) ?(cores_per_node = 16) ?(extra_nodes = 1)
-    ?(net_latency = 50e-6) ?agreement cfg factory =
+let create ?(seed = 7) ?(cores_per_node = 16) ?(net_latency = 50e-6)
+    ?agreement cfg factory =
   let net, rpc, n =
-    fabric ~seed ~cores_per_node ~extra_nodes ~net_latency cfg.Config.replicas
+    fabric ~seed ~cores_per_node ~net_latency cfg.Config.replicas
   in
   create_in ?agreement ~vm_node:n ~client_node:n net rpc cfg factory
 
@@ -164,9 +162,7 @@ let create_log_in net rpc ~client_node ~replicas mk =
   make_in (log_server net rpc mk) ~client_node net rpc replicas
 
 let create_log ?(seed = 7) ?(cores_per_node = 8) ~replicas mk =
-  let net, rpc, n =
-    fabric ~seed ~cores_per_node ~extra_nodes:1 ~net_latency:50e-6 replicas
-  in
+  let net, rpc, n = fabric ~seed ~cores_per_node ~net_latency:50e-6 replicas in
   create_log_in net rpc ~client_node:n ~replicas mk
 
 let engine t = t.eng
@@ -323,9 +319,9 @@ let check_no_divergence t =
 
 (* --- Builder: the launch plumbing every bench used to copy --- *)
 
-let launch ?seed ?cores_per_node ?extra_nodes ?net_latency ?agreement ?limit
+let launch ?seed ?cores_per_node ?net_latency ?agreement ?limit
     ?(before_start = fun _ -> ()) cfg factory =
-  let t = create ?seed ?cores_per_node ?extra_nodes ?net_latency ?agreement cfg factory in
+  let t = create ?seed ?cores_per_node ?net_latency ?agreement cfg factory in
   before_start t;
   start t;
   ignore (await_primary ?limit t);

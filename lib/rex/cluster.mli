@@ -24,15 +24,14 @@ type t = Server.t group
 val create :
   ?seed:int ->
   ?cores_per_node:int ->
-  ?extra_nodes:int ->
   ?net_latency:float ->
   ?agreement:[ `Paxos | `Chain ] ->
   Config.t ->
   App.factory ->
   t
 (** A fresh engine whose nodes [0 .. n-1] host the replicas listed in
-    [Config.replicas] (which must be [0 .. n-1]); [extra_nodes] more
-    nodes (default 1) host clients and, for [`Chain], the view manager.
+    [Config.replicas] (which must be [0 .. n-1]); node [n] hosts clients
+    and, for [`Chain], the view manager.
     [agreement] picks the agree stage: multi-instance Paxos (default) or
     chain replication (paper §7). *)
 
@@ -54,7 +53,6 @@ val create_in :
 val launch :
   ?seed:int ->
   ?cores_per_node:int ->
-  ?extra_nodes:int ->
   ?net_latency:float ->
   ?agreement:[ `Paxos | `Chain ] ->
   ?limit:float ->

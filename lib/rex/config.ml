@@ -4,7 +4,6 @@ type t = {
   propose_interval : float;
   checkpoint_interval : float option;
   flow_window : int;
-  flow_report_interval : float;
   flow_staleness : float;
   heartbeat_period : float;
   reduce_edges : bool;
@@ -35,14 +34,12 @@ let admission t ~queue_depth =
          ~queue_hard:t.admit_queue_hard ~queue_depth ())
 
 let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
-    ?(flow_window = 20_000) ?(flow_report_interval = 2e-3)
-    ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
+    ?(flow_window = 20_000) ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
     ?(reduce_edges = true) ?(partial_order = true)
     ?(check_versions = true) ?(record_cost = 5e-8)
     ?(ckpt_byte_cost = 4e-8) ?(pipeline_depth = 1) ?(paxos_sync_latency = 0.)
-    ?lease_duration ?(lease_drift_bound = 0.2) ?(lease_unsafe = false)
-    ?(admit_global = 0) ?(admit_per_client = 0) ?(admit_queue_soft = 0)
-    ?(admit_queue_hard = 0) ~replicas () =
+    ?(lease_unsafe = false) ?(admit_global = 0) ?(admit_per_client = 0)
+    ?(admit_queue_soft = 0) ?(admit_queue_hard = 0) ~replicas () =
   if replicas = [] then invalid_arg "Config.make: empty replica set";
   if workers <= 0 then invalid_arg "Config.make: workers";
   if admit_global < 0 || admit_per_client < 0 || admit_queue_soft < 0
@@ -54,7 +51,6 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     propose_interval;
     checkpoint_interval;
     flow_window;
-    flow_report_interval;
     flow_staleness;
     heartbeat_period;
     reduce_edges;
@@ -67,16 +63,11 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
     (* a lease must outlive a couple of lost heartbeats; a follower
        campaigns one heartbeat after its grant lapses, so the lease also
        bounds how long a leader crash goes undetected *)
-    lease_duration =
-      (match lease_duration with
-      | Some d -> d
-      | None -> 4. *. heartbeat_period);
-    lease_drift_bound;
+    lease_duration = 4. *. heartbeat_period;
+    lease_drift_bound = 0.2;
     lease_unsafe;
     admit_global;
     admit_per_client;
     admit_queue_soft;
     admit_queue_hard;
   }
-
-let total_slots t ~n_timers = t.workers + n_timers

@@ -9,7 +9,6 @@ type t = {
   flow_window : int;
       (** max trace events the primary may run ahead of the slowest
           live secondary's replay *)
-  flow_report_interval : float;
   flow_staleness : float;
       (** a secondary silent for this long no longer gates the primary *)
   heartbeat_period : float;
@@ -28,13 +27,13 @@ type t = {
   paxos_sync_latency : float;
       (** modeled acceptor fsync before promises/accepts (0 disables) *)
   lease_duration : float;
-      (** leader-lease length on each follower's clock; default
+      (** leader-lease length on each follower's clock:
           4 × [heartbeat_period]; [<= 0.] disables the lease read path.
           A follower that hears from no leader for this plus one
           heartbeat detects leader loss (see [Paxos.Replica.config]) *)
   lease_drift_bound : float;
       (** assumed clock-rate error bound backing the lease safety
-          argument (see [Paxos.Replica.config]) *)
+          argument, 0.2 (see [Paxos.Replica.config]) *)
   lease_unsafe : bool;
       (** {b testing only}: serve local reads whenever this replica
           believes it is leader, without checking the lease — the
@@ -61,7 +60,6 @@ val make :
   ?propose_interval:float ->
   ?checkpoint_interval:float option ->
   ?flow_window:int ->
-  ?flow_report_interval:float ->
   ?flow_staleness:float ->
   ?heartbeat_period:float ->
   ?reduce_edges:bool ->
@@ -71,8 +69,6 @@ val make :
   ?ckpt_byte_cost:float ->
   ?pipeline_depth:int ->
   ?paxos_sync_latency:float ->
-  ?lease_duration:float ->
-  ?lease_drift_bound:float ->
   ?lease_unsafe:bool ->
   ?admit_global:int ->
   ?admit_per_client:int ->
@@ -81,5 +77,3 @@ val make :
   replicas:int list ->
   unit ->
   t
-
-val total_slots : t -> n_timers:int -> int

@@ -4,7 +4,6 @@ type backend = {
   is_leader : unit -> bool;
   leader_hint : unit -> int option;
   enqueue : string -> (string option -> unit) -> unit;
-  query : string -> string option;
 }
 
 type reads = {
@@ -36,14 +35,16 @@ type admission = {
   a_queue_depth : unit -> int;
   a_queue_soft : int;
   a_queue_hard : int;
-  a_soft_delay : float;
 }
 
+(* How long an intake handler sleeps while the run queue is at or above
+   the soft bound. *)
+let soft_delay = 2e-3
+
 let admission ?(max_global = 0) ?(max_per_client = 0) ?(queue_soft = 0)
-    ?(queue_hard = 0) ?(soft_delay = 2e-3) ~queue_depth () =
+    ?(queue_hard = 0) ~queue_depth () =
   if max_global < 0 || max_per_client < 0 || queue_soft < 0 || queue_hard < 0
   then invalid_arg "Frontend.admission: negative bound";
-  if soft_delay <= 0. then invalid_arg "Frontend.admission: soft_delay";
   if queue_hard > 0 && queue_soft > queue_hard then
     invalid_arg "Frontend.admission: queue_soft > queue_hard";
   {
@@ -52,7 +53,6 @@ let admission ?(max_global = 0) ?(max_per_client = 0) ?(queue_soft = 0)
     a_queue_depth = queue_depth;
     a_queue_soft = queue_soft;
     a_queue_hard = queue_hard;
-    a_soft_delay = soft_delay;
   }
 
 type t = { node : int; mutable tap : (tap_event -> unit) option }
@@ -108,7 +108,7 @@ let quorum_read_index rpc ~node reads =
   in
   await ()
 
-let register rpc ~node ~table ?admission:adm ?reads backend =
+let register rpc ~node ~table ?admission:adm ~reads:r backend =
   let t = { node; tap = None } in
   let tap ev = match t.tap with None -> () | Some f -> f ev in
   (* Logical requests currently in flight: from enqueue until the
@@ -150,7 +150,7 @@ let register rpc ~node ~table ?admission:adm ?reads backend =
       | Some a
         when a.a_queue_soft > 0 && a.a_queue_depth () >= a.a_queue_soft ->
         Obs.Metric.incr c_backpressure;
-        Engine.sleep a.a_soft_delay
+        Engine.sleep soft_delay
       | _ -> ());
       if not (backend.is_leader ()) then
         answer (Client.Not_leader (backend.leader_hint ()))
@@ -220,73 +220,61 @@ let register rpc ~node ~table ?admission:adm ?reads backend =
                       tap (Tap_commit { client; seq; payload; response })
                     | None -> tap (Tap_drop { client; seq }));
                     List.iter (fun f -> f result) !joiners))));
-  (match reads with
-  | None ->
-    (* Legacy path: the stack's own (unfenced) query policy. *)
-    Rpc.serve rpc ~node ~port:Client.query_port (fun ~src:_ request ->
-        Client.encode_reply
-          (match backend.query request with
-          | Some resp -> Client.Ok_reply resp
-          | None ->
-            if backend.is_leader () then Client.Dropped
-            else Client.Not_leader (backend.leader_hint ())))
-  | Some r ->
-    let eng = Net.engine (Rpc.net rpc) in
-    let obs = Engine.obs eng in
-    let labels = [ ("node", string_of_int node) ] in
-    let c name = Obs.counter obs ~subsystem:"frontend" ~labels name in
-    let c_lease = c "reads_fast_lease" in
-    let c_quorum = c "reads_fast_quorum" in
-    let c_unsafe = c "reads_unsafe_local" in
-    let c_ordered = c "reads_ordered_fallback" in
-    let c_rounds = c "quorum_read_rounds" in
-    let c_redirect = c "reads_redirected" in
-    (* Serve peers' quorum-read probes with our read index. *)
-    Rpc.serve rpc ~node ~port:Client.read_port (fun ~src:_ _request ->
-        Codec.encode (Fun.flip Codec.write_uvarint) (r.r_read_index ()));
-    Rpc.serve_async rpc ~node ~port:Client.query_port
-      (fun ~src:_ request ~reply ->
-        let answer rep = reply (Client.encode_reply rep) in
-        let serve_local counter =
-          Obs.Metric.incr counter;
-          r.r_read_local request (function
+  let eng = Net.engine (Rpc.net rpc) in
+  let labels = [ ("node", string_of_int node) ] in
+  let c name = Obs.counter obs ~subsystem:"frontend" ~labels name in
+  let c_lease = c "reads_fast_lease" in
+  let c_quorum = c "reads_fast_quorum" in
+  let c_unsafe = c "reads_unsafe_local" in
+  let c_ordered = c "reads_ordered_fallback" in
+  let c_rounds = c "quorum_read_rounds" in
+  let c_redirect = c "reads_redirected" in
+  (* Serve peers' quorum-read probes with our read index. *)
+  Rpc.serve rpc ~node ~port:Client.read_port (fun ~src:_ _request ->
+      Codec.encode (Fun.flip Codec.write_uvarint) (r.r_read_index ()));
+  Rpc.serve_async rpc ~node ~port:Client.query_port
+    (fun ~src:_ request ~reply ->
+      let answer rep = reply (Client.encode_reply rep) in
+      let serve_local counter =
+        Obs.Metric.incr counter;
+        r.r_read_local request (function
+          | Some resp -> answer (Client.Ok_reply resp)
+          | None -> answer Client.Dropped)
+      in
+      let ordered_fallback () =
+        if backend.is_leader () then begin
+          Obs.Metric.incr c_ordered;
+          backend.enqueue request (function
             | Some resp -> answer (Client.Ok_reply resp)
             | None -> answer Client.Dropped)
-        in
-        let ordered_fallback () =
-          if backend.is_leader () then begin
-            Obs.Metric.incr c_ordered;
-            backend.enqueue request (function
-              | Some resp -> answer (Client.Ok_reply resp)
-              | None -> answer Client.Dropped)
-          end
-          else begin
-            Obs.Metric.incr c_redirect;
-            answer (Client.Not_leader (backend.leader_hint ()))
-          end
-        in
-        if r.r_lease_unsafe && backend.is_leader () then
-          (* Canary mode: trust leadership belief alone, no fence. *)
-          serve_local c_unsafe
-        else if r.r_lease_valid () then serve_local c_lease
+        end
         else begin
-          (* Quorum read: any replica, leader or not, can serve once its
-             local state covers a majority read index. *)
-          Obs.Metric.incr c_rounds;
-          match quorum_read_index rpc ~node r with
-          | None -> ordered_fallback ()
-          | Some idx ->
-            let deadline = Engine.clock eng +. apply_wait in
-            let rec catch_up () =
-              if r.r_applied_upto () >= idx then serve_local c_quorum
-              else if Engine.clock eng > deadline then ordered_fallback ()
-              else begin
-                Engine.sleep 1e-3;
-                catch_up ()
-              end
-            in
-            catch_up ()
-        end));
+          Obs.Metric.incr c_redirect;
+          answer (Client.Not_leader (backend.leader_hint ()))
+        end
+      in
+      if r.r_lease_unsafe && backend.is_leader () then
+        (* Canary mode: trust leadership belief alone, no fence. *)
+        serve_local c_unsafe
+      else if r.r_lease_valid () then serve_local c_lease
+      else begin
+        (* Quorum read: any replica, leader or not, can serve once its
+           local state covers a majority read index. *)
+        Obs.Metric.incr c_rounds;
+        match quorum_read_index rpc ~node r with
+        | None -> ordered_fallback ()
+        | Some idx ->
+          let deadline = Engine.clock eng +. apply_wait in
+          let rec catch_up () =
+            if r.r_applied_upto () >= idx then serve_local c_quorum
+            else if Engine.clock eng > deadline then ordered_fallback ()
+            else begin
+              Engine.sleep 1e-3;
+              catch_up ()
+            end
+          in
+          catch_up ()
+      end);
   t
 
 let encode_batch reqs =

@@ -21,17 +21,12 @@ type backend = {
           queue.  The callback must fire exactly once: [Some response]
           when the request's effect is durable (committed/verified), or
           [None] when a role change dropped it. *)
-  query : string -> string option;
-      (** Serve a read-only request, or [None] when this replica cannot
-          (not started / not leader, per stack policy).  Only used when
-          {!register} is given no {!reads} record (legacy unfenced
-          path). *)
 }
 
-(** The linearizable read fast path (leases + quorum reads), supplied by
-    stacks that support it.  The frontend picks the cheapest safe route
-    per query: local under a live leader lease; otherwise a majority
-    read-index round served locally once the executor catches up;
+(** The linearizable read path (leases + quorum reads), supplied by
+    every stack.  The frontend picks the cheapest safe route per query:
+    local under a live leader lease; otherwise a majority read-index
+    round served locally once the executor catches up;
     otherwise the ordered path (enqueue on the leader, redirect
     elsewhere). *)
 type reads = {
@@ -58,7 +53,7 @@ type reads = {
 (** Overload control at the intake (DESIGN.md §14).  Two mechanisms:
 
     - {e backpressure}: while the stack's run-queue depth is at or above
-      [a_queue_soft], every intake handler sleeps [a_soft_delay] before
+      [a_queue_soft], every intake handler sleeps 2 ms before
       touching dedup state — closed-loop clients slow down, and the delay
       happens {e before} the session-table lookup so it cannot race a
       concurrent retry into a duplicate enqueue;
@@ -79,13 +74,12 @@ val admission :
   ?max_per_client:int ->
   ?queue_soft:int ->
   ?queue_hard:int ->
-  ?soft_delay:float ->
   queue_depth:(unit -> int) ->
   unit ->
   admission
 (** [queue_depth] probes the stack's pending-work measure (proposal queue,
     batch queue, uncommitted replies — each stack supplies its own).
-    Defaults: every bound 0 (off), [soft_delay] 2 ms.
+    Defaults: every bound 0 (off).
     @raise Invalid_argument on negative bounds or [queue_soft] above a
     non-zero [queue_hard]. *)
 
@@ -120,14 +114,14 @@ val register :
   node:int ->
   table:Session.Table.t ->
   ?admission:admission ->
-  ?reads:reads ->
+  reads:reads ->
   backend ->
   t
 (** Register the {!Client.client_port} and {!Client.query_port} services
-    on [node] — plus, when [reads] is given, the {!Client.read_port}
-    probe service and the fast-path query pipeline (obs counters under
-    subsystem [frontend]: [reads_fast_lease], [reads_fast_quorum],
-    [reads_ordered_fallback], [quorum_read_rounds], …).  Intake pipeline
+    on [node], plus the {!Client.read_port} probe service that quorum
+    reads ask (obs counters under subsystem [frontend]:
+    [reads_fast_lease], [reads_fast_quorum], [reads_ordered_fallback],
+    [quorum_read_rounds], …).  Intake pipeline
     for enveloped requests:
 
     + not leader → [Not_leader] with the backend's hint;

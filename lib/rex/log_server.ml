@@ -267,7 +267,6 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
            Frontend.is_leader = (fun () -> t.leader);
            leader_hint;
            enqueue = submit t;
-           query = (fun request -> Some (app.App.query ~request));
          });
   t
 

@@ -575,11 +575,14 @@ let spawn_slots t exec =
 
 (* --- Secondary flow reporting --- *)
 
+(* How often a secondary reports its replay progress to the primary. *)
+let flow_report_interval = 2e-3
+
 let spawn_flow_reporter t exec =
   ignore
     (Engine.spawn t.eng ~node:t.node_id ~name:"rex.flow" (fun () ->
          while current t exec do
-           Engine.sleep t.cfg.Config.flow_report_interval;
+           Engine.sleep flow_report_interval;
            if current t exec && t.role_ = Secondary then begin
              let count =
                Array.fold_left ( + ) 0
@@ -1049,13 +1052,6 @@ let create ?make_agreement net rpc cfg ~node ~paxos_store ~disk factory =
         (fun request cb ->
           Queue.push (request, Engine.clock eng, cb) t.queue;
           wake_one t);
-      query =
-        (fun request ->
-          match t.exec with
-          | None -> None
-          | Some exec ->
-            Obs.Metric.incr t.c_queries;
-            Some (exec.app.App.query ~request));
     });
   Rpc.serve rpc ~node ~port:fetch_ckpt_port (fun ~src:_ _ ->
       match Checkpoint.Disk.latest t.disk with

@@ -131,8 +131,6 @@ let refresh_gauges_locked t =
   Obs.Metric.set t.g_incoming_entries
     (float_of_int (Trace.incoming_entries t.tr))
 
-let refresh_trace_gauges t = guarded t (fun () -> refresh_gauges_locked t)
-
 let compact_trace t ~upto =
   guarded t (fun () ->
       (* Clamp to what this replica has actually recorded — and, while
@@ -321,8 +319,6 @@ let interrupt_replay t =
   t.interrupted <- true;
   feed_progress t
 
-let resume_replay t = t.interrupted <- false
-
 let await_next t =
   let slot = required_slot t in
   let probe () =
@@ -351,12 +347,6 @@ let await_next t =
       loop ()
   in
   loop ()
-
-let peek_next t =
-  let slot = required_slot t in
-  guarded t (fun () ->
-      let clock = Scoreboard.watermark t.sbd slot + 1 in
-      Trace.find t.tr { slot; clock })
 
 let divergence fmt = Fmt.kstr (fun msg -> raise (Divergence msg)) fmt
 

@@ -133,8 +133,6 @@ val await_next : t -> [ `Event of Event.t | `Record_now | `Interrupted ]
     mode while waiting (a secondary being promoted mid-request);
     [`Interrupted] after {!interrupt_replay}. *)
 
-val peek_next : t -> Event.t option
-
 val take :
   t -> kinds:Event.kind list -> resource:int ->
   [ `Event of Event.t | `Record_now ]
@@ -161,7 +159,6 @@ val interrupt_replay : t -> unit
 (** Make all pending and future {!await_next} calls return [None] — used
     when a secondary is promoted and must stop replaying. *)
 
-val resume_replay : t -> unit
 val executed_cut : t -> Trace.Cut.t
 
 val recorded_cut : t -> Trace.Cut.t
@@ -186,13 +183,6 @@ val compact_trace : t -> upto:Trace.Cut.t -> unit
     replica has not fully caught up to performs a partial compaction
     rather than corrupting replay.  Updates the [trace/*] residency
     gauges and the [trace/compactions] counter. *)
-
-val refresh_trace_gauges : t -> unit
-(** Re-export the resident event / edge / incoming-index sizes as
-    [trace/resident_events], [trace/resident_edges] and
-    [trace/incoming_entries] gauges (labelled by node).  Called
-    internally on record, feed and compaction; exposed for harnesses
-    that sample at other times. *)
 
 (** {1 Nondeterministic functions} *)
 

@@ -30,10 +30,6 @@
 type mode = Cbase | Early
 
 let mode_name = function Cbase -> "cbase" | Early -> "early"
-let mode_of_string = function
-  | "cbase" -> Some Cbase
-  | "early" -> Some Early
-  | _ -> None
 
 type task = {
   t_keys : string list;  (* app keys *)

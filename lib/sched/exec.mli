@@ -18,7 +18,6 @@
 type mode = Cbase | Early
 
 val mode_name : mode -> string
-val mode_of_string : string -> mode option
 
 type t
 

@@ -11,7 +11,6 @@ type t = {
          group's cluster stays up as a redirect server *)
   client_node_ : int;
   mutable router_ : Router.t option;
-  rpg_ : int;
   config_ : group:int -> replicas:int list -> R.Config.t;
   factory_ : map:Shard_map.t -> group:int -> R.App.factory;
   c_migrations : Obs.Metric.counter;
@@ -25,16 +24,15 @@ type t = {
 let default_config ~group:_ ~replicas =
   R.Config.make ~workers:8 ~propose_interval:2e-4 ~replicas ()
 
+(* Replicas in each group, the initial ones and every one added later. *)
+let replicas_per_group = 3
+
 let create ?(seed = 7) ?(cores_per_node = 16) ?(net_latency = 50e-6)
-    ?(vnodes = 64) ?(replicas_per_group = 3) ?(extra_nodes = 1)
-    ?(config = default_config) ~groups:n_groups make_factory =
+    ?(vnodes = 64) ?(config = default_config) ~groups:n_groups make_factory =
   if n_groups <= 0 then invalid_arg "Fleet.create: groups";
-  if replicas_per_group <= 0 then invalid_arg "Fleet.create: replicas_per_group";
-  if extra_nodes < 1 then invalid_arg "Fleet.create: extra_nodes";
   let n_replica_nodes = n_groups * replicas_per_group in
   let eng =
-    Engine.create ~seed ~cores_per_node
-      ~num_nodes:(n_replica_nodes + extra_nodes) ()
+    Engine.create ~seed ~cores_per_node ~num_nodes:(n_replica_nodes + 1) ()
   in
   let net_ = Net.create ~base_latency:net_latency eng in
   let rpc_ = Rpc.create net_ in
@@ -62,7 +60,6 @@ let create ?(seed = 7) ?(cores_per_node = 16) ?(net_latency = 50e-6)
     clusters_;
     client_node_;
     router_ = None;
-    rpg_ = replicas_per_group;
     config_ = config;
     factory_ = make_factory;
     c_migrations = Obs.counter obs ~subsystem:"shard" "migrations";
@@ -147,13 +144,6 @@ let replies t g =
     (fun acc s -> acc + (R.Server.stats s).R.Server.replies_sent)
     0
     (R.Cluster.servers (cluster t g))
-
-let total_replies t =
-  let acc = ref 0 in
-  for g = 0 to n_groups t - 1 do
-    acc := !acc + replies t g
-  done;
-  !acc
 
 let check_no_divergence t = Array.iter R.Cluster.check_no_divergence t.clusters_
 
@@ -253,7 +243,9 @@ let migrate ?(limit = 60.) t target =
 
 let split ?limit t =
   let g = Array.length t.clusters_ in
-  let replicas = List.init t.rpg_ (fun _ -> Engine.add_node t.eng) in
+  let replicas =
+    List.init replicas_per_group (fun _ -> Engine.add_node t.eng)
+  in
   List.iter (fun node -> Rpc.attach_node t.rpc_ ~node) replicas;
   let cfg = t.config_ ~group:g ~replicas in
   if cfg.R.Config.replicas <> replicas then

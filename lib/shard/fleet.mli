@@ -19,15 +19,14 @@ val create :
   ?cores_per_node:int ->
   ?net_latency:float ->
   ?vnodes:int ->
-  ?replicas_per_group:int ->
-  ?extra_nodes:int ->
   ?config:(group:int -> replicas:int list -> Rex_core.Config.t) ->
   groups:int ->
   (map:Shard_map.t -> group:int -> Rex_core.App.factory) ->
   t
-(** Defaults: 3 replicas per group, 64 virtual nodes per group on the
-    ring, 1 extra (client) node.  [config] may tune each group's
-    {!Rex_core.Config.t} but must keep the replica list it is given. *)
+(** Each group has 3 replicas, and one more node hosts the clients.
+    Defaults: 64 virtual nodes per group on the ring.  [config] may
+    tune each group's {!Rex_core.Config.t} but must keep the replica
+    list it is given. *)
 
 val engine : t -> Sim.Engine.t
 val net : t -> Sim.Net.t
@@ -62,7 +61,6 @@ val replies : t -> int -> int
 (** Committed replies sent by group [g] so far (monotone across
     crash/restart). *)
 
-val total_replies : t -> int
 val check_no_divergence : t -> unit
 
 val digests : t -> int -> string list

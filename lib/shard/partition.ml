@@ -12,8 +12,9 @@ let default_key_of request =
     | None -> if rest = "" then None else Some rest
     | Some j -> Some (String.sub rest 0 j))
 
-let default_fmt_get key = "GET " ^ key
-let default_fmt_set key value = Printf.sprintf "SET %s %s" key value
+(* The base app's read/write grammar for migration export/import. *)
+let fmt_get key = "GET " ^ key
+let fmt_set key value = Printf.sprintf "SET %s %s" key value
 let wrong_shard = "ERR:wrong-shard"
 let migrating = "ERR:migrating"
 let ctl_prefix = "SHARD "
@@ -99,9 +100,7 @@ type state = {
          export their default value. *)
 }
 
-let factory ?(key_of = default_key_of) ?(fmt_get = default_fmt_get)
-    ?(fmt_set = default_fmt_set) ~map ~group (base : R.App.factory) :
-    R.App.factory =
+let factory ~map ~group (base : R.App.factory) : R.App.factory =
  fun api ->
   let app = base api in
   let st = { map; target = None; present = Hashtbl.create 256 } in
@@ -209,7 +208,7 @@ let factory ?(key_of = default_key_of) ?(fmt_get = default_fmt_get)
       (fun () ->
         if is_ctl request then handle_ctl request
         else
-          match key_of request with
+          match default_key_of request with
           | None -> app.R.App.execute ~request
           | Some key ->
             if not (owned key) then wrong_shard_reply ()
@@ -228,7 +227,7 @@ let factory ?(key_of = default_key_of) ?(fmt_get = default_fmt_get)
       | [ "SHARD"; "EPOCH" ] -> "OK " ^ Shard_map.encode_spec st.map
       | _ -> "ERR:bad-query"
     else
-      match key_of request with
+      match default_key_of request with
       | None -> app.R.App.query ~request
       | Some key ->
         if not (owned key) then wrong_shard_reply ()

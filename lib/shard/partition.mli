@@ -56,14 +56,10 @@ val parse_prepare_reply : string -> (string * string) list option
     reply; [None] if the reply is not a successful PREPARE. *)
 
 val factory :
-  ?key_of:(string -> string option) ->
-  ?fmt_get:(string -> string) ->
-  ?fmt_set:(string -> string -> string) ->
   map:Shard_map.t ->
   group:int ->
   Rex_core.App.factory ->
   Rex_core.App.factory
 (** [map] is the group's {e initial} map; SHARD control requests move it.
-    [fmt_get]/[fmt_set] render the base app's read/write grammar for
-    migration export/import (defaults ["GET k"] / ["SET k v"], the
-    [lib/apps] convention). *)
+    A request's key is {!default_key_of}; a migration exports with
+    ["GET k"] and imports with ["SET k v"], the [lib/apps] grammar. *)

@@ -161,7 +161,6 @@ let fresh_uid t = Atomic.fetch_and_add t.next_uid 1
 let obs t = t.obs
 let rng t = t.root_rng
 let clock t = t.time
-let pending_events t = Pqueue.length t.events
 
 (* Per-node skewed clocks.  Virtual time is the one true timeline; each
    node reads [offset + rate * time].  Only lease logic consults these —
@@ -387,9 +386,6 @@ let spawn_immediate t ~node ?(name = "fiber") main =
   let fiber = make_fiber t ~node ~name in
   exec_fiber t fiber main
 
-let spawn_at t ~node ~at ?(name = "fiber") main =
-  ignore (spawn_fiber t ~node ~at ~name main)
-
 let run ?(until = infinity) t =
   let q = t.events in
   let rec loop () =
@@ -455,7 +451,6 @@ let self_opt () =
   match perform Protocol.E_self with
   | info -> Some info.Protocol.fi_tid
   | exception Effect.Unhandled _ -> None
-let self_name () = (perform Protocol.E_self).Protocol.fi_name
 let self_node () = (perform Protocol.E_self).Protocol.fi_node
 let work d = perform (Protocol.E_work d)
 let sleep d = perform (Protocol.E_sleep d)

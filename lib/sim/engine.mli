@@ -93,10 +93,6 @@ val spawn : t -> node:int -> ?name:string -> (unit -> unit) -> tid
 (** Start a fiber on [node] (which must be alive). It first runs at the
     current virtual time. *)
 
-val spawn_at : t -> node:int -> at:float -> ?name:string -> (unit -> unit) -> unit
-(** Schedule a fiber to start at absolute virtual time [at] (if the node is
-    alive then). *)
-
 val spawn_immediate : t -> node:int -> ?name:string -> (unit -> unit) -> unit
 (** Start a fiber and run it synchronously up to its first suspension
     point, with no start jitter.  [Net] uses this so that message handlers
@@ -123,8 +119,6 @@ val set_clock_rate : t -> node:int -> float -> unit
     is re-based), so curing skew never steps a clock backwards.  Raises
     [Invalid_argument] on a non-positive rate. *)
 
-val pending_events : t -> int
-
 (** {1 Failure injection} *)
 
 val crash_node : t -> int -> unit
@@ -144,8 +138,6 @@ val self : unit -> tid
 val self_opt : unit -> tid option
 (** [None] when called outside any fiber (e.g. during test setup or from a
     raw {!schedule} callback). *)
-
-val self_name : unit -> string
 
 val self_node : unit -> int
 (** The node the calling fiber runs on. *)
@@ -178,7 +170,7 @@ val busy_time : t -> int -> float
 (** Total core-seconds consumed on a node so far; sample it twice to derive
     utilization over a window. *)
 
-(** {1 Low-level scheduling (used by [Net] and [Timer])} *)
+(** {1 Low-level scheduling (used by [Net])} *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Run a raw callback at time [at].  The callback executes outside any

@@ -29,7 +29,6 @@ type t = {
   eng : Engine.t;
   rng : Rng.t;
   base_latency : float;
-  jitter_mean : float;
   mutable latency_factor : float;
   mutable drop_probability : float;
   c_msgs : Obs.Metric.counter;
@@ -39,13 +38,15 @@ type t = {
   ports : (string, port) Hashtbl.t;
 }
 
-let create ?(base_latency = 50e-6) ?(jitter_mean = 20e-6) eng =
+(* Mean of the exponential jitter added to every delivery. *)
+let jitter_mean = 20e-6
+
+let create ?(base_latency = 50e-6) eng =
   let obs = Engine.obs eng in
   {
     eng;
     rng = Rng.split (Engine.rng eng);
     base_latency;
-    jitter_mean;
     latency_factor = 1.;
     drop_probability = 0.;
     c_msgs = Obs.counter obs ~subsystem:"net" "messages";
@@ -135,26 +136,6 @@ let messages_sent t = Obs.Metric.value t.c_msgs
 let bytes_sent t = Obs.Metric.value t.c_bytes
 let messages_dropped t = Obs.Metric.value t.c_drops
 
-let bytes_sent_on_port t name =
-  match Hashtbl.find_opt t.ports name with
-  | Some { p_bytes = Some c; _ } -> Obs.Metric.value c
-  | Some { p_bytes = None; _ } | None -> 0
-
-let reset_stats t =
-  Obs.Metric.reset t.c_msgs;
-  Obs.Metric.reset t.c_bytes;
-  Obs.Metric.reset t.c_drops;
-  Array.iter
-    (Array.iter (fun l ->
-         Option.iter
-           (fun c ->
-             Obs.Metric.reset c.l_msgs;
-             Obs.Metric.reset c.l_bytes;
-             Obs.Metric.reset c.l_drops)
-           l.counters))
-    t.links;
-  Hashtbl.iter (fun _ p -> Option.iter Obs.Metric.reset p.p_bytes) t.ports
-
 let deliver t ~src ~dst p ~sent payload =
   if Engine.node_alive t.eng dst && dst < Array.length p.p_handlers then
     match p.p_handlers.(dst) with
@@ -186,7 +167,8 @@ let send t ~src ~dst ~port:name payload =
   end
   else begin
     let latency =
-      t.latency_factor *. (t.base_latency +. Rng.exponential t.rng ~mean:t.jitter_mean)
+      t.latency_factor
+      *. (t.base_latency +. Rng.exponential t.rng ~mean:jitter_mean)
     in
     let sent = Engine.clock t.eng in
     (* FIFO per directed pair: never deliver before an earlier message. *)

@@ -12,9 +12,8 @@ type t
 
 type handler = src:int -> string -> unit
 
-val create :
-  ?base_latency:float -> ?jitter_mean:float -> Engine.t -> t
-(** Defaults: 50 µs base latency, 20 µs mean jitter. *)
+val create : ?base_latency:float -> Engine.t -> t
+(** Default: 50 µs base latency.  Jitter has a 20 µs mean. *)
 
 val engine : t -> Engine.t
 
@@ -55,6 +54,3 @@ val messages_sent : t -> int
 val bytes_sent : t -> int
 val messages_dropped : t -> int
 (** Messages lost to partitions or the random loss process. *)
-
-val bytes_sent_on_port : t -> string -> int
-val reset_stats : t -> unit

@@ -52,14 +52,6 @@ let[@inline] float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))

@@ -32,9 +32,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)
-
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 

@@ -89,7 +89,10 @@ let window_to_dot ?(resource_name = default_resource_name) ?(highlight = []) t
   let events, edges = window t ~center ~radius in
   emit_dot ~resource_name ~highlight events edges
 
-let dump ?(limit_per_slot = 50) t =
+(* [dump] prints at most this many of each slot's newest events. *)
+let limit_per_slot = 50
+
+let dump t =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "%s\n" (Fmt.str "%a" Trace.pp t);

@@ -26,4 +26,6 @@ val window_to_dot :
   Trace.t -> center:Trace.Cut.t -> radius:int ->
   string
 
-val dump : ?limit_per_slot:int -> Trace.t -> string
+val dump : Trace.t -> string
+(** The trace summary, then each slot's newest 50 events with their
+    incoming edges. *)

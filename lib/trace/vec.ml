@@ -46,10 +46,5 @@ let iter f v =
     f v.arr.(i)
   done
 
-let iter_from start f v =
-  for i = max 0 start to v.len - 1 do
-    f v.arr.(i)
-  done
-
 let to_list v = List.init v.len (fun i -> v.arr.(i))
 let last v = if v.len = 0 then None else Some v.arr.(v.len - 1)

@@ -13,8 +13,6 @@ val drop_front : 'a t -> int -> unit
     empty; dropped elements are unreferenced either way. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iter_from : int -> ('a -> unit) -> 'a t -> unit
-(** [iter_from i f v] applies [f] to elements [i .. length-1]. *)
 
 val to_list : 'a t -> 'a list
 val last : 'a t -> 'a option

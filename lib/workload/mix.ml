@@ -26,25 +26,22 @@ let filesystem ~n_files rng =
   if Sim.Rng.int rng 5 = 0 then Printf.sprintf "READ %d %d %d" file off block
   else Printf.sprintf "WRITE %d %d %d" file off block
 
-let kv ?(n_keys = 1_000_000) ?(value_len = 100) ?(read_ratio = 0.5)
-    ?(theta = 0.5) () =
+(* Bytes in every SET value. *)
+let value_len = 100
+
+let kv ?(n_keys = 1_000_000) ?(read_ratio = 0.5) ?(theta = 0.5) () =
   let zipf = Zipf.create ~n:n_keys ~theta in
   fun rng ->
     let k = Keygen.key (Zipf.sample zipf rng) in
     if Sim.Rng.float rng 1.0 < read_ratio then Printf.sprintf "GET %s" k
     else Printf.sprintf "SET %s %s" k (Keygen.value rng value_len)
 
-let kv_keyed ?(n_keys = 1_000_000) ?(value_len = 100) ?(read_ratio = 0.5)
-    ?(theta = 0.5) () =
+let kv_keyed ?(n_keys = 1_000_000) ?(read_ratio = 0.5) ?(theta = 0.5) () =
   let zipf = Zipf.create ~n:n_keys ~theta in
   fun rng ->
     let k = Keygen.key (Zipf.sample zipf rng) in
     if Sim.Rng.float rng 1.0 < read_ratio then (k, Printf.sprintf "GET %s" k)
     else (k, Printf.sprintf "SET %s %s" k (Keygen.value rng value_len))
-
-let kv_read_only ?(n_keys = 1_000_000) ?(theta = 0.5) () =
-  let zipf = Zipf.create ~n:n_keys ~theta in
-  fun rng -> Printf.sprintf "GET %s" (Keygen.key (Zipf.sample zipf rng))
 
 type ycsb = A | B | C | D | E | F
 
@@ -64,16 +61,17 @@ let ycsb ?(n_keys = 1_000_000) w =
     match w with
     | A ->
       if Sim.Rng.bool rng then Printf.sprintf "GET %s" (key_of rng)
-      else Printf.sprintf "SET %s %s" (key_of rng) (Keygen.value rng 100)
+      else Printf.sprintf "SET %s %s" (key_of rng) (Keygen.value rng value_len)
     | B ->
       if Sim.Rng.int rng 100 < 95 then Printf.sprintf "GET %s" (key_of rng)
-      else Printf.sprintf "SET %s %s" (key_of rng) (Keygen.value rng 100)
+      else Printf.sprintf "SET %s %s" (key_of rng) (Keygen.value rng value_len)
     | C -> Printf.sprintf "GET %s" (key_of rng)
     | D ->
       (* read-latest: 5% inserts, reads skewed to the newest keys *)
       if Sim.Rng.int rng 100 < 5 then begin
         incr inserted;
-        Printf.sprintf "SET %s %s" (Keygen.key !inserted) (Keygen.value rng 100)
+        Printf.sprintf "SET %s %s" (Keygen.key !inserted)
+          (Keygen.value rng value_len)
       end
       else
         Printf.sprintf "GET %s"
@@ -86,4 +84,4 @@ let ycsb ?(n_keys = 1_000_000) w =
       Printf.sprintf "MGET %s" (String.concat " " keys)
     | F ->
       (* read-modify-write on one key *)
-      Printf.sprintf "RMW %s %s" (key_of rng) (Keygen.value rng 100)
+      Printf.sprintf "RMW %s %s" (key_of rng) (Keygen.value rng value_len)

@@ -14,20 +14,16 @@ val lock_server : n_files:int -> gen
 val filesystem : n_files:int -> gen
 (** 16 KB reads/writes over 64 × 128 MB files, read:write = 1:4. *)
 
-val kv :
-  ?n_keys:int -> ?value_len:int -> ?read_ratio:float -> ?theta:float -> unit ->
-  gen
+val kv : ?n_keys:int -> ?read_ratio:float -> ?theta:float -> unit -> gen
 (** "SET <key> <value>" / "GET <key>" over 16 B keys and 100 B values
     (defaults: 1 M keys, 50% reads, mild zipf skew). *)
 
 val kv_keyed :
-  ?n_keys:int -> ?value_len:int -> ?read_ratio:float -> ?theta:float -> unit ->
+  ?n_keys:int -> ?read_ratio:float -> ?theta:float -> unit ->
   Sim.Rng.t -> string * string
 (** Like {!kv} but returns [(key, request)], so a sharded router can
     place the request without parsing it.  [theta = 0.] gives uniform
     keys, [theta ~ 0.99] the classic YCSB hotspot. *)
-
-val kv_read_only : ?n_keys:int -> ?theta:float -> unit -> gen
 
 (** {1 YCSB-style core workloads}
 

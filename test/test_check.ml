@@ -333,12 +333,19 @@ let reconfig_nemesis_sharded () =
   Alcotest.(check bool) "group reconfig in a fleet passes" true
     (Runner.passed o)
 
+(* The counter app is one counter per key here: a migration moves each
+   count with a "SET k n" import. *)
 let split_nemesis_sharded () =
-  let o =
-    Runner.run_one (topo_cfg ~stack:Runner.Sharded ~nemesis:N.Splits ~seed:73 ())
-  in
-  Alcotest.(check bool) "live split+merge under traffic passes" true
-    (Runner.passed o)
+  List.iter
+    (fun app ->
+      let o =
+        Runner.run_one
+          (topo_cfg ~app ~stack:Runner.Sharded ~nemesis:N.Splits ~seed:73 ())
+      in
+      Alcotest.(check bool)
+        (Runner.app_name app ^ ": live split+merge under traffic passes")
+        true (Runner.passed o))
+    [ Runner.Kv; Runner.Counter ]
 
 let upgrade_nemesis_all_stacks () =
   (* The rolling restart rides the same-store replay path on the stacks
@@ -415,6 +422,41 @@ let split_rejection_is_not_an_execution () =
         Alcotest.fail (String.concat "\n" (Runner.describe_outcome o)))
     [ 1024; 1026 ]
 
+(* A repeated payload ([GET k], [DEL k]) commits once per use, which is
+   no double execution.  Seed 2280 of the kv split sweep repeats such
+   payloads, and only a client that defeats dedup runs an op twice. *)
+let split_double_commits_count_executions () =
+  let doubles dedup_off =
+    let cfg =
+      Runner.default_config ~dedup_off ~stack:Runner.Sharded ~app:Runner.Kv
+        ~nemesis:N.Splits ~seed:2280 ()
+    in
+    (Runner.run_one cfg).Runner.hstats.H.double_commits
+  in
+  Alcotest.(check int) "dedup on: no double commit" 0 (doubles false);
+  Alcotest.(check bool) "dedup off: double commits" true (doubles true > 0)
+
+(* The split canary: per-key counters on the shard stack with dedup
+   defeated.  A double execution shows in the counts, so the checker
+   flags it without resolving any op from a commit. *)
+let split_keyed_counter_canary () =
+  let flagged =
+    List.filter
+      (fun seed ->
+        let o =
+          Runner.run_one
+            (Runner.default_config ~dedup_off:true ~stack:Runner.Sharded
+               ~app:Runner.Counter ~nemesis:N.Splits ~seed ())
+        in
+        if not (Runner.passed o) then
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d: no op resolved" seed)
+            0 o.Runner.hstats.H.resolved;
+        not (Runner.passed o))
+      [ 2280; 2281; 2282; 2283; 2284 ]
+  in
+  Alcotest.(check bool) "some seed flagged" true (flagged <> [])
+
 let topo_noop_without_hooks () =
   (* A split profile on an unsharded stack must degrade to a clean run,
      so `--nemesis all` stays runnable everywhere. *)
@@ -462,4 +504,8 @@ let suite =
       (log_order_replacement Runner.Cbase);
     Alcotest.test_case "regression: split rejections (seeds 1024, 1026)"
       `Quick split_rejection_is_not_an_execution;
+    Alcotest.test_case "regression: split double commits (seed 2280)" `Quick
+      split_double_commits_count_executions;
+    Alcotest.test_case "canary: split keyed counter, dedup off" `Quick
+      split_keyed_counter_canary;
   ]

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event engine, synchronization primitives,
-   network, timers and RPC. *)
+   network and RPC. *)
 
 open Sim
 
@@ -348,17 +348,6 @@ let net_crashed_node_drops () =
                 Net.send net ~src:0 ~dst:1 ~port:"c" "x"))));
   check_int "no delivery to dead node" 0 !got
 
-let timer_after_and_every () =
-  let fired = ref 0 and periodic_count = ref 0 in
-  let eng = Engine.create ~num_nodes:1 () in
-  Timer.after eng ~node:0 ~delay:1.0 (fun () -> incr fired);
-  let p = Timer.every eng ~node:0 ~period:1.0 (fun () -> incr periodic_count) in
-  Engine.run ~until:5.5 eng;
-  Timer.cancel p;
-  Engine.run ~until:10.0 eng;
-  check_int "one-shot fired once" 1 !fired;
-  check_int "periodic fired 5 times then cancelled" 5 !periodic_count
-
 let rpc_roundtrip () =
   let answer = ref None in
   ignore
@@ -616,7 +605,6 @@ let suite =
     Alcotest.test_case "net partition" `Quick net_partition_drops;
     Alcotest.test_case "net FIFO per pair" `Quick net_fifo_per_pair;
     Alcotest.test_case "net drops to dead node" `Quick net_crashed_node_drops;
-    Alcotest.test_case "timers" `Quick timer_after_and_every;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc timeout" `Quick rpc_timeout;
     Alcotest.test_case "golden substrate run" `Quick golden_substrate_run;
