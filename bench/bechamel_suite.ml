@@ -218,6 +218,8 @@ let tests_pqueue_drain =
 
 let sim_ops = 1_000
 
+let bench_port = Sim.Net.port "bench"
+
 let run_fiber eng f =
   ignore (Sim.Engine.spawn eng ~node:0 f);
   Sim.Engine.run ~until:(Sim.Engine.clock eng +. 1.) eng
@@ -244,26 +246,26 @@ let tests_sim_sleep =
 let test_net_send =
   let eng = Sim.Engine.create ~num_nodes:2 () in
   let net = Sim.Net.create eng in
-  Sim.Net.register net ~node:1 ~port:"bench" (fun ~src:_ _ -> ());
+  Sim.Net.register net ~node:1 ~port:bench_port (fun ~src:_ _ -> ());
   Test.make
     ~name:(Printf.sprintf "sim net send+deliver x%d" sim_ops)
     (Staged.stage (fun () ->
          run_fiber eng (fun () ->
              for _ = 1 to sim_ops do
-               Sim.Net.send net ~src:0 ~dst:1 ~port:"bench" "0123456789abcdef"
+               Sim.Net.send net ~src:0 ~dst:1 ~port:bench_port "0123456789abcdef"
              done)))
 
 (* Request, reply, one park and one (no-op) timeout event per call. *)
 let test_rpc_call =
   let eng = Sim.Engine.create ~num_nodes:2 () in
   let rpc = Sim.Rpc.create (Sim.Net.create eng) in
-  Sim.Rpc.serve rpc ~node:1 ~port:"bench" (fun ~src:_ body -> body);
+  Sim.Rpc.serve rpc ~node:1 ~port:bench_port (fun ~src:_ body -> body);
   Test.make
     ~name:(Printf.sprintf "sim rpc call round trip x%d" sim_ops)
     (Staged.stage (fun () ->
          run_fiber eng (fun () ->
              for _ = 1 to sim_ops do
-               ignore (Sim.Rpc.call rpc ~src:0 ~dst:1 ~port:"bench" ~timeout:0.5 "ping")
+               ignore (Sim.Rpc.call rpc ~src:0 ~dst:1 ~port:bench_port ~timeout:0.5 "ping")
              done)))
 
 let test_engine_now =

@@ -2,8 +2,8 @@ open Sim
 module R = Rex_core
 module L = R.Log_server
 
-let digest_port = "eve.digest"
-let verdict_port = "eve.verdict"
+let digest_port = Net.port "eve.digest"
+let verdict_port = Net.port "eve.verdict"
 
 type config = { base : R.Config.t; miss_rate : float }
 

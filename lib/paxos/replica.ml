@@ -1,6 +1,6 @@
 open Sim
 
-let port = "paxos"
+let port = Net.port "paxos"
 let learn_batch = 64
 
 type callbacks = {
@@ -244,12 +244,15 @@ let read_index t =
     (max (Store.committed_upto t.st) (Store.max_committed t.st))
     (Store.accepted_above t.st (Store.committed_upto t.st))
 
-let send t dst msg =
-  if dst = t.cfg.me then ()
-  else Net.send t.net ~src:t.cfg.me ~dst ~port (Msg.encode msg)
+let send_payload t dst payload =
+  if dst = t.cfg.me then () else Net.send t.net ~src:t.cfg.me ~dst ~port payload
 
+let send t dst msg = send_payload t dst (Msg.encode msg)
+
+(* One encode for every peer. *)
 let broadcast t msg =
-  List.iter (fun p -> send t p msg) t.peers
+  let payload = Msg.encode msg in
+  List.iter (fun dst -> send_payload t dst payload) t.peers
 
 (* A committed config entry takes effect when it is delivered — i.e. the
    old config's quorums are retired only after the new config commits.

@@ -1,8 +1,8 @@
 open Sim
 
-let vm_port = "chain.vm"
-let view_port = "chain.view"
-let data_port = "chain.data"
+let vm_port = Net.port "chain.vm"
+let view_port = Net.port "chain.view"
+let data_port = Net.port "chain.data"
 
 (* --- Wire --- *)
 

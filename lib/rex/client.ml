@@ -2,9 +2,9 @@ open Sim
 
 type reply = Ok_reply of string | Not_leader of int option | Dropped | Busy
 
-let client_port = "rex.client"
-let query_port = "rex.query"
-let read_port = "rex.read"
+let client_port = Net.port "rex.client"
+let query_port = Net.port "rex.query"
+let read_port = Net.port "rex.read"
 
 (* Each reply is encoded into a buffer of exactly its wire size. *)
 let encode_reply = function

@@ -14,10 +14,10 @@ type reply =
 val encode_reply : reply -> string
 val decode_reply : string -> reply
 
-val client_port : string
-val query_port : string
+val client_port : Sim.Net.port
+val query_port : Sim.Net.port
 
-val read_port : string
+val read_port : Sim.Net.port
 (** Quorum-read probe service: replies with the replica's read index
     (see [Paxos.Replica.read_index]) as a varint. *)
 
@@ -69,7 +69,7 @@ type event = Hop | Retry | Redirect
 
 val send :
   Sim.Rpc.t -> me:int -> Guess.t -> backoff -> ?on:int ->
-  ?count:(event -> unit) -> retries:int -> timeout:float -> port:string ->
+  ?count:(event -> unit) -> retries:int -> timeout:float -> port:Sim.Net.port ->
   string -> call_outcome
 (** Up to [retries] attempts of the payload on [port]: the first to [on]
     (default: the guess's leader), the rest to the guess's leader.  The

@@ -1,9 +1,9 @@
 open Sim
 module Runtime = Rexsync.Runtime
 
-let flow_port = "rex.flow"
-let fetch_ckpt_port = "rex.fetch_ckpt"
-let push_ckpt_port = "rex.push_ckpt"
+let flow_port = Net.port "rex.flow"
+let fetch_ckpt_port = Net.port "rex.fetch_ckpt"
+let push_ckpt_port = Net.port "rex.push_ckpt"
 
 (* Timer slots beyond the workers; a fixed budget keeps the slot count —
    and hence trace arity — independent of when the factory runs. *)

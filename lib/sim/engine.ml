@@ -70,6 +70,9 @@ type t = {
   mutable handler : (unit, unit) handler option;  (* built on first spawn *)
   (* observability *)
   obs : Obs.t;
+  mutable ready : int;  (* queue depth after the last pop *)
+  mutable ready_max : int;
+  mutable dispatched : int;  (* events not yet added to [c_dispatched] *)
   g_ready : Obs.Metric.gauge;
   g_ready_max : Obs.Metric.gauge;
   c_dispatched : Obs.Metric.counter;
@@ -110,6 +113,9 @@ let create ?(seed = 42) ?(cores_per_node = 16) ~num_nodes () =
       running = None;
       handler = None;
       obs;
+      ready = 0;
+      ready_max = 0;
+      dispatched = 0;
       g_ready = Obs.gauge obs ~subsystem:"sim" "ready_events";
       g_ready_max = Obs.gauge obs ~subsystem:"sim" "ready_events_max";
       c_dispatched = Obs.counter obs ~subsystem:"sim" "events_dispatched";
@@ -386,6 +392,16 @@ let spawn_immediate t ~node ?(name = "fiber") main =
   let fiber = make_fiber t ~node ~name in
   exec_fiber t fiber main
 
+(* The loop keeps its counts in ints and publishes them to the registry
+   when [run] returns or raises, never per event: a boxed float store per
+   pop was a large share of an event's cost.  Every reader of these
+   instruments runs outside [run]. *)
+let publish t =
+  Obs.Metric.add t.c_dispatched t.dispatched;
+  t.dispatched <- 0;
+  Obs.Metric.set t.g_ready (float_of_int t.ready);
+  Obs.Metric.set_max t.g_ready_max (float_of_int t.ready_max)
+
 let run ?(until = infinity) t =
   let q = t.events in
   let rec loop () =
@@ -395,10 +411,10 @@ let run ?(until = infinity) t =
       else begin
         let cb = Pqueue.pop_value q in
         if at > t.time then t.time <- at;
-        Obs.Metric.incr t.c_dispatched;
-        let depth = float_of_int (Pqueue.length q) in
-        Obs.Metric.set t.g_ready depth;
-        Obs.Metric.set_max t.g_ready_max depth;
+        t.dispatched <- t.dispatched + 1;
+        let depth = Pqueue.length q in
+        t.ready <- depth;
+        if depth > t.ready_max then t.ready_max <- depth;
         cb ();
         loop ()
       end
@@ -407,9 +423,12 @@ let run ?(until = infinity) t =
   let prev = Domain.DLS.get current in
   Domain.DLS.set current (Some t);
   match loop () with
-  | () -> Domain.DLS.set current prev
+  | () ->
+    Domain.DLS.set current prev;
+    publish t
   | exception e ->
     Domain.DLS.set current prev;
+    publish t;
     raise e
 
 let crash_node t n =

@@ -100,7 +100,10 @@ val spawn_immediate : t -> node:int -> ?name:string -> (unit -> unit) -> unit
 
 val run : ?until:float -> t -> unit
 (** Execute events in time order until the queue drains or virtual time
-    would exceed [until]. Can be called repeatedly to run in slices. *)
+    would exceed [until]. Can be called repeatedly to run in slices.
+    [sim/events_dispatched], [sim/ready_events] (the depth after the
+    last pop) and [sim/ready_events_max] are published when it returns
+    or raises, not per event. *)
 
 val clock : t -> float
 (** Current virtual time, readable from outside fibers. *)

@@ -15,10 +15,29 @@ type link = {
   mutable blocked : bool;
 }
 
-(* A port name, interned on first use: its byte counter (registered on the
-   first send), its handler per node, and the fiber and span name of its
-   deliveries. *)
-type port = {
+(* A port name is interned once per process into a dense id, so a send
+   finds the port's per-network state by indexing, not by hashing the
+   name.  The id only indexes: it reaches no metric, event or draw, so
+   the order in which names are first interned changes nothing a
+   simulation does. *)
+type port = { id : int; name : string }
+
+let interned : (string, port) Hashtbl.t = Hashtbl.create 16
+let intern_lock = Mutex.create ()
+
+let port name =
+  Mutex.protect intern_lock (fun () ->
+      match Hashtbl.find_opt interned name with
+      | Some p -> p
+      | None ->
+        let p = { id = Hashtbl.length interned; name } in
+        Hashtbl.replace interned name p;
+        p)
+
+(* A port's state on one network, made on first use: its byte counter
+   (registered on the first send), its handler per node, and the fiber
+   and span name of its deliveries. *)
+type endpoint = {
   p_name : string;
   p_fiber : string;
   mutable p_bytes : Obs.Metric.counter option;
@@ -35,7 +54,7 @@ type t = {
   c_bytes : Obs.Metric.counter;
   c_drops : Obs.Metric.counter;
   mutable links : link array array;
-  ports : (string, port) Hashtbl.t;
+  mutable endpoints : endpoint option array;  (* by port id *)
 }
 
 (* Mean of the exponential jitter added to every delivery. *)
@@ -53,21 +72,29 @@ let create ?(base_latency = 50e-6) eng =
     c_bytes = Obs.counter obs ~subsystem:"net" "bytes";
     c_drops = Obs.counter obs ~subsystem:"net" "drops";
     links = [||];
-    ports = Hashtbl.create 16;
+    endpoints = [||];
   }
 
 let engine t = t.eng
 
-let port t name =
-  match Hashtbl.find t.ports name with
-  | p -> p
-  | exception Not_found ->
-    let p = { p_name = name; p_fiber = "net:" ^ name; p_bytes = None; p_handlers = [||] } in
-    Hashtbl.replace t.ports name p;
-    p
+let endpoint t p =
+  let n = Array.length t.endpoints in
+  if p.id >= n then begin
+    let a = Array.make (max (p.id + 1) (2 * n)) None in
+    Array.blit t.endpoints 0 a 0 n;
+    t.endpoints <- a
+  end;
+  match Array.unsafe_get t.endpoints p.id with
+  | Some e -> e
+  | None ->
+    let e =
+      { p_name = p.name; p_fiber = "net:" ^ p.name; p_bytes = None; p_handlers = [||] }
+    in
+    t.endpoints.(p.id) <- Some e;
+    e
 
-let register t ~node ~port:name h =
-  let p = port t name in
+let register t ~node ~port h =
+  let p = endpoint t port in
   let n = Array.length p.p_handlers in
   if node >= n then begin
     let a = Array.make (max (node + 1) (Engine.num_nodes t.eng)) None in
@@ -148,11 +175,11 @@ let deliver t ~src ~dst p ~sent payload =
           ~dur:(Engine.clock t.eng -. sent) ();
       Engine.spawn_immediate t.eng ~node:dst ~name:p.p_fiber (fun () -> h ~src payload)
 
-let send t ~src ~dst ~port:name payload =
+let send t ~src ~dst ~port payload =
   let len = String.length payload in
   let l = link t ~src ~dst in
   let c = link_counters t ~src ~dst l in
-  let p = port t name in
+  let p = endpoint t port in
   Obs.Metric.incr t.c_msgs;
   Obs.Metric.add t.c_bytes len;
   Obs.Metric.incr c.l_msgs;

@@ -12,15 +12,23 @@ type t
 
 type handler = src:int -> string -> unit
 
+type port = private { id : int; name : string }
+(** A port name, interned into a dense [id]: resolve it once (a
+    module-level constant, say) and every send to it finds its state
+    without hashing the name. *)
+
+val port : string -> port
+(** The same name always gives the same port, on every network. *)
+
 val create : ?base_latency:float -> Engine.t -> t
 (** Default: 50 µs base latency.  Jitter has a 20 µs mean. *)
 
 val engine : t -> Engine.t
 
-val register : t -> node:int -> port:string -> handler -> unit
+val register : t -> node:int -> port:port -> handler -> unit
 (** Replaces any previous handler for [(node, port)]. *)
 
-val send : t -> src:int -> dst:int -> port:string -> string -> unit
+val send : t -> src:int -> dst:int -> port:port -> string -> unit
 (** Fire-and-forget.  Silently dropped if the destination is down or
     partitioned away, if the loss process fires, or if no handler is
     registered at delivery time. *)

@@ -1,39 +1,55 @@
-(* Structure-of-arrays binary heap: slot [i] is (prio.(i), seq.(i),
-   value.(i)).  Priorities sit unboxed in a float array, so neither [add]
-   nor the pop path allocates; sifting moves a hole instead of swapping
-   whole entries.
+(* Binary heap over three unboxed arrays; the values live apart, by
+   slot.  Heap position [i] holds (prio.(i), seq.(i), slot.(i)), and its
+   value is value.(slot.(i)).  Sifting moves only floats and ints, so it
+   never runs the write barrier: a value is stored once, into its slot,
+   on [add], and the slot is cleared once on [pop_value], so the heap
+   never keeps a popped value alive.
 
-   Vacated value slots are overwritten with [empty ()] so the heap never
-   keeps a popped value alive.  [empty ()] is an immediate, so the value
-   array is never created as a flat float array and storing it is always
-   safe, whatever ['a] is. *)
+   Free slots need no list of their own.  Positions [size, fresh) of
+   [slot] hold the slots that are free: [pop_value] parks the root's
+   slot at the position it vacates, and [add] takes the slot parked at
+   the position it fills.  Slots from [fresh] on have never been used.
+
+   [empty ()] is an immediate, so the value array is never created as a
+   flat float array and storing any ['a] into it is safe. *)
 
 type 'a t = {
   mutable prio : Float.Array.t;
   mutable seq : int array;
+  mutable slot : int array;
   mutable value : 'a array;
   mutable size : int;
+  mutable fresh : int;
   mutable next_seq : int;
 }
 
 let[@inline] empty () : 'a = Obj.magic 0
 
 let create () =
-  { prio = Float.Array.create 0; seq = [||]; value = [||]; size = 0; next_seq = 0 }
+  {
+    prio = Float.Array.create 0;
+    seq = [||];
+    slot = [||];
+    value = [||];
+    size = 0;
+    fresh = 0;
+    next_seq = 0;
+  }
 
 let is_empty q = q.size = 0
 let length q = q.size
 
+(* Only called when full, so [fresh = size] and every slot is live. *)
 let grow q =
   let cap = max 16 (2 * Array.length q.seq) in
   let prio = Float.Array.create cap in
   Float.Array.blit q.prio 0 prio 0 q.size;
-  let seq = Array.make cap 0 in
-  Array.blit q.seq 0 seq 0 q.size;
+  let extend a = Array.append a (Array.make (cap - q.size) 0) in
   let value = Array.make cap (empty ()) in
   Array.blit q.value 0 value 0 q.size;
   q.prio <- prio;
-  q.seq <- seq;
+  q.seq <- extend q.seq;
+  q.slot <- extend q.slot;
   q.value <- value
 
 (* The new entry has the largest seq in the heap, so among equal
@@ -43,22 +59,31 @@ let add q ~priority v =
   if q.size = Array.length q.seq then grow q;
   let s = q.next_seq in
   q.next_seq <- s + 1;
-  let i = ref q.size in
-  q.size <- q.size + 1;
+  let n = q.size in
+  let sl =
+    if n < q.fresh then Array.unsafe_get q.slot n
+    else begin
+      q.fresh <- n + 1;
+      n
+    end
+  in
+  Array.unsafe_set q.value sl v;
+  q.size <- n + 1;
+  let i = ref n in
   let moving = ref true in
   while !moving && !i > 0 do
     let parent = (!i - 1) / 2 in
     if priority < Float.Array.unsafe_get q.prio parent then begin
       Float.Array.unsafe_set q.prio !i (Float.Array.unsafe_get q.prio parent);
       Array.unsafe_set q.seq !i (Array.unsafe_get q.seq parent);
-      Array.unsafe_set q.value !i (Array.unsafe_get q.value parent);
+      Array.unsafe_set q.slot !i (Array.unsafe_get q.slot parent);
       i := parent
     end
     else moving := false
   done;
   Float.Array.unsafe_set q.prio !i priority;
   Array.unsafe_set q.seq !i s;
-  Array.unsafe_set q.value !i v
+  Array.unsafe_set q.slot !i sl
 
 let[@inline] less q i j =
   let pi = Float.Array.unsafe_get q.prio i and pj = Float.Array.unsafe_get q.prio j in
@@ -68,18 +93,19 @@ let[@inline] min_priority q =
   if q.size = 0 then invalid_arg "Pqueue.min_priority: empty";
   Float.Array.unsafe_get q.prio 0
 
-(* Pop the root: the last entry leaves its slot and sifts down from the
-   root's hole. *)
+(* Pop the root: the last entry leaves its position and sifts down from
+   the root's hole; the root's slot is parked at the vacated position. *)
 let pop_value q =
   if q.size = 0 then invalid_arg "Pqueue.pop_value: empty";
-  let top = Array.unsafe_get q.value 0 in
+  let top = Array.unsafe_get q.slot 0 in
+  let v = Array.unsafe_get q.value top in
+  Array.unsafe_set q.value top (empty ());
   let n = q.size - 1 in
   q.size <- n;
-  let lp = Float.Array.unsafe_get q.prio n
-  and ls = Array.unsafe_get q.seq n
-  and lv = Array.unsafe_get q.value n in
-  Array.unsafe_set q.value n (empty ());
   if n > 0 then begin
+    let last_p = Float.Array.unsafe_get q.prio n
+    and last_s = Array.unsafe_get q.seq n
+    and last_slot = Array.unsafe_get q.slot n in
     let i = ref 0 in
     let moving = ref true in
     while !moving do
@@ -88,17 +114,18 @@ let pop_value q =
       else begin
         let c = if l + 1 < n && less q (l + 1) l then l + 1 else l in
         let cp = Float.Array.unsafe_get q.prio c in
-        if cp < lp || (cp = lp && Array.unsafe_get q.seq c < ls) then begin
+        if cp < last_p || (cp = last_p && Array.unsafe_get q.seq c < last_s) then begin
           Float.Array.unsafe_set q.prio !i cp;
           Array.unsafe_set q.seq !i (Array.unsafe_get q.seq c);
-          Array.unsafe_set q.value !i (Array.unsafe_get q.value c);
+          Array.unsafe_set q.slot !i (Array.unsafe_get q.slot c);
           i := c
         end
         else moving := false
       end
     done;
-    Float.Array.unsafe_set q.prio !i lp;
-    Array.unsafe_set q.seq !i ls;
-    Array.unsafe_set q.value !i lv
+    Float.Array.unsafe_set q.prio !i last_p;
+    Array.unsafe_set q.seq !i last_s;
+    Array.unsafe_set q.slot !i last_slot
   end;
-  top
+  Array.unsafe_set q.slot n top;
+  v

@@ -22,30 +22,58 @@ module Rtt = struct
     if t.seen then Some (Float.max floor (t.srtt +. (4. *. t.rttvar))) else None
 end
 
+(* Both tables hash and compare ints only: a call id is its own hash,
+   and a port is its interned id. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i
+end)
+
+module Node_port = Hashtbl.Make (struct
+  type t = int * Net.port
+
+  let equal (n, (p : Net.port)) (m, (q : Net.port)) = Int.equal n m && Int.equal p.id q.id
+  let hash (n, (p : Net.port)) = (n * 65599) + p.id
+end)
+
 type t = {
   net : Net.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Ids.t;
   mutable next_id : int;
-  rtts : (int * string, Rtt.t) Hashtbl.t;
+  rtts : Rtt.t Node_port.t;
 }
 
-let reply_port = "rpc.reply"
+let reply_port = Net.port "rpc.reply"
+
+let read_frame s =
+  let id = Codec.read_uvarint s in
+  (id, Codec.read_string s)
+
+(* [f id body] for a well-formed frame.  A malformed one is dropped and
+   counted, never raised into the engine; the counter is registered on
+   the first, so a run without one registers nothing. *)
+let with_frame t payload f =
+  match Codec.decode read_frame payload with
+  | id, body -> f id body
+  | exception Codec.Decode_error _ ->
+    Obs.Metric.incr
+      (Obs.counter (Engine.obs (Net.engine t.net)) ~subsystem:"rpc" "decode_errors")
 
 let on_reply t ~src:_ payload =
-  let s = Codec.source payload in
-  let id = Codec.read_uvarint s in
-  let body = Codec.read_string s in
-  match Hashtbl.find_opt t.pending id with
-  | None -> () (* Caller already timed out. *)
-  | Some p ->
-    p.result <- Some body;
-    Engine.wake p.waker
+  with_frame t payload (fun id body ->
+      match Ids.find_opt t.pending id with
+      | None -> () (* Caller already timed out. *)
+      | Some p ->
+        p.result <- Some body;
+        Engine.wake p.waker)
 
 let attach_node t ~node = Net.register t.net ~node ~port:reply_port (on_reply t)
 
 let create net =
   let t =
-    { net; pending = Hashtbl.create 64; next_id = 0; rtts = Hashtbl.create 4 }
+    { net; pending = Ids.create 64; next_id = 0; rtts = Node_port.create 4 }
   in
   let eng = Net.engine net in
   for node = 0 to Engine.num_nodes eng - 1 do
@@ -61,23 +89,21 @@ let encode_request id body =
 
 let serve_async t ~node ~port handler =
   Net.register t.net ~node ~port (fun ~src payload ->
-      let s = Codec.source payload in
-      let id = Codec.read_uvarint s in
-      let body = Codec.read_string s in
-      let reply resp =
-        Net.send t.net ~src:node ~dst:src ~port:reply_port
-          (encode_request id resp)
-      in
-      handler ~src body ~reply)
+      with_frame t payload (fun id body ->
+          let reply resp =
+            Net.send t.net ~src:node ~dst:src ~port:reply_port
+              (encode_request id resp)
+          in
+          handler ~src body ~reply))
 
 let net t = t.net
 
 let rtt t ~node ~port =
-  match Hashtbl.find_opt t.rtts (node, port) with
+  match Node_port.find_opt t.rtts (node, port) with
   | Some r -> r
   | None ->
     let r = Rtt.create () in
-    Hashtbl.replace t.rtts (node, port) r;
+    Node_port.replace t.rtts (node, port) r;
     r
 
 let serve t ~node ~port handler =
@@ -90,7 +116,7 @@ let call t ~src ~dst ~port ?(timeout = 1.0) body =
   let result = ref None in
   Engine.park (fun w ->
       let p = { result = None; waker = w } in
-      Hashtbl.replace t.pending id p;
+      Ids.replace t.pending id p;
       result := Some p;
       Net.send t.net ~src ~dst ~port (encode_request id body);
       Engine.schedule eng
@@ -99,5 +125,5 @@ let call t ~src ~dst ~port ?(timeout = 1.0) body =
   match !result with
   | None -> None
   | Some p ->
-    Hashtbl.remove t.pending id;
+    Ids.remove t.pending id;
     p.result

@@ -2,7 +2,9 @@
 
     [call] parks the calling fiber until the reply arrives or the timeout
     fires; lost messages (drops, partitions, crashed callee) surface as
-    [None].  Servers run each request in its own fiber and may block. *)
+    [None].  Servers run each request in its own fiber and may block.
+    A request or reply frame that does not decode is dropped like a lost
+    message and counted in [rpc/decode_errors]. *)
 
 type t
 
@@ -14,11 +16,11 @@ val attach_node : t -> node:int -> unit
     {!create} (see {!Sim.Engine.add_node}) so RPC calls issued from it
     can complete. *)
 
-val serve : t -> node:int -> port:string -> (src:int -> string -> string) -> unit
+val serve : t -> node:int -> port:Net.port -> (src:int -> string -> string) -> unit
 (** Register a service; the handler's return value is the reply. *)
 
 val serve_async :
-  t -> node:int -> port:string ->
+  t -> node:int -> port:Net.port ->
   (src:int -> string -> reply:(string -> unit) -> unit) -> unit
 (** Like {!serve} but the handler replies explicitly (possibly never — the
     caller then times out). *)
@@ -36,12 +38,12 @@ module Rtt : sig
       sample. *)
 end
 
-val rtt : t -> node:int -> port:string -> Rtt.t
+val rtt : t -> node:int -> port:Net.port -> Rtt.t
 (** The one estimator for calls from [node] to [port], shared by every
     caller there.  Nothing here feeds it: callers observe the round
     trips they count. *)
 
 val call :
-  t -> src:int -> dst:int -> port:string -> ?timeout:float -> string ->
+  t -> src:int -> dst:int -> port:Net.port -> ?timeout:float -> string ->
   string option
 (** Default timeout: 1 s of virtual time. *)

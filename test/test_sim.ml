@@ -293,11 +293,11 @@ let net_delivery () =
   ignore
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
-         Net.register net ~node:1 ~port:"echo" (fun ~src payload ->
+         Net.register net ~node:1 ~port:(Net.port "echo") (fun ~src payload ->
              got := Some (src, payload));
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
-                Net.send net ~src:0 ~dst:1 ~port:"echo" "hi"))));
+                Net.send net ~src:0 ~dst:1 ~port:(Net.port "echo") "hi"))));
   Alcotest.(check (option (pair int string))) "delivered" (Some (0, "hi")) !got
 
 let net_partition_drops () =
@@ -305,7 +305,7 @@ let net_partition_drops () =
   ignore
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
-         Net.register net ~node:1 ~port:"p" (fun ~src:_ _ -> incr got);
+         Net.register net ~node:1 ~port:(Net.port "p") (fun ~src:_ _ -> incr got);
          let metrics () = Obs.Export.metrics_json (Obs.registry (Engine.obs eng)) in
          let before = metrics () in
          Net.partition net 0 1;
@@ -313,10 +313,10 @@ let net_partition_drops () =
            before (metrics ());
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
-                Net.send net ~src:0 ~dst:1 ~port:"p" "x";
+                Net.send net ~src:0 ~dst:1 ~port:(Net.port "p") "x";
                 Engine.sleep 1.0;
                 Net.heal net 0 1;
-                Net.send net ~src:0 ~dst:1 ~port:"p" "y"))));
+                Net.send net ~src:0 ~dst:1 ~port:(Net.port "p") "y"))));
   check_int "only post-heal message" 1 !got
 
 let net_fifo_per_pair () =
@@ -324,12 +324,12 @@ let net_fifo_per_pair () =
   ignore
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
-         Net.register net ~node:1 ~port:"f" (fun ~src:_ p ->
+         Net.register net ~node:1 ~port:(Net.port "f") (fun ~src:_ p ->
              order := p :: !order);
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
                 for i = 1 to 10 do
-                  Net.send net ~src:0 ~dst:1 ~port:"f" (string_of_int i)
+                  Net.send net ~src:0 ~dst:1 ~port:(Net.port "f") (string_of_int i)
                 done))));
   Alcotest.(check (list string))
     "FIFO order"
@@ -341,11 +341,11 @@ let net_crashed_node_drops () =
   ignore
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
-         Net.register net ~node:1 ~port:"c" (fun ~src:_ _ -> incr got);
+         Net.register net ~node:1 ~port:(Net.port "c") (fun ~src:_ _ -> incr got);
          Engine.crash_node eng 1;
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
-                Net.send net ~src:0 ~dst:1 ~port:"c" "x"))));
+                Net.send net ~src:0 ~dst:1 ~port:(Net.port "c") "x"))));
   check_int "no delivery to dead node" 0 !got
 
 let rpc_roundtrip () =
@@ -354,11 +354,11 @@ let rpc_roundtrip () =
     (run_sim ~nodes:2 (fun eng ->
          let net = Net.create eng in
          let rpc = Rpc.create net in
-         Rpc.serve rpc ~node:1 ~port:"double" (fun ~src:_ s ->
+         Rpc.serve rpc ~node:1 ~port:(Net.port "double") (fun ~src:_ s ->
              string_of_int (2 * int_of_string s));
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
-                answer := Rpc.call rpc ~src:0 ~dst:1 ~port:"double" "21"))));
+                answer := Rpc.call rpc ~src:0 ~dst:1 ~port:(Net.port "double") "21"))));
   Alcotest.(check (option string)) "rpc reply" (Some "42") !answer
 
 let rpc_timeout () =
@@ -371,10 +371,89 @@ let rpc_timeout () =
          (* No handler registered on node 1: the call must time out. *)
          ignore
            (Engine.spawn eng ~node:0 (fun () ->
-                answer := Rpc.call rpc ~src:0 ~dst:1 ~port:"void" ~timeout:0.5 "x";
+                answer := Rpc.call rpc ~src:0 ~dst:1 ~port:(Net.port "void") ~timeout:0.5 "x";
                 finish := Engine.now ()))));
   Alcotest.(check (option string)) "timed out" None !answer;
   check_bool "timed out at ~0.5s" true (abs_float (!finish -. 0.5) < 0.01)
+
+(* Hostile frames: a truncation, or a body-length byte changed to another
+   length below 64 (the frame then ends early or has trailing bytes). *)
+type mangle = Truncate of int | Bad_length of int
+
+let mangle frame = function
+  | Truncate k -> String.sub frame 0 (k mod String.length frame)
+  | Bad_length mask ->
+    (* The body length follows the call id's varint. *)
+    let i = ref 0 in
+    while Char.code frame.[!i] >= 0x80 do
+      incr i
+    done;
+    let b = Bytes.of_string frame in
+    Bytes.set b (!i + 1) (Char.chr (Char.code frame.[!i + 1] lxor mask));
+    Bytes.to_string b
+
+(* Each call goes to a raw tap on node 1, which sees the real request
+   frame.  The tap forwards it to the served port intact or mangled, or
+   answers with a mangled copy (the frame is also a valid reply: the
+   same id and the request body).  A mangled frame must be dropped and
+   counted, never raised out of [Engine.run], and its caller must time
+   out while every other call is served. *)
+let prop_rpc_drops_malformed_frames =
+  QCheck.Test.make ~name:"rpc drops and counts malformed frames" ~count:100
+    QCheck.(
+      list_of_size Gen.(int_range 1 20)
+        (pair (int_range 0 2)
+           (oneof
+              [
+                map (fun k -> Truncate k) small_nat;
+                map (fun m -> Bad_length m) (int_range 1 63);
+              ])))
+    (fun plan ->
+      let plan = Array.of_list plan in
+      let eng = Engine.create ~seed:5 ~num_nodes:2 () in
+      let net = Net.create eng in
+      let rpc = Rpc.create net in
+      let svc = Net.port "svc" in
+      let served = ref 0 in
+      Rpc.serve rpc ~node:1 ~port:svc (fun ~src:_ body ->
+          incr served;
+          "ok:" ^ body);
+      let next = ref 0 in
+      Net.register net ~node:1 ~port:(Net.port "tap") (fun ~src frame ->
+          let kind, m = plan.(!next) in
+          incr next;
+          match kind with
+          | 0 -> Net.send net ~src ~dst:1 ~port:svc frame
+          | 1 -> Net.send net ~src ~dst:1 ~port:svc (mangle frame m)
+          | _ ->
+            Net.send net ~src:1 ~dst:src ~port:(Net.port "rpc.reply") (mangle frame m));
+      let answers = ref [] in
+      ignore
+        (Engine.spawn eng ~node:0 (fun () ->
+             Array.iteri
+               (fun i _ ->
+                 let body = Printf.sprintf "b%d" i in
+                 answers :=
+                   Rpc.call rpc ~src:0 ~dst:1 ~port:(Net.port "tap") ~timeout:1e-2 body
+                   :: !answers)
+               plan));
+      Engine.run eng;
+      let mangled = Array.fold_left (fun n (k, _) -> if k = 0 then n else n + 1) 0 plan in
+      let errors =
+        match
+          Obs.Registry.find (Obs.registry (Engine.obs eng)) ~subsystem:"rpc"
+            "decode_errors"
+        with
+        | Some (Obs.Registry.Counter c) -> Obs.Metric.value c
+        | _ -> 0
+      in
+      List.rev !answers
+      = Array.to_list
+          (Array.mapi
+             (fun i (k, _) -> if k = 0 then Some (Printf.sprintf "ok:b%d" i) else None)
+             plan)
+      && errors = mangled
+      && !served = Array.length plan - mangled)
 
 (* --- Golden substrate run ---
 
@@ -387,7 +466,10 @@ let rpc_timeout () =
    shows up here.  The pinned value must only change when the simulated
    behaviour is meant to change. *)
 
-let golden_digest () =
+(* The scenario's event log and the exported registry; with [~slice] the
+   engine runs in [~until] slices of that width, as [perf.exe] drives
+   it, before the final drain. *)
+let golden_scenario ?slice () =
   let eng = Engine.create ~seed:11 ~cores_per_node:2 ~num_nodes:4 () in
   let obs = Engine.obs eng in
   Obs.enable_tracing obs true;
@@ -400,13 +482,13 @@ let golden_digest () =
   let net = Net.create eng in
   let rpc = Rpc.create net in
   (* Node 1: a CPU-bound service on 2 cores, so concurrent calls queue. *)
-  Rpc.serve rpc ~node:1 ~port:"svc" (fun ~src body ->
+  Rpc.serve rpc ~node:1 ~port:(Net.port "svc") (fun ~src body ->
       Engine.work 2e-4;
       note "svc %d %s" src body;
       "ok:" ^ body);
   (* Node 2: replies in time, too late (after the caller's timeout) or
      never, by the request's last digit. *)
-  Rpc.serve_async rpc ~node:2 ~port:"slow" (fun ~src body ~reply ->
+  Rpc.serve_async rpc ~node:2 ~port:(Net.port "slow") (fun ~src body ~reply ->
       note "slow %d %s" src body;
       match Char.code body.[String.length body - 1] mod 3 with
       | 0 -> ()
@@ -417,7 +499,7 @@ let golden_digest () =
         Engine.sleep 3e-3;
         reply body);
   for node = 0 to 3 do
-    Net.register net ~node ~port:"gossip" (fun ~src payload ->
+    Net.register net ~node ~port:(Net.port "gossip") (fun ~src payload ->
         note "gossip %d->%d %s" src node payload)
   done;
   let caller node dst port n =
@@ -425,7 +507,7 @@ let golden_digest () =
       (Engine.spawn eng ~node ~name:"caller" (fun () ->
            for i = 1 to n do
              let body = Printf.sprintf "%d.%d" node i in
-             (match Rpc.call rpc ~src:node ~dst ~port ~timeout:2e-3 body with
+             (match Rpc.call rpc ~src:node ~dst ~port:(Net.port port) ~timeout:2e-3 body with
              | Some r -> note "reply %d %s" node r
              | None -> note "timeout %d %s" node body);
              Engine.sleep 5e-4
@@ -438,7 +520,7 @@ let golden_digest () =
   ignore
     (Engine.spawn eng ~node:3 ~name:"gossiper" (fun () ->
          for i = 1 to 60 do
-           Net.send net ~src:3 ~dst:(i mod 4) ~port:"gossip" (string_of_int i);
+           Net.send net ~src:3 ~dst:(i mod 4) ~port:(Net.port "gossip") (string_of_int i);
            Engine.sleep 3e-4
          done));
   (* Node 2 hosts fibers in every suspended state when it crashes:
@@ -474,22 +556,57 @@ let golden_digest () =
       note "restart 2";
       Engine.restart_node eng 2;
       victim "reborn" (fun () -> Engine.work 1e-4));
+  Option.iter
+    (fun w ->
+      for k = 1 to int_of_float (0.1 /. w) do
+        Engine.run ~until:(float_of_int k *. w) eng
+      done)
+    slice;
   Engine.run eng;
   note "end: sent %d bytes %d dropped %d" (Net.messages_sent net)
     (Net.bytes_sent net) (Net.messages_dropped net);
-  let reg = Obs.registry obs in
+  (Buffer.contents log, obs)
+
+let golden_digest ?slice () =
+  let log, obs = golden_scenario ?slice () in
   Digest.to_hex
     (Digest.string
        (String.concat "\n--\n"
           [
-            Buffer.contents log;
-            Obs.Export.metrics_json reg;
+            log;
+            Obs.Export.metrics_json (Obs.registry obs);
             Obs.Export.chrome_trace (Obs.spans obs);
           ]))
 
+let golden = "216fa0d8b94570d9a42ed9bc70363fbf"
+
 let golden_substrate_run () =
-  Alcotest.(check string) "digest" "216fa0d8b94570d9a42ed9bc70363fbf"
-    (golden_digest ())
+  Alcotest.(check string) "digest" golden (golden_digest ())
+
+let sim_metric obs name =
+  match Obs.Registry.find (Obs.registry obs) ~subsystem:"sim" name with
+  | Some (Obs.Registry.Counter c) -> float_of_int (Obs.Metric.value c)
+  | Some (Obs.Registry.Gauge g) -> Obs.Metric.get g
+  | _ -> Alcotest.failf "no sim/%s" name
+
+(* The engine keeps its depth gauges in ints and publishes them when
+   [run] returns, so a run cut into [~until] slices must leave the same
+   callback order and the same counts as one run to the end. *)
+let golden_run_in_slices () =
+  let whole_log, whole = golden_scenario () in
+  List.iter
+    (fun w ->
+      let log, sliced = golden_scenario ~slice:w () in
+      Alcotest.(check string) (Printf.sprintf "log, %g s slices" w) whole_log log;
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "sim/%s, %g s slices" name w)
+            (sim_metric whole name) (sim_metric sliced name))
+        [ "events_dispatched"; "ready_events"; "ready_events_max" ];
+      Alcotest.(check string) (Printf.sprintf "digest, %g s slices" w) golden
+        (golden_digest ~slice:w ()))
+    [ 1e-5; 3.7e-4; 2e-3 ]
 
 (* --- Pqueue and Rng --- *)
 
@@ -518,36 +635,50 @@ let pqueue_order () =
    few priorities so ties are common, against a reference list kept
    sorted by (priority, insertion seq).  [Some p] adds at priority p,
    [None] pops. *)
+let pqueue_matches_model ops =
+  let q = Pqueue.create () in
+  let model = ref [] and seq = ref 0 in
+  let pop () =
+    match !model with
+    | [] -> Pqueue.is_empty q
+    | (p, s) :: rest ->
+      model := rest;
+      (not (Pqueue.is_empty q))
+      && Pqueue.min_priority q = p
+      && Pqueue.pop_value q = s
+  in
+  List.for_all
+    (function
+      | Some p ->
+        Pqueue.add q ~priority:p !seq;
+        model := List.merge compare !model [ (p, !seq) ];
+        incr seq;
+        Pqueue.length q = List.length !model
+      | None -> pop ())
+    ops
+  && List.for_all (fun _ -> pop ()) !model
+  && Pqueue.is_empty q
+
+let pqueue_priority =
+  QCheck.(
+    frequency [ (3, map float_of_int (int_range 0 4)); (1, float_range 0. 1000.) ])
+
+(* Mostly adds, with lengths up to thousands of operations: deep heaps
+   that cross every capacity doubling to 16 k. *)
 let prop_pqueue_model =
   QCheck.Test.make ~name:"pqueue matches priority-seq model" ~count:300
+    QCheck.(list (option pqueue_priority))
+    pqueue_matches_model
+
+(* Two adds per pop over up to 600 operations: the queue crosses several
+   capacity doublings (16, 32, 64, 128) with pops in between, so freed
+   value slots are reused at every size. *)
+let prop_pqueue_model_churn =
+  QCheck.Test.make ~name:"pqueue matches model, pops interleaved" ~count:300
     QCheck.(
-      list
-        (option
-           (frequency
-              [ (3, map float_of_int (int_range 0 4)); (1, float_range 0. 1000.) ])))
-    (fun ops ->
-      let q = Pqueue.create () in
-      let model = ref [] and seq = ref 0 in
-      let pop () =
-        match !model with
-        | [] -> Pqueue.is_empty q
-        | (p, s) :: rest ->
-          model := rest;
-          (not (Pqueue.is_empty q))
-          && Pqueue.min_priority q = p
-          && Pqueue.pop_value q = s
-      in
-      List.for_all
-        (function
-          | Some p ->
-            Pqueue.add q ~priority:p !seq;
-            model := List.merge compare !model [ (p, !seq) ];
-            incr seq;
-            Pqueue.length q = List.length !model
-          | None -> pop ())
-        ops
-      && List.for_all (fun _ -> pop ()) !model
-      && Pqueue.is_empty q)
+      list_of_size Gen.(int_range 0 600)
+        (frequency [ (2, map Option.some pqueue_priority); (1, always None) ]))
+    pqueue_matches_model
 
 (* A popped value must not stay reachable from the queue, including the
    last one, whose slot nothing else overwrites. *)
@@ -607,9 +738,12 @@ let suite =
     Alcotest.test_case "net drops to dead node" `Quick net_crashed_node_drops;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc timeout" `Quick rpc_timeout;
+    QCheck_alcotest.to_alcotest prop_rpc_drops_malformed_frames;
     Alcotest.test_case "golden substrate run" `Quick golden_substrate_run;
+    Alcotest.test_case "golden run in until slices" `Quick golden_run_in_slices;
     Alcotest.test_case "pqueue order" `Quick pqueue_order;
     QCheck_alcotest.to_alcotest prop_pqueue_model;
+    QCheck_alcotest.to_alcotest prop_pqueue_model_churn;
     Alcotest.test_case "pqueue releases popped values" `Quick pqueue_releases_popped;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_bounds;
