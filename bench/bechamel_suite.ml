@@ -255,7 +255,8 @@ let test_net_send =
                Sim.Net.send net ~src:0 ~dst:1 ~port:bench_port "0123456789abcdef"
              done)))
 
-(* Request, reply, one park and one (no-op) timeout event per call. *)
+(* Request, reply and one park per call; the call cancels its timeout
+   event when the reply arrives. *)
 let test_rpc_call =
   let eng = Sim.Engine.create ~num_nodes:2 () in
   let rpc = Sim.Rpc.create (Sim.Net.create eng) in
@@ -276,6 +277,30 @@ let test_engine_now =
          run_fiber eng (fun () ->
              for _ = 1 to sim_ops do
                ignore (Sys.opaque_identity (Sim.Engine.now ()))
+             done)))
+
+(* Every simulated lock operation asks which fiber runs it: an
+   uncontended lock+unlock pair of a [Sim.Msync] mutex. *)
+let test_mutex_pair =
+  let eng = Sim.Engine.create ~num_nodes:1 () in
+  let m = Sim.Msync.Mutex.create eng in
+  Test.make
+    ~name:(Printf.sprintf "sim mutex lock+unlock x%d" sim_ops)
+    (Staged.stage (fun () ->
+         run_fiber eng (fun () ->
+             for _ = 1 to sim_ops do
+               Sim.Msync.Mutex.lock m;
+               Sim.Msync.Mutex.unlock m
+             done)))
+
+let test_engine_self =
+  let eng = Sim.Engine.create ~num_nodes:1 () in
+  Test.make
+    ~name:(Printf.sprintf "sim self in a fiber x%d" sim_ops)
+    (Staged.stage (fun () ->
+         run_fiber eng (fun () ->
+             for _ = 1 to sim_ops do
+               ignore (Sys.opaque_identity (Sim.Engine.self ()))
              done)))
 
 (* The zipf CDF-rebuild fix: [create] memoizes the table per (n, theta),
@@ -392,7 +417,9 @@ let tests =
   ]
   @ tests_last_consistent @ tests_extract_tail @ tests_apply_window
   @ [ test_steady_state ] @ tests_wheel_drain @ tests_pqueue_drain
-  @ tests_sim_sleep @ [ test_net_send; test_rpc_call; test_engine_now ]
+  @ tests_sim_sleep
+  @ [ test_net_send; test_rpc_call; test_engine_now; test_engine_self;
+      test_mutex_pair ]
   @ [ test_zipf_create_cached; test_zipf_create_uncached; test_zipf_sample ]
   @ tests_session_digest @ tests_session_savepoint
   @ tests_session_window

@@ -31,13 +31,15 @@ type config = {
   lease_unsafe : bool;
   read_ratio : float option;
   checkpoint_interval : float option;
+  pipeline_depth : int;
   horizon : float;
   max_steps : int;
 }
 
 let default_config ?(clients = 3) ?(ops_per_client = 8) ?(dedup_off = false)
     ?(reads_via_query = false) ?(lease_unsafe = false) ?read_ratio
-    ?(checkpoint_interval = None) ?(horizon = 3.0) ?(max_steps = 5_000_000)
+    ?(checkpoint_interval = None) ?(pipeline_depth = 1) ?(horizon = 3.0)
+    ?(max_steps = 5_000_000)
     ~stack ~app ~nemesis ~seed () =
   {
     stack;
@@ -51,6 +53,7 @@ let default_config ?(clients = 3) ?(ops_per_client = 8) ?(dedup_off = false)
     lease_unsafe;
     read_ratio;
     checkpoint_interval;
+    pipeline_depth;
     horizon;
     max_steps;
   }
@@ -483,14 +486,16 @@ let deploy history_of cfg =
   | Rex ->
     let ccfg =
       R.Config.make ~workers:4 ~checkpoint_interval:cfg.checkpoint_interval
-        ~lease_unsafe:cfg.lease_unsafe ~replicas ()
+        ~pipeline_depth:cfg.pipeline_depth ~lease_unsafe:cfg.lease_unsafe
+        ~replicas ()
     in
     let c = R.Cluster.create ~seed:cfg.seed ccfg (factory_for cfg) in
     R.Cluster.start c;
     deploy_group history_of cfg c
   | Smr | Eve | Cbase | Early ->
     let rcfg =
-      R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
+      R.Config.make ~workers:4 ~replicas ~pipeline_depth:cfg.pipeline_depth
+        ~lease_unsafe:cfg.lease_unsafe ()
     in
     let (Log_stack mk) =
       log_stack cfg.stack rcfg ~conflict:(conflict_keys_for cfg)

@@ -61,6 +61,8 @@ type config = {
           probability and [SET] otherwise — read-heavy mixes keep
           clients parked on a stale leader whose reads still answer *)
   checkpoint_interval : float option;  (** Rex/Sharded only *)
+  pipeline_depth : int;
+      (** [Config.pipeline_depth] of the deployed group (1 by default) *)
   horizon : float;  (** fault window; healing and drain follow *)
   max_steps : int;  (** checker search budget *)
 }
@@ -68,7 +70,8 @@ type config = {
 val default_config :
   ?clients:int -> ?ops_per_client:int -> ?dedup_off:bool ->
   ?reads_via_query:bool -> ?lease_unsafe:bool -> ?read_ratio:float ->
-  ?checkpoint_interval:float option -> ?horizon:float -> ?max_steps:int ->
+  ?checkpoint_interval:float option -> ?pipeline_depth:int ->
+  ?horizon:float -> ?max_steps:int ->
   stack:stack -> app:app -> nemesis:Nemesis.profile -> seed:int -> unit ->
   config
 

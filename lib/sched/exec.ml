@@ -61,7 +61,9 @@ type t = {
   claim : string -> Conflict.claim;
   execute : string -> string;
   m : Par.Backend.mutex;
-  work_c : Par.Backend.cond;  (* workers: new work / newly-ready nodes *)
+  work_c : Par.Backend.cond array;
+      (* workers wait here for work: cbase's pool shares [work_c.(0)], each
+         early worker has its own *)
   quiet_c : Par.Backend.cond;  (* readers + drain: a task completed *)
   barrier_c : Par.Backend.cond;  (* early: rendezvous release *)
   dag : task Dag.t;  (* cbase *)
@@ -78,6 +80,7 @@ type t = {
   c_barriers : Obs.Metric.counter;
   c_stalls : Obs.Metric.counter;
   c_waits : Obs.Metric.counter;
+  c_wakeups : Obs.Metric.counter;
   g_graph : Obs.Metric.gauge;
   g_graph_max : Obs.Metric.gauge;
   g_ready : Obs.Metric.gauge;
@@ -91,6 +94,7 @@ type stats = {
   barriers : int;
   barrier_stalls : int;
   precedence_waits : int;
+  wakeups : int;
   graph_max : int;
   ready_max : int;
   busy_time : float;
@@ -102,6 +106,7 @@ let stats t =
     barriers = Obs.Metric.value t.c_barriers;
     barrier_stalls = Obs.Metric.value t.c_stalls;
     precedence_waits = Obs.Metric.value t.c_waits;
+    wakeups = Obs.Metric.value t.c_wakeups;
     graph_max = int_of_float (Obs.Metric.get t.g_graph_max);
     ready_max = int_of_float (Obs.Metric.get t.g_ready_max);
     busy_time = t.busy_time;
@@ -189,7 +194,22 @@ let run_body t task =
   t.busy_workers <- t.busy_workers - 1;
   Obs.Metric.set t.g_busy (float_of_int t.busy_workers)
 
+(* A worker waits for work; every return counts as a wake-up. *)
+let await_work t w =
+  t.work_c.(w).Par.Backend.c_wait t.m;
+  Obs.Metric.incr t.c_wakeups
+
 (* --- cbase worker --- *)
+
+(* One signal per node that becomes ready wakes at most one idle worker
+   for it, never the whole pool.  No wake-up is lost: a worker checks
+   the ready queue under the lock before it waits, so a node that
+   becomes ready while every worker is busy is taken by the next one to
+   finish. *)
+let signal_ready t n =
+  for _ = 1 to n do
+    t.work_c.(0).Par.Backend.c_signal ()
+  done
 
 let cbase_worker t () =
   lock t;
@@ -198,18 +218,19 @@ let cbase_worker t () =
     | None ->
       if t.stopping then unlock t
       else begin
-        t.work_c.Par.Backend.c_wait t.m;
+        await_work t 0;
         loop ()
       end
     | Some node ->
       note_graph t;
       let task = Dag.payload node in
       run_body t task;
+      let before = Dag.ready_width t.dag in
       Dag.complete t.dag node;
+      (* this worker takes one promoted successor itself *)
+      signal_ready t (Dag.ready_width t.dag - before - 1);
       note_graph t;
       note_done t task;
-      (* completing may have promoted successors: offer them around *)
-      t.work_c.Par.Backend.c_broadcast ();
       loop ()
   in
   loop ()
@@ -224,7 +245,7 @@ let early_worker t w () =
     | None ->
       if t.stopping then unlock t
       else begin
-        t.work_c.Par.Backend.c_wait t.m;
+        await_work t w;
         loop ()
       end
     | Some (Single task) ->
@@ -268,7 +289,10 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
       claim;
       execute;
       m = Par.Backend.mutex backend;
-      work_c = Par.Backend.cond backend;
+      work_c =
+        Array.init
+          (match mode with Cbase -> 1 | Early -> workers)
+          (fun _ -> Par.Backend.cond backend);
       quiet_c = Par.Backend.cond backend;
       barrier_c = Par.Backend.cond backend;
       dag = Dag.create ();
@@ -284,6 +308,7 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
       c_barriers = c "barriers";
       c_stalls = c "barrier_stalls";
       c_waits = c "precedence_waits";
+      c_wakeups = c "worker_wakeups";
       g_graph = g "graph_size";
       g_graph_max = g "graph_size_max";
       g_ready = g "ready_width";
@@ -321,6 +346,7 @@ let add t ~client ~keys ~run =
   in
   (match t.mode with
   | Cbase ->
+    let before = Dag.ready_width t.dag in
     (match (keys, client) with
     | [], _ -> ignore (Dag.insert_barrier t.dag (task None))
     | _, None -> ignore (Dag.insert t.dag ~keys (task None))
@@ -328,6 +354,7 @@ let add t ~client ~keys ~run =
       (* the client's order is one more edge *)
       ignore
         (Dag.insert t.dag ~keys:(Conflict.session_key c :: keys) (task None)));
+    signal_ready t (Dag.ready_width t.dag - before);
     note_graph t
   | Early -> (
     (* a barrier orders behind everything in every queue already, so
@@ -341,17 +368,24 @@ let add t ~client ~keys ~run =
         task
       | _ -> task None
     in
+    (* wake only the owners; a barrier owns every queue *)
+    let wake w = t.work_c.(w).Par.Backend.c_signal () in
     match (if keys = [] then List.init t.workers Fun.id
            else owners_of_keys t keys)
     with
-    | [ w ] -> Queue.push (Single task) t.queues.(w)
+    | [ w ] ->
+      Queue.push (Single task) t.queues.(w);
+      wake w
     | owners ->
       let s =
         { s_task = task; s_owners = List.length owners;
           s_arrived = 0; s_done = false }
       in
-      List.iter (fun w -> Queue.push (Shared s) t.queues.(w)) owners));
-  t.work_c.Par.Backend.c_broadcast ();
+      List.iter
+        (fun w ->
+          Queue.push (Shared s) t.queues.(w);
+          wake w)
+        owners));
   unlock t
 
 let admit t req cb =
@@ -400,5 +434,5 @@ let drain t =
 let shutdown t =
   lock t;
   t.stopping <- true;
-  t.work_c.Par.Backend.c_broadcast ();
+  Array.iter (fun c -> c.Par.Backend.c_broadcast ()) t.work_c;
   unlock t

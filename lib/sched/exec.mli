@@ -67,6 +67,9 @@ type stats = {
   barrier_stalls : int;  (** early: workers stalled at a rendezvous *)
   precedence_waits : int;
       (** early: tasks held for their client's previous request *)
+  wakeups : int;
+      (** times a worker waiting for work was woken: cbase wakes one
+          worker per newly ready task, early the task's owners *)
   graph_max : int;
   ready_max : int;
   busy_time : float;  (** summed worker-seconds spent executing *)

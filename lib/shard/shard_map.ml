@@ -88,6 +88,11 @@ let encode_spec t =
   Printf.sprintf "e%dv%dg%s" t.epoch t.vnodes
     (String.concat "," (List.map string_of_int t.groups))
 
+(* A spec arrives on every shard reply, so it must not be able to ask
+   for an arbitrary ring: the ring's size is bounded, and with it the
+   vnodes and the groups. *)
+let max_ring = 1 lsl 16
+
 let decode_spec s =
   let parse_int str = int_of_string_opt str in
   match String.index_opt s 'v' with
@@ -103,12 +108,13 @@ let decode_spec s =
       in
       match (epoch, vnodes) with
       | Some epoch, Some vnodes
-        when epoch >= 0 && vnodes > 0
+        when epoch >= 0 && vnodes > 0 && vnodes <= max_ring
              && groups <> []
              && List.for_all (function Some g -> g >= 0 | None -> false) groups
         ->
         let groups = List.sort_uniq compare (List.filter_map Fun.id groups) in
-        Some { epoch; vnodes; groups; ring = build_ring ~vnodes groups }
+        if List.length groups * vnodes > max_ring then None
+        else Some { epoch; vnodes; groups; ring = build_ring ~vnodes groups }
       | _ -> None)
     | None -> None)
   | _ -> None

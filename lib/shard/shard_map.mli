@@ -39,8 +39,12 @@ val encode_spec : t -> string
     redirect replies so stale routers refresh without a directory
     service. *)
 
+val max_ring : int
+(** The most ring points (vnodes × groups) {!decode_spec} accepts. *)
+
 val decode_spec : string -> t option
-(** Inverse of {!encode_spec}; [None] on malformed input. *)
+(** Inverse of {!encode_spec}; [None] on malformed input and on a ring
+    of more than {!max_ring} points. *)
 
 val shares : t -> string list -> (int * int) list
 (** Keys-per-group histogram of a key sample, for balance checks. *)

@@ -43,6 +43,15 @@ let tid_of fiber = fiber.info.Protocol.fi_tid
 let node_of fiber = fiber.info.Protocol.fi_node
 let name_of fiber = fiber.info.Protocol.fi_name
 
+(* The live fibers, by tid: a tid is its own hash, so the table runs no
+   polymorphic hash or compare. *)
+module Tids = Hashtbl.Make (struct
+  type t = tid
+
+  let equal = Int.equal
+  let hash i = i
+end)
+
 (* Per-node state lives in arrays indexed by node id; [add_node] grows
    them in place (the control plane adds replicas to a live fabric), so
    the fields are mutable and must only be read through [t]. *)
@@ -63,7 +72,7 @@ type t = {
     (fiber * float * float * (unit, unit) continuation) Queue.t array;
       (* (fiber, work duration, enqueue time, continuation) *)
   mutable busy : float array;
-  fibers : (tid, fiber) Hashtbl.t;
+  fibers : fiber Tids.t;
   mutable next_tid : int;
   next_uid : int Atomic.t;
   mutable running : fiber option;
@@ -107,7 +116,7 @@ let create ?(seed = 42) ?(cores_per_node = 16) ~num_nodes () =
       free_cores = Array.make num_nodes cores_per_node;
       cpu_wait = Array.init num_nodes (fun _ -> Queue.create ());
       busy = Array.make num_nodes 0.;
-      fibers = Hashtbl.create 64;
+      fibers = Tids.create 64;
       next_tid = 0;
       next_uid = Atomic.make 0;
       running = None;
@@ -191,9 +200,16 @@ let jittered t at = at +. Rng.float t.jitter_rng 1e-9
 let schedule t ~at cb =
   Pqueue.add t.events ~priority:(if at >= t.time then at else t.time) cb
 
+type event = Pqueue.handle
+
+let schedule_event t ~at cb =
+  Pqueue.add_handle t.events ~priority:(if at >= t.time then at else t.time) cb
+
+let cancel t ev = Pqueue.remove t.events ev
+
 let valid t fiber = t.alive.(node_of fiber) && fiber.inc = t.node_inc.(node_of fiber)
 
-let fiber_done t fiber = Hashtbl.remove t.fibers (tid_of fiber)
+let fiber_done t fiber = Tids.remove t.fibers (tid_of fiber)
 
 (* The engine whose fiber runs on this domain, if any: [now] reads its
    clock directly instead of performing [E_now].  [run] sets it for the
@@ -372,7 +388,7 @@ let make_fiber t ~node ~name =
   in
   t.next_tid <- t.next_tid + 1;
   Obs.Metric.incr t.c_spawned.(node);
-  Hashtbl.replace t.fibers (tid_of fiber) fiber;
+  Tids.replace t.fibers (tid_of fiber) fiber;
   fiber
 
 let spawn_fiber t ~node ~at ~name main =
@@ -439,10 +455,13 @@ let crash_node t n =
     let waiting = Queue.create () in
     Queue.transfer t.cpu_wait.(n) waiting;
     Queue.iter (fun (fiber, _, _, k) -> kill t fiber k) waiting;
+    (* in ascending tid order, so the kill order is the spawn order and
+       not the table's layout *)
     let victims =
-      Hashtbl.fold
+      Tids.fold
         (fun _ fiber acc -> if node_of fiber = n then fiber :: acc else acc)
         t.fibers []
+      |> List.sort (fun a b -> Int.compare (tid_of a) (tid_of b))
     in
     let kill_parked fiber =
       match fiber.parked with
@@ -464,13 +483,24 @@ let[@inline] now () =
   match Domain.DLS.get current with
   | Some t when t.running != None -> t.time
   | Some _ | None -> perform Protocol.E_now
-let self () = (perform Protocol.E_self).Protocol.fi_tid
+(* [self] and friends read the running fiber the same way; every lock
+   operation asks for it. *)
+let[@inline] self_info () =
+  match Domain.DLS.get current with
+  | Some { running = Some fiber; _ } -> fiber.info
+  | Some _ | None -> perform Protocol.E_self
+
+let self () = (self_info ()).Protocol.fi_tid
 
 let self_opt () =
-  match perform Protocol.E_self with
-  | info -> Some info.Protocol.fi_tid
-  | exception Effect.Unhandled _ -> None
-let self_node () = (perform Protocol.E_self).Protocol.fi_node
+  match Domain.DLS.get current with
+  | Some { running = Some fiber; _ } -> Some fiber.info.Protocol.fi_tid
+  | Some _ | None -> (
+    match perform Protocol.E_self with
+    | info -> Some info.Protocol.fi_tid
+    | exception Effect.Unhandled _ -> None)
+
+let self_node () = (self_info ()).Protocol.fi_node
 let work d = perform (Protocol.E_work d)
 let sleep d = perform (Protocol.E_sleep d)
 let park register = perform (Protocol.E_park register)

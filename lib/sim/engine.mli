@@ -180,6 +180,16 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     fiber: it must not use fiber-context operations, only mutate state,
     call {!wake}, or {!spawn}. *)
 
+type event
+(** A callback scheduled by {!schedule_event}. *)
+
+val schedule_event : t -> at:float -> (unit -> unit) -> event
+(** {!schedule}, returning the event so that it can be cancelled. *)
+
+val cancel : t -> event -> unit
+(** Drop a scheduled event before it runs; a no-op once it has run or
+    been cancelled. *)
+
 val jittered : t -> float -> float
 (** [jittered t at] = [at] plus a tiny seed-dependent epsilon; use it to
     randomize the order of simultaneous events. *)

@@ -113,15 +113,20 @@ let call t ~src ~dst ~port ?(timeout = 1.0) body =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   let eng = Net.engine t.net in
-  let result = ref None in
+  let result = ref None and expiry = ref None in
   Engine.park (fun w ->
       let p = { result = None; waker = w } in
       Ids.replace t.pending id p;
       result := Some p;
       Net.send t.net ~src ~dst ~port (encode_request id body);
-      Engine.schedule eng
-        ~at:(Engine.clock eng +. timeout)
-        (fun () -> Engine.wake w));
+      expiry :=
+        Some
+          (Engine.schedule_event eng
+             ~at:(Engine.clock eng +. timeout)
+             (fun () -> Engine.wake w)));
+  (* An answered call takes its timeout out of the event queue, where it
+     would otherwise sit until it fired as a no-op. *)
+  Option.iter (Engine.cancel eng) !expiry;
   match !result with
   | None -> None
   | Some p ->

@@ -463,8 +463,30 @@ let topo_noop_without_hooks () =
   let o = Runner.run_one (topo_cfg ~stack:Runner.Smr ~nemesis:N.Splits ~seed:75 ()) in
   Alcotest.(check bool) "split profile no-ops on smr" true (Runner.passed o)
 
+(* Leader kills with two instances in flight: the event-driven batcher
+   pairs each commit with its own callbacks, and a deposed leader
+   answers [None] for every open instance, so retries are served
+   exactly once by the next leader. *)
+let leader_kill_pipelined stack () =
+  List.iter
+    (fun seed ->
+      let cfg =
+        Runner.default_config ~pipeline_depth:2 ~app:Runner.Counter ~stack
+          ~nemesis:N.Leader_kills ~seed ()
+      in
+      let o = Runner.run_one cfg in
+      if not (Runner.passed o) then
+        Alcotest.fail (String.concat "\n" (Runner.describe_outcome o)))
+    [ 1; 2; 3 ]
+
 let suite =
   [
+    Alcotest.test_case "leader kills at pipeline depth 2: smr" `Quick
+      (leader_kill_pipelined Runner.Smr);
+    Alcotest.test_case "leader kills at pipeline depth 2: cbase" `Quick
+      (leader_kill_pipelined Runner.Cbase);
+    Alcotest.test_case "leader kills at pipeline depth 2: early" `Quick
+      (leader_kill_pipelined Runner.Early);
     Alcotest.test_case "register: sequential" `Quick register_sequential;
     Alcotest.test_case "register: stale read" `Quick register_stale_read;
     Alcotest.test_case "register: concurrent writes" `Quick

@@ -450,6 +450,77 @@ let prop_digest_matches_serial mode =
       List.iter (apply_serial serial) reqs;
       kv_digest t = kv_digest serial)
 
+(* Wake-ups: with every worker idle, one ready task wakes one worker —
+   cbase's pool shares a condition and is signalled once per ready node,
+   early signals the task's owner — and only an early barrier, which
+   every worker must reach, wakes them all. *)
+let wakeups_for ~mode admit =
+  let eng = Engine.create ~seed:3 ~cores_per_node:8 ~num_nodes:1 () in
+  let exec =
+    Sched.Exec.create (Par.Backend.of_sim eng) ~node:0 ~mode ~workers:8
+      ~conflict:C.kv ~execute:(fun _ -> "OK")
+  in
+  Engine.run ~until:1e-3 eng;
+  ignore (Engine.spawn eng ~node:0 (fun () -> admit exec));
+  Engine.run ~until:1.0 eng;
+  check_int "all executed" 0 (Sched.Exec.pending exec);
+  (Sched.Exec.stats exec).Sched.Exec.wakeups
+
+let wake_counts () =
+  let one_task exec = Sched.Exec.admit exec "SET k1 v" ignore in
+  let barrier exec = Sched.Exec.admit_barrier exec ignore in
+  check_int "cbase: one task wakes one worker" 1
+    (wakeups_for ~mode:Sched.Exec.Cbase one_task);
+  check_int "cbase: a barrier is one ready node" 1
+    (wakeups_for ~mode:Sched.Exec.Cbase barrier);
+  check_int "early: one task wakes its owner" 1
+    (wakeups_for ~mode:Sched.Exec.Early one_task);
+  check_int "early: a barrier wakes every worker" 8
+    (wakeups_for ~mode:Sched.Exec.Early barrier)
+
+(* No wake-up is lost: admissions spread over time with random gaps and
+   costs, so workers are idle, busy or mid-wake when work arrives; every
+   request must run (the drain returns) and the state must match a
+   serial replay. *)
+let prop_no_lost_wakeup mode =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%s: no lost wake-up under spread admissions"
+         (Sched.Exec.mode_name mode))
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 80)
+           (triple op_gen (oneofl [ 0.; 0.; 1e-6; 2e-5; 1e-4 ])
+              (oneofl [ 0.; 1e-6; 3e-5 ]))))
+    (fun steps ->
+      let eng = Engine.create ~seed:13 ~cores_per_node:8 ~num_nodes:1 () in
+      let t = Hashtbl.create 16 and costs = Hashtbl.create 16 in
+      let execute req =
+        Engine.work (Option.value (Hashtbl.find_opt costs req) ~default:0.);
+        apply_serial t req;
+        "OK"
+      in
+      let exec =
+        Sched.Exec.create (Par.Backend.of_sim eng) ~node:0 ~mode ~workers:8
+          ~conflict:C.kv ~execute
+      in
+      let drained = ref false in
+      ignore
+        (Engine.spawn eng ~node:0 (fun () ->
+             List.iter
+               (fun (req, gap, cost) ->
+                 if gap > 0. then Engine.sleep gap;
+                 if cost > 0. then Hashtbl.replace costs req cost;
+                 Sched.Exec.admit exec req ignore)
+               steps;
+             Sched.Exec.drain exec;
+             drained := true));
+      Engine.run ~until:600. eng;
+      let serial = Hashtbl.create 16 in
+      List.iter (fun (req, _, _) -> apply_serial serial req) steps;
+      !drained && kv_digest t = kv_digest serial)
+
 (* --- the full stack --- *)
 
 let make_cluster ~mode =
@@ -662,6 +733,10 @@ let runner_one_seed stack () =
 
 let suite =
   [
+    Alcotest.test_case "exec: wake only the workers a task needs" `Quick
+      wake_counts;
+    QCheck_alcotest.to_alcotest (prop_no_lost_wakeup Sched.Exec.Cbase);
+    QCheck_alcotest.to_alcotest (prop_no_lost_wakeup Sched.Exec.Early);
     Alcotest.test_case "conflict: kv + counter oracles" `Quick oracle_kv;
     Alcotest.test_case "conflict: session envelopes + decode-error counter"
       `Quick oracle_envelope;

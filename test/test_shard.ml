@@ -488,9 +488,72 @@ let prop_spec_roundtrip =
         && Map_.ring_size m' = Map_.ring_size m
         && keys 500 |> List.for_all (fun k -> Map_.group_of m' k = Map_.group_of m k))
 
+(* Specs arrive on every shard reply, so [decode_spec] (through
+   [Partition.classify]) must turn truncated and hostile ones into
+   [None], never an exception and never a ring past [max_ring] points:
+   "e0v1000000000g0" would otherwise build a 10^9-point ring. *)
+let hostile_spec =
+  let open QCheck.Gen in
+  let real =
+    map2
+      (fun n vnodes ->
+        Map_.encode_spec
+          (Map_.create ~vnodes ~groups:(List.init n (fun i -> 3 * i)) ()))
+      (int_range 1 8) (int_range 1 128)
+  in
+  let truncated =
+    real >>= fun s -> map (fun k -> String.sub s 0 k) (int_bound (String.length s))
+  in
+  let num =
+    oneof
+      [ map string_of_int small_nat;
+        map string_of_int (int_range (-1000) 1000);
+        oneofl [ "65536"; "65537"; "1000000"; "1000000000"; "4611686018427387903";
+                 "99999999999999999999"; "-0"; "0x10"; "" ] ]
+  in
+  let crafted =
+    map3
+      (fun e v gs -> Printf.sprintf "e%sv%sg%s" e v (String.concat "," gs))
+      num num (list_size (int_range 0 40) num)
+  in
+  let many_groups =
+    map2
+      (fun v n ->
+        Printf.sprintf "e1v%dg%s" v
+          (String.concat "," (List.init n string_of_int)))
+      (int_range 1 2048) (int_range 1 5000)
+  in
+  let noise = string_size ~gen:(oneofl [ 'e'; 'v'; 'g'; ','; '-'; '1'; '9'; ' ' ]) (int_bound 30) in
+  oneof [ real; truncated; crafted; many_groups; noise ]
+
+let prop_hostile_spec =
+  QCheck.Test.make ~name:"hostile shard specs decode to None or a bounded ring"
+    ~count:500 (QCheck.make ~print:(fun s -> s) hostile_spec)
+    (fun spec ->
+      let bounded = function
+        | None -> true
+        | Some m -> Map_.ring_size m <= Map_.max_ring
+      in
+      bounded (Map_.decode_spec spec)
+      &&
+      match Shard.Partition.classify (Shard.Partition.wrong_shard ^ " " ^ spec) with
+      | `Wrong_shard m -> bounded m
+      | `Migrating _ | `App -> false)
+
+let test_huge_spec_rejected () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) spec true (Map_.decode_spec spec = None))
+    [ "e0v1000000000g0"; "e0v65537g0"; "e0v32769g0,1"; "e0v1g" ^ String.concat "," (List.init 65537 string_of_int) ];
+  Alcotest.(check bool) "a ring of max_ring points decodes" true
+    (Map_.decode_spec (Printf.sprintf "e0v%dg0" Map_.max_ring) <> None)
+
 let suite =
   [
     Alcotest.test_case "shard_map basics" `Quick test_map_basics;
+    Alcotest.test_case "hostile shard specs are rejected" `Quick
+      test_huge_spec_rejected;
+    QCheck_alcotest.to_alcotest prop_hostile_spec;
     Alcotest.test_case "shard_map membership" `Quick test_map_membership;
     QCheck_alcotest.to_alcotest prop_balanced;
     QCheck_alcotest.to_alcotest prop_minimal_remap_add;

@@ -578,7 +578,7 @@ let golden_digest ?slice () =
             Obs.Export.chrome_trace (Obs.spans obs);
           ]))
 
-let golden = "216fa0d8b94570d9a42ed9bc70363fbf"
+let golden = "826e9789af0feb40a0509e3983825006"
 
 let golden_substrate_run () =
   Alcotest.(check string) "digest" golden (golden_digest ())
@@ -680,6 +680,54 @@ let prop_pqueue_model_churn =
         (frequency [ (2, map Option.some pqueue_priority); (1, always None) ]))
     pqueue_matches_model
 
+(* [remove] interleaved with adds and pops: [`Add p] adds by handle,
+   [`Pop] pops, [`Remove k] removes the k-th entry ever added (mod the
+   count), which may already be gone: a stale handle, possibly to a slot
+   a newer entry now holds, must remove nothing.  Survivors pop in
+   (priority, seq) order. *)
+let pqueue_remove_matches_model ops =
+  let q = Pqueue.create () in
+  let model = ref [] and handles = ref [||] and seq = ref 0 in
+  let pop () =
+    match !model with
+    | [] -> Pqueue.is_empty q
+    | (p, s) :: rest ->
+      model := rest;
+      (not (Pqueue.is_empty q))
+      && Pqueue.min_priority q = p
+      && Pqueue.pop_value q = s
+  in
+  List.for_all
+    (function
+      | `Add p ->
+        let h = Pqueue.add_handle q ~priority:p !seq in
+        handles := Array.append !handles [| h |];
+        model := List.merge compare !model [ (p, !seq) ];
+        incr seq;
+        Pqueue.length q = List.length !model
+      | `Pop -> pop ()
+      | `Remove k ->
+        let n = Array.length !handles in
+        if n > 0 then begin
+          let k = k mod n in
+          Pqueue.remove q !handles.(k);
+          model := List.filter (fun (_, s) -> s <> k) !model
+        end;
+        Pqueue.length q = List.length !model)
+    ops
+  && List.for_all (fun _ -> pop ()) !model
+  && Pqueue.is_empty q
+
+let prop_pqueue_remove =
+  QCheck.Test.make ~name:"pqueue remove by handle matches model" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 0 600)
+        (frequency
+           [ (3, map (fun p -> `Add p) pqueue_priority);
+             (1, always `Pop);
+             (2, map (fun k -> `Remove k) small_nat) ]))
+    pqueue_remove_matches_model
+
 (* A popped value must not stay reachable from the queue, including the
    last one, whose slot nothing else overwrites. *)
 let pqueue_releases_popped () =
@@ -744,6 +792,7 @@ let suite =
     Alcotest.test_case "pqueue order" `Quick pqueue_order;
     QCheck_alcotest.to_alcotest prop_pqueue_model;
     QCheck_alcotest.to_alcotest prop_pqueue_model_churn;
+    QCheck_alcotest.to_alcotest prop_pqueue_remove;
     Alcotest.test_case "pqueue releases popped values" `Quick pqueue_releases_popped;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_bounds;
