@@ -365,7 +365,11 @@ and check_quorum t instance =
       t.recovery_queue <-
         List.filter (fun (i, _) -> i <> fi.fi_instance) t.recovery_queue;
       deliver t;
-      drive_next_proposal t
+      (* [deliver] runs the owner's callbacks.  Should one park, this
+         replica may have been deposed, or have campaigned again, by the
+         time it returns: only the campaign that opened this instance
+         may go on to lead. *)
+      if Ballot.compare t.ballot fi.fi_ballot = 0 then drive_next_proposal t
     end
     else deliver t
   | Some _ | None -> ()

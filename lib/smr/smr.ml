@@ -37,7 +37,7 @@ let serial (env : L.env) =
       gate_read = ignore;
       applied = (fun () -> !applied);
       form_batch = L.take batch_max;
-      tick = env.cfg.R.Config.propose_interval;
+      batcher = L.Event_driven;
     } )
 
 let create net rpc cfg ~node ~paxos_store factory =
