@@ -3,7 +3,6 @@
    2. partial-order vs total-order recording for readers-writer locks
       (replay parallelism — paper Fig. 4's motivation);
    3. flow-control window;
-   4. proposal pacing (the single-active-instance design);
    5. pipelining; 6. acceptor fsync cost;
    7. trace compaction: resident trace size stays bounded under a
       checkpointing workload (exits non-zero if it does not, so CI can
@@ -91,7 +90,7 @@ let run_pipeline ~quick () =
         (fun depth ->
           let cfg =
             R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
-              ~propose_interval:2e-4
+             
               ~pipeline_depth:depth ()
           in
           let r =
@@ -121,7 +120,7 @@ let run_sync_latency ~quick () =
         (fun depth ->
           let cfg =
             R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
-              ~propose_interval:2e-4
+             
               ~pipeline_depth:depth ~paxos_sync_latency:sync ()
           in
           let r =
@@ -136,25 +135,6 @@ let run_sync_latency ~quick () =
         [ 1; 4 ])
     [ 0.; 100e-6; 1e-3 ]
 
-let run_pacing ~quick () =
-  let warmup = scale quick 1000 and measure = scale quick 4000 in
-  Printf.printf "\n== Ablation 4: proposal pacing (lock server) ==\n";
-  Printf.printf "propose_interval(us)\tRex/s\n%!";
-  List.iter
-    (fun interval ->
-      let cfg =
-        R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
-          ~propose_interval:interval ()
-      in
-      let r =
-        rex_with cfg
-          (Apps.Lock_server.factory ())
-          (Workload.Mix.lock_server ~n_files:100_000)
-          ~warmup ~measure
-      in
-      Printf.printf "%.0f\t%.0f\n%!" (interval *. 1e6) r.Harness.throughput)
-    [ 1e-4; 5e-4; 1e-3; 5e-3 ]
-
 (* Ablation 7: trace compaction under periodic checkpointing.  Runs a
    lock-server cluster long enough for many checkpoints, sampling each
    node's resident trace every interval.  Without in-place compaction
@@ -165,7 +145,7 @@ let run_pacing ~quick () =
 let run_compaction ~quick () =
   Printf.printf "\n== Ablation 7: trace compaction (lock server, periodic checkpoints) ==\n";
   let cfg =
-    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:8 ~propose_interval:2e-4
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:8
       ~checkpoint_interval:(Some (if quick then 0.02 else 0.05))
       ()
   in
@@ -215,7 +195,6 @@ let sections ~quick =
     ("reduction", run_reduction ~quick);
     ("partial-order", run_partial_order ~quick);
     ("flow", run_flow ~quick);
-    ("pacing", run_pacing ~quick);
     ("pipeline", run_pipeline ~quick);
     ("fsync", run_sync_latency ~quick);
     ("compaction", run_compaction ~quick);

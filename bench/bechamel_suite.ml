@@ -143,7 +143,7 @@ let tests_apply_window =
 let test_steady_state =
   let t = build_trace 1_000 in
   let cursor = Trace.Delta.cursor t ~base:(Trace.end_cut t) in
-  Test.make ~name:(Printf.sprintf "steady state: append %d + extract_next + compact" window)
+  Test.make ~name:(Printf.sprintf "steady state: append %d + write_next + compact" window)
     (Staged.stage (fun () ->
          let start = Trace.Cut.to_array (Trace.end_cut t) in
          for i = 1 to window / 4 do
@@ -154,10 +154,10 @@ let test_steady_state =
              ~src:{ slot = 0; clock = start.(0) + i }
              ~dst:{ slot = 1; clock = start.(1) + i }
          done;
-         let d = Trace.Delta.extract_next t cursor in
-         let b = Codec.counting_sink () in
-         Trace.Delta.write b d;
-         Trace.compact t ~upto:d.Trace.Delta.base))
+         let base = Trace.Delta.cursor_base cursor in
+         Trace.Delta.write_next (Codec.counting_sink ()) ~upto:(Trace.end_cut t)
+           t cursor;
+         Trace.compact t ~upto:base))
 
 (* --- Open-loop load engine series (EXPERIMENTS.md §14) --- *)
 

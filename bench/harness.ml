@@ -199,7 +199,7 @@ let run_native ?(seed = 42) ~cores ~threads ~factory ~gen ~warmup ~measure () =
 
 let rex_config ?checkpoint_interval ?reduce_edges ?partial_order ?flow_window
     ~threads () =
-  R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads ~propose_interval:2e-4
+  R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:threads
     ?checkpoint_interval ?reduce_edges ?partial_order ?flow_window ()
 
 let run_rex ?(seed = 42) ?(cores = 16) ?net_latency ?(min_window = 0.)
@@ -401,7 +401,7 @@ let closed_loop eng ~node ~rng ~submit ~gen ?(on_reply = ignore) ?step
 
 let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
+  let cfg = R.Config.make ~replicas () in
   let cluster =
     R.Cluster.create_log ~seed ~cores_per_node:cores ~replicas
       (fun net rpc ~node ~paxos_store ->

@@ -15,7 +15,7 @@ let threads = 16
    virtual-time window rather than a request count. *)
 let run_record_only ~factory ~gen ~warmup:_ ~measure:_ =
   let cfg =
-    R.Config.make ~workers:threads ~propose_interval:2e-4
+    R.Config.make ~workers:threads
       ~flow_window:max_int ~replicas:[ 0; 1; 2 ] ()
   in
   let cluster = R.Cluster.create ~seed:42 ~cores_per_node:16 cfg factory in

@@ -92,7 +92,7 @@ let point eng ~node ~nodes ~client ~seed ~ratio ~fast ~clients ~ops =
 
 let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   let cfg =
-    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:4 ~propose_interval:2e-4 ()
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:4 ()
   in
   let c = R.Cluster.launch ~seed cfg (Apps.Kyoto.factory ()) in
   point (R.Cluster.engine c) ~node:(R.Cluster.client_node c)
@@ -102,7 +102,7 @@ let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
 
 let smr_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
+  let cfg = R.Config.make ~replicas () in
   let c =
     R.Cluster.create_log ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))

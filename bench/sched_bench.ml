@@ -38,12 +38,6 @@ let gen rng ~conflict_rate i =
 
 (* --- sim: replicated closed-loop throughput ----------------------- *)
 
-(* The propose interval is dropped well below the 1 ms default so the
-   sweep measures the execution stage, not the batcher's pacing: at
-   1 ms a 64-request batch caps every stack at the same agreement rate
-   and the worker axis goes flat. *)
-let propose_interval = 1e-4
-
 type rrun = {
   eng : Engine.t;
   submit : string -> (string option -> unit) -> unit;
@@ -53,7 +47,7 @@ type rrun = {
 
 let make_sched ~seed ~mode ~workers () =
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers ~propose_interval ~replicas () in
+  let cfg = R.Config.make ~workers ~replicas () in
   let cluster =
     R.Cluster.create_log ~seed ~cores_per_node:16 ~replicas
       (fun net rpc ~node ~paxos_store ->
@@ -79,7 +73,7 @@ let make_sched ~seed ~mode ~workers () =
 
 let make_rex ~seed ~workers () =
   let ccfg =
-    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers ~propose_interval ()
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers ()
   in
   let cluster =
     R.Cluster.create ~seed ~cores_per_node:16 ccfg (Apps.Kyoto.factory ())
@@ -148,9 +142,8 @@ let sim_sweep ~quick ~workers_list ~rates () =
   Printf.printf
     "\n== sched (sim): conflict rate x workers x stack, kv closed-loop ==\n";
   Printf.printf
-    "(3 replicas, kyoto, %d+%d reqs, %d outstanding, propose %gus; \
-     req/virtual-second)\n"
-    warmup measure Harness.outstanding (propose_interval *. 1e6);
+    "(3 replicas, kyoto, %d+%d reqs, %d outstanding; req/virtual-second)\n"
+    warmup measure Harness.outstanding;
   Printf.printf "conflict\tworkers\tcbase\tearly\trex\tcbase_extras\n%!";
   let gate = ref [] in
   List.iter

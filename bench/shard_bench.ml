@@ -35,14 +35,14 @@ let factory_of = function
          (String.concat ", " app_names))
 
 let config ~group:_ ~replicas =
-  R.Config.make ~workers:8 ~propose_interval:2e-4 ~replicas ()
+  R.Config.make ~workers:8 ~replicas ()
 
 (* The failover fleet checkpoints periodically so a restarted replica
    rejoins off a recent checkpoint instead of replaying the whole log
    (which would hold the shard in its flow-control stall for the rest
    of the timeline). *)
 let failover_config ~group:_ ~replicas =
-  R.Config.make ~workers:8 ~propose_interval:2e-4
+  R.Config.make ~workers:8
     ~checkpoint_interval:(Some 0.4) ~replicas ()
 
 let make_fleet ?(config = config) ~app ~shards ~seed () =

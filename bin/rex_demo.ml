@@ -225,7 +225,7 @@ let run_single ~factory ~gen ~n ~threads ~seed ~kill_primary ~checkpoints
 let run_sharded ~shards ~factory ~gen ~n ~threads ~seed ~kill_primary
     ~checkpoints ~metrics_out ~trace_out =
   let config ~group:_ ~replicas =
-    R.Config.make ~workers:threads ~propose_interval:2e-4
+    R.Config.make ~workers:threads
       ~checkpoint_interval:(if checkpoints then Some 0.25 else None)
       ~replicas ()
   in

@@ -107,17 +107,17 @@ let read_bool s =
   | 1 -> true
   | n -> decode_error "read_bool: invalid byte %d" n
 
-let read_uvarint s =
-  (* OCaml ints carry 62 value bits: 8 full 7-bit groups plus a final
-     6-bit group.  Reject anything that would spill into the sign bit. *)
-  let rec loop shift acc =
-    if shift > 56 then decode_error "read_uvarint: overflow";
-    let c = read_byte s in
-    if shift = 56 && c > 0x3f then decode_error "read_uvarint: overflow";
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+(* OCaml ints carry 62 value bits: 8 full 7-bit groups plus a final
+   6-bit group.  Reject anything that would spill into the sign bit.  A
+   top-level loop, so a read allocates no closure. *)
+let rec read_uvarint_from s shift acc =
+  if shift > 56 then decode_error "read_uvarint: overflow";
+  let c = read_byte s in
+  if shift = 56 && c > 0x3f then decode_error "read_uvarint: overflow";
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else read_uvarint_from s (shift + 7) acc
+
+let read_uvarint s = read_uvarint_from s 0 0
 
 let read_varint s =
   let n = read_uvarint s in

@@ -36,8 +36,7 @@ type config = {
   base : Rex_core.Config.t;
       (** replicas, [workers] (executor threads per replica), election,
           lease and admission settings (the admission queue-depth probe
-          is the mixer's pending queue); [propose_interval] is unused:
-          the mixer runs every 0.2 ms *)
+          is the mixer's pending queue); the mixer runs every 0.2 ms *)
   miss_rate : float;  (** P(mixer misses a true conflict) *)
 }
 

@@ -13,7 +13,7 @@ type t =
       prior : (int * string) list;
     }
   | Accepted of { ballot : Ballot.t; instance : int }
-  | Commit of { instance : int; value : string }
+  | Commit of { instance : int; ballot : Ballot.t }
   | Heartbeat of { ballot : Ballot.t; committed_upto : int; hb_seq : int }
   | Learn of { from_instance : int }
   | Learn_reply of { entries : (int * string) list }
@@ -55,10 +55,10 @@ let write b = function
     Codec.write_byte b 4;
     Ballot.write b ballot;
     Codec.write_uvarint b instance
-  | Commit { instance; value } ->
+  | Commit { instance; ballot } ->
     Codec.write_byte b 5;
     Codec.write_uvarint b instance;
-    Codec.write_string b value
+    Ballot.write b ballot
   | Heartbeat { ballot; committed_upto; hb_seq } ->
     Codec.write_byte b 6;
     Ballot.write b ballot;
@@ -118,8 +118,8 @@ let read s =
     Accepted { ballot; instance }
   | 5 ->
     let instance = Codec.read_uvarint s in
-    let value = Codec.read_string s in
-    Commit { instance; value }
+    let ballot = Ballot.read s in
+    Commit { instance; ballot }
   | 6 ->
     let ballot = Ballot.read s in
     let committed_upto = Codec.read_uvarint s in
@@ -146,7 +146,21 @@ let read s =
       }
   | n -> raise (Codec.Decode_error (Printf.sprintf "bad paxos msg tag %d" n))
 
-let encode m = Codec.encode (Fun.flip write) m
+(* A sink that rarely grows: values dominate a message's size. *)
+let size_hint = function
+  | Accept { value; prior; _ } ->
+    List.fold_left (fun n (_, v) -> n + 12 + String.length v) (32 + String.length value) prior
+  | Learn_reply { entries } ->
+    List.fold_left (fun n (_, v) -> n + 12 + String.length v) 16 entries
+  | Promise { accepted; _ } ->
+    List.fold_left (fun n (_, _, v) -> n + 24 + String.length v) 32 accepted
+  | Prepare _ | Nack _ | Accepted _ | Commit _ | Heartbeat _ | Learn _
+  | Lease_grant _ | Pre_vote _ | Pre_vote_reply _ -> 32
+
+let encode m =
+  let b = Codec.sink ~initial_capacity:(size_hint m) () in
+  write b m;
+  Codec.contents b
 let decode s = Codec.decode read s
 
 let pp ppf = function

@@ -19,7 +19,10 @@ type t =
               them first, preserving the no-holes invariant *)
     }  (** 2a *)
   | Accepted of { ballot : Ballot.t; instance : int }  (** 2b *)
-  | Commit of { instance : int; value : string }
+  | Commit of { instance : int; ballot : Ballot.t }
+      (** the value accepted at [ballot] is chosen: a follower that
+          accepted it commits its own copy; one that did not learns it by
+          catch-up ({!Learn}, prompted by the next {!Heartbeat}) *)
   | Heartbeat of { ballot : Ballot.t; committed_upto : int; hb_seq : int }
       (** [hb_seq] is a leader-local heartbeat sequence number, echoed in
           {!Lease_grant} so the leader can date a grant from the

@@ -360,7 +360,7 @@ and check_quorum t instance =
       Obs.Span.complete sp ~cat:"paxos" ~pid:t.cfg.me ~name:"commit"
         ~ts:fi.fi_started ~dur:lat ();
     Store.commit t.st fi.fi_instance fi.fi_value;
-    broadcast t (Msg.Commit { instance = fi.fi_instance; value = fi.fi_value });
+    broadcast t (Msg.Commit { instance = fi.fi_instance; ballot = fi.fi_ballot });
     if fi.fi_recovery then begin
       t.recovery_queue <-
         List.filter (fun (i, _) -> i <> fi.fi_instance) t.recovery_queue;
@@ -557,9 +557,15 @@ let handle t ~src msg =
         Obs.Metric.incr t.c_acks;
         check_quorum t instance
       | Some _ | None -> ())
-    | Msg.Commit { instance; value } ->
-      Store.commit t.st instance value;
-      deliver t
+    | Msg.Commit { instance; ballot } -> (
+      (* Ballots name their proposer and a leader proposes one value per
+         instance, so the value we accepted at this ballot is the chosen
+         one.  Without it, the heartbeat's catch-up brings it. *)
+      match Store.accepted t.st instance with
+      | Some (b, value) when Ballot.compare b ballot = 0 ->
+        Store.commit t.st instance value;
+        deliver t
+      | Some _ | None -> ())
     | Msg.Heartbeat { ballot; committed_upto; hb_seq } ->
       if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
         Store.set_promised t.st ballot;
@@ -779,6 +785,26 @@ let propose_reconfig t new_peers =
     start_accept t ~instance ~value:(encode_cfg new_peers) ~recovery:false;
     true
   end
+
+(* A loaded leader always has an instance open, and Paxos takes a config
+   entry only while none is: the caller holds its proposer, and this
+   fiber proposes the entry once the open instances have committed, then
+   waits for its delivery, polling both every [reconfig_poll]. *)
+let reconfig_poll = 1e-3
+
+let reconfig_when_idle t new_peers ~live ~release =
+  let wait_while cond =
+    while live () && cond () do
+      Engine.sleep reconfig_poll
+    done
+  in
+  ignore
+    (Engine.spawn (Net.engine t.net) ~node:t.cfg.me ~name:"paxos.reconfig"
+       (fun () ->
+         wait_while (fun () -> in_flight t);
+         if live () && propose_reconfig t new_peers then
+           wait_while (fun () -> reconfig_pending t);
+         if live () then release ()))
 
 let committed_value t i =
   match Store.committed t.st i with

@@ -84,6 +84,15 @@ val propose_reconfig : t -> int list -> bool
     never see config entries ({!committed_value} yields [None] for
     them). *)
 
+val reconfig_when_idle :
+  t -> int list -> live:(unit -> bool) -> release:(unit -> unit) -> unit
+(** {!propose_reconfig} from a fiber of its own, once no instance is
+    open; then, once the entry is delivered (or was refused), [release ()].
+    The fiber polls every millisecond and stops, without releasing, as
+    soon as [live ()] is false.  A leader that proposes on events always
+    has an instance open, so it holds its proposer from the call until
+    [release] (or until it is deposed). *)
+
 val reconfig_pending : t -> bool
 (** A config entry proposed here has not been delivered yet. *)
 

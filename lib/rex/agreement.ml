@@ -17,7 +17,7 @@ type t = {
   lease_valid : unit -> bool;
   read_index : unit -> int;
   peers : unit -> int list;
-  reconfig : int list -> bool;
+  reconfig : int list -> live:(unit -> bool) -> release:(unit -> unit) -> bool;
 }
 
 let of_paxos rep =
@@ -36,5 +36,11 @@ let of_paxos rep =
     lease_valid = (fun () -> Paxos.Replica.holds_lease rep);
     read_index = (fun () -> Paxos.Replica.read_index rep);
     peers = (fun () -> Paxos.Replica.peers rep);
-    reconfig = (fun peers -> Paxos.Replica.propose_reconfig rep peers);
+    reconfig =
+      (fun peers ~live ~release ->
+        (not (Paxos.Replica.reconfig_pending rep))
+        && begin
+             Paxos.Replica.reconfig_when_idle rep peers ~live ~release;
+             true
+           end);
   }

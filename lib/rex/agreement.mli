@@ -41,9 +41,12 @@ type t = {
       (** current replica-group membership — dynamic once
           reconfiguration entries commit (see
           [Paxos.Replica.propose_reconfig]) *)
-  reconfig : int list -> bool;
-      (** propose a single-replica membership change through the log;
-          protocols without reconfiguration return [false] *)
+  reconfig : int list -> live:(unit -> bool) -> release:(unit -> unit) -> bool;
+      (** propose a single-replica membership change through the log,
+          once no value is open ({!Paxos.Replica.reconfig_when_idle}):
+          the caller holds its proposer until [release] runs, or until
+          [live] turns false; protocols without reconfiguration return
+          [false] *)
 }
 
 val of_paxos : Paxos.Replica.t -> t

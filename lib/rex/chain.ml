@@ -411,5 +411,5 @@ let make ?(window = 8) ?(heartbeat_period = 10e-3) net ~node ~vm_node ~store
     (* Membership is the VM's view; log-driven reconfiguration is a
        Paxos-only feature (the VM already handles joins/failures). *)
     peers = (fun () -> if m.chain = [] then [ m.node ] else m.chain);
-    reconfig = (fun _ -> false);
+    reconfig = (fun _ ~live:_ ~release:_ -> false);
   }

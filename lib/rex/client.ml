@@ -35,13 +35,18 @@ let decode_reply s =
 
 (* See client.mli: a late timeout never undoes a newer redirect. *)
 module Guess = struct
-  type t = { mutable nodes : int array; mutable idx : int; mutable version : int }
+  type t = {
+    mutable nodes : int array;
+    mutable idx : int;
+    mutable version : int;
+    mutable suspect : int;  (* timed out and not heard from since, or -1 *)
+  }
 
   let of_list = function
     | [] -> invalid_arg "Client.Guess: no replicas"
     | nodes -> Array.of_list nodes
 
-  let create nodes = { nodes = of_list nodes; idx = 0; version = 0 }
+  let create nodes = { nodes = of_list nodes; idx = 0; version = 0; suspect = -1 }
   let leader g = g.nodes.(g.idx)
   let version g = g.version
 
@@ -58,6 +63,15 @@ module Guess = struct
 
   let rotate g ~version =
     if version = g.version then move g ((g.idx + 1) mod Array.length g.nodes)
+
+  let timed_out g node = g.suspect <- node
+  let answered g node = if g.suspect = node then g.suspect <- -1
+
+  (* The believed leader, or the node after it if that is the suspect. *)
+  let target g =
+    let n = Array.length g.nodes in
+    if n > 1 && g.nodes.(g.idx) = g.suspect then g.nodes.((g.idx + 1) mod n)
+    else leader g
 
   let set_nodes g nodes =
     let leader = leader g in
@@ -94,9 +108,14 @@ let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
     else begin
       count Hop;
       let version = Guess.version guess in
-      let next ~sleep pause =
+      (* The guess suspects the node an attempt last timed out on until it
+         answers: a call goes there only on a hint of its own, not
+         because a sibling call's rotation left the guess there. *)
+      let next ?(hinted = false) ~sleep pause =
         if sleep > 0. then Engine.sleep sleep;
-        go (Guess.leader guess) (tries - 1) pause
+        go
+          (if hinted then Guess.leader guess else Guess.target guess)
+          (tries - 1) pause
       in
       let grown = Float.min (2. *. pause) backoff.cap in
       let sent = Engine.now () in
@@ -105,10 +124,11 @@ let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
         | None -> timeout
         | Some rto -> Float.min timeout (Float.ldexp rto (max 0 (!timeouts - 1)))
       in
-      match
-        Option.map decode_reply
-          (Rpc.call rpc ~src:me ~dst ~port ~timeout:attempt payload)
-      with
+      let reply = Rpc.call rpc ~src:me ~dst ~port ~timeout:attempt payload in
+      (match reply with
+      | None -> Guess.timed_out guess dst
+      | Some _ -> Guess.answered guess dst);
+      match Option.map decode_reply reply with
       | Some (Ok_reply resp) ->
         (* Only a served call is a sample: a redirect or a shed is
            quicker than the wait a call must allow for. *)
@@ -124,11 +144,14 @@ let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
         else next ~sleep:0. pause
       | Some (Not_leader hint) ->
         count Redirect;
-        (match hint with
-        | Some h -> Guess.redirect guess h
-        | None -> Guess.rotate guess ~version);
         (* Give an election a moment before hammering the next guess. *)
-        next ~sleep:backoff.redirect pause
+        (match hint with
+        | Some h ->
+          Guess.redirect guess h;
+          next ~hinted:true ~sleep:backoff.redirect pause
+        | None ->
+          Guess.rotate guess ~version;
+          next ~sleep:backoff.redirect pause)
       | Some Busy ->
         (* Admission control shed us: the leader is fine, just
            overloaded.  Retry the same payload there after a pause — the
@@ -138,7 +161,7 @@ let send rpc ~me guess backoff ?on ?(count = ignore) ~retries ~timeout ~port
         next ~sleep:pause grown
     end
   in
-  go (Option.value on ~default:(Guess.leader guess)) retries backoff.first
+  go (Option.value on ~default:(Guess.target guess)) retries backoff.first
 
 (* 5 ms after a redirect or Busy, straight on to the next replica after
    a timeout: DESIGN.md's client-retry section has the measurements. *)

@@ -26,7 +26,12 @@ val read_port : Sim.Net.port
 (** The believed leader among a list of replicas.  A redirect, a
     rotation or new nodes bump its version.  A rotation names the
     version its attempt was sent under and is ignored once that is
-    stale, so a late timeout cannot undo a newer redirect. *)
+    stale, so a late timeout cannot undo a newer redirect.
+
+    The guess also suspects the node an attempt last timed out on, until
+    that node answers.  {!send} goes to the suspect only on a
+    [Not_leader] hint of the call's own; when a sibling call's rotation
+    or redirect left the guess there, it tries the node after it. *)
 module Guess : sig
   type t
 
@@ -72,7 +77,8 @@ val send :
   ?count:(event -> unit) -> retries:int -> timeout:float -> port:Sim.Net.port ->
   string -> call_outcome
 (** Up to [retries] attempts of the payload on [port]: the first to [on]
-    (default: the guess's leader), the rest to the guess's leader.  The
+    (default: the guess's leader), the rest to the guess's leader (see
+    {!Guess} for the suspect node).  The
     payload is resent verbatim, so an envelope keeps its identity.  Each
     attempt waits [srtt + 4 × rttvar] of the node's shared estimator for
     [port] ({!Sim.Rpc.rtt}, fed with the round trips of answered calls),

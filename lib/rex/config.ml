@@ -1,7 +1,6 @@
 type t = {
   replicas : int list;
   workers : int;
-  propose_interval : float;
   checkpoint_interval : float option;
   flow_window : int;
   flow_staleness : float;
@@ -33,7 +32,7 @@ let admission t ~queue_depth =
          ~max_per_client:t.admit_per_client ~queue_soft:t.admit_queue_soft
          ~queue_hard:t.admit_queue_hard ~queue_depth ())
 
-let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
+let make ?(workers = 8) ?(checkpoint_interval = None)
     ?(flow_window = 20_000) ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
     ?(reduce_edges = true) ?(partial_order = true)
     ?(check_versions = true) ?(record_cost = 5e-8)
@@ -49,7 +48,6 @@ let make ?(workers = 8) ?(propose_interval = 1e-3) ?(checkpoint_interval = None)
   {
     replicas;
     workers;
-    propose_interval;
     checkpoint_interval;
     flow_window;
     flow_staleness;

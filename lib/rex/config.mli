@@ -3,8 +3,6 @@
 type t = {
   replicas : int list;  (** node ids of the replica group *)
   workers : int;  (** worker thread slots per replica *)
-  propose_interval : float;
-      (** how often the primary cuts a trace delta into a proposal *)
   checkpoint_interval : float option;  (** [None]: no periodic checkpoints *)
   flow_window : int;
       (** max trace events the primary may run ahead of the slowest
@@ -58,7 +56,6 @@ val admission :
 
 val make :
   ?workers:int ->
-  ?propose_interval:float ->
   ?checkpoint_interval:float option ->
   ?flow_window:int ->
   ?flow_staleness:float ->

@@ -313,6 +313,10 @@ module Flow = struct
     | None -> t.reports <- Array.append t.reports [| { src; count; at } |]);
     wake t
 
+  (* A report is fresh until [stale_at]: at that instant it stops gating,
+     so a fiber woken then finds [ok] changed. *)
+  let stale_at t r = r.at +. t.staleness
+
   (* The slowest fresh report bounds how far ahead the primary may run;
      with no fresh report it runs free. *)
   let ok t ~mine =
@@ -320,11 +324,23 @@ module Flow = struct
     let slow = ref max_int in
     for i = 0 to Array.length t.reports - 1 do
       let r = t.reports.(i) in
-      if now -. r.at <= t.staleness && r.count < !slow then slow := r.count
+      if now < stale_at t r && r.count < !slow then slow := r.count
     done;
     !slow = max_int || mine - !slow <= t.window
 
-  let park t = Engine.park (fun w -> t.waiters <- w :: t.waiters)
+  (* Besides a report ([note]), only a report going stale can turn [ok]
+     true: wake at the first such instant. *)
+  let park t =
+    let now = Engine.clock t.eng in
+    let next =
+      Array.fold_left
+        (fun d r -> if now < stale_at t r then Float.min d (stale_at t r) else d)
+        infinity t.reports
+    in
+    Engine.park (fun w ->
+        t.waiters <- w :: t.waiters;
+        if next < infinity then
+          Engine.schedule t.eng ~at:next (fun () -> Engine.wake w))
   let reset t = t.reports <- [||]
 end
 

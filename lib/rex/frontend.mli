@@ -158,7 +158,9 @@ module Flow : sig
   (** May the primary (at [mine] recorded events) admit more work? *)
 
   val park : t -> unit
-  (** Park the calling fiber until the next {!note}/{!wake}. *)
+  (** Park the calling fiber until the next {!note}/{!wake}, or until the
+      first of the fresh reports goes stale, whichever comes first: a
+      report older than [staleness] no longer gates {!ok}. *)
 
   val wake : t -> unit
   val reset : t -> unit

@@ -123,14 +123,10 @@ let submit t request cb =
     if event_driven t then propose_ready t
   end
 
-(* Paxos takes a config entry only while no instance is open, and under
-   load the event-driven batcher always has one open.  So a membership
-   change first holds the batcher ([reconfiguring]); a fiber proposes
-   the entry once our open instances have committed, and lets the
-   batcher go once the entry is delivered, polling both every
-   [reconfig_poll].  A deposed leader drops the change. *)
-let reconfig_poll = 1e-3
-
+(* Under load the event-driven batcher always has an instance open, so a
+   membership change holds it ([reconfiguring]) until the config entry is
+   delivered ([Paxos.Replica.reconfig_when_idle]).  A deposed leader
+   drops the change. *)
 let reconfig t members =
   match !(t.pax) with
   | Some p
@@ -138,22 +134,11 @@ let reconfig t members =
          && not (Paxos.Replica.reconfig_pending p) ->
     t.reconfiguring <- true;
     let epoch = t.leader_epoch in
-    let live () = t.leader && t.leader_epoch = epoch in
-    let wait_while cond =
-      while live () && cond () do
-        Engine.sleep reconfig_poll
-      done
-    in
-    ignore
-      (Engine.spawn t.env.eng ~node:t.env.node ~name:(t.stack ^ ".reconfig")
-         (fun () ->
-           wait_while (fun () -> Paxos.Replica.in_flight p);
-           if live () && Paxos.Replica.propose_reconfig p members then
-             wait_while (fun () -> Paxos.Replica.reconfig_pending p);
-           if live () then begin
-             t.reconfiguring <- false;
-             if event_driven t then propose_ready t
-           end));
+    Paxos.Replica.reconfig_when_idle p members
+      ~live:(fun () -> t.leader && t.leader_epoch = epoch)
+      ~release:(fun () ->
+        t.reconfiguring <- false;
+        if event_driven t then propose_ready t);
     true
   | Some _ | None -> false
 

@@ -63,6 +63,13 @@ type t = {
   session : Session.Table.t;
   (* consensus bookkeeping *)
   mutable proposed_cut : Trace.Cut.t;
+  (* extraction cursor, at [proposed_cut]: a proposal costs O(events and
+     edges since the last one) *)
+  mutable cursor : Trace.Delta.cursor option;
+  (* a request or timer callback completed beyond [proposed_cut] *)
+  mutable progress : bool;
+  mutable proposing : bool;  (* guards [propose_ready] against re-entry *)
+  mutable reconfiguring : bool;  (* a membership change holds the proposer *)
   (* the primary's proposals not yet seen committed, oldest first: the
      encoded value and its delta's upto *)
   inflight : (string * Trace.Cut.t) Queue.t;
@@ -132,8 +139,6 @@ let peers t =
   match t.agree with
   | Some a -> a.Agreement.peers ()
   | None -> t.cfg.Config.replicas
-
-let reconfig t new_peers = (agreement t).Agreement.reconfig new_peers
 
 let the_exec t =
   match t.exec with
@@ -259,6 +264,88 @@ let drop_client_state t =
 
 let flow_ok t exec = Frontend.Flow.ok t.flow ~mine:(Runtime.recorded_total exec.rt)
 
+let current t (exec : exec) = exec.gen = t.gen && t.diverged = None
+
+(* --- Proposer (primary) --- *)
+
+let propose t exec agree =
+  let tr = Runtime.trace exec.rt in
+  let upto = Trace.end_cut tr in
+  let cursor =
+    match t.cursor with
+    | Some c -> c
+    | None ->
+      let c = Trace.Delta.cursor tr ~base:t.proposed_cut in
+      t.cursor <- Some c;
+      c
+  in
+  let ckpt = t.ckpt_pending_proposal in
+  let encoded = Proposal.encode_next tr cursor ~upto ckpt in
+  let prev_cut = t.proposed_cut and progress = t.progress in
+  (* Registered before [propose] runs: a one-replica group commits inside
+     it. *)
+  Queue.push (encoded, upto) t.inflight;
+  t.proposed_cut <- upto;
+  t.progress <- false;
+  t.ckpt_pending_proposal <- None;
+  if agree.Agreement.propose encoded then begin
+    Obs.Metric.incr t.c_proposals;
+    Obs.Metric.add t.c_proposal_bytes (String.length encoded)
+  end
+  else begin
+    let keep =
+      Queue.fold (fun acc p -> if fst p == encoded then acc else p :: acc) []
+        t.inflight
+    in
+    Queue.clear t.inflight;
+    List.iter (fun p -> Queue.push p t.inflight) (List.rev keep);
+    (* the cursor moved past [prev_cut]: recreate it there next time *)
+    t.cursor <- None;
+    t.proposed_cut <- prev_cut;
+    t.progress <- progress;
+    t.ckpt_pending_proposal <- ckpt
+  end
+
+(* Propose the trace beyond [proposed_cut] once it holds reply-bearing
+   progress, a completed request or timer callback or a checkpoint cut,
+   and the agreement layer takes another value (DESIGN.md §19).  Called
+   after each of those, when one of our proposals commits, at promotion
+   and when a held membership change lets go; never on a clock. *)
+let propose_ready t =
+  match (t.exec, t.agree) with
+  | Some exec, Some agree when not t.proposing ->
+    t.proposing <- true;
+    if
+      current t exec && t.role_ = Primary && (not t.ckpt_flag)
+      && (not t.reconfiguring)
+      && (t.progress || t.ckpt_pending_proposal <> None)
+      && agree.Agreement.can_propose ()
+    then propose t exec agree;
+    t.proposing <- false
+  | _ -> ()
+
+let note_progress t =
+  t.progress <- true;
+  propose_ready t
+
+(* Paxos takes a config entry only while no instance is open, and a
+   loaded primary always has one open, so the change holds the proposer
+   until the entry is delivered ([Paxos.Replica.reconfig_when_idle]). *)
+let reconfig t new_peers =
+  t.role_ = Primary && (not t.reconfiguring)
+  &&
+  let g = t.gen in
+  t.reconfiguring <- true;
+  let ok =
+    (agreement t).Agreement.reconfig new_peers
+      ~live:(fun () -> t.role_ = Primary && t.gen = g)
+      ~release:(fun () ->
+        t.reconfiguring <- false;
+        propose_ready t)
+  in
+  if not ok then t.reconfiguring <- false;
+  ok
+
 (* --- Checkpoint: secondary barrier --- *)
 
 let ckpt_arrive t exec seq =
@@ -341,7 +428,8 @@ let ckpt_pause_if_needed t exec =
         Some (t.ckpt_seq, Trace.end_cut (Runtime.trace exec.rt));
       t.ckpt_flag <- false;
       t.ckpt_paused <- 0;
-      wake_ckpt_resume t
+      wake_ckpt_resume t;
+      propose_ready t
     end
     else
       while t.ckpt_flag do
@@ -360,8 +448,6 @@ let request_checkpoint t =
   end
 
 (* --- Worker slots --- *)
-
-let current t (exec : exec) = exec.gen = t.gen && t.diverged = None
 
 (* Blocking request intake with checkpoint-pause and flow-control gates. *)
 let rec pop_request t exec =
@@ -430,7 +516,8 @@ let record_iteration t exec =
         ~name:"execute" ~ts:exec_start
         ~dur:(Engine.now () -. exec_start)
         ();
-    Frontend.Replies.add t.replies ~id:(Runtime.source_id src) ~t0 ~resp ~cb
+    Frontend.Replies.add t.replies ~id:(Runtime.source_id src) ~t0 ~resp ~cb;
+    note_progress t
 
 let replay_iteration t exec =
   match Runtime.await_next exec.rt with
@@ -460,12 +547,14 @@ let replay_iteration t exec =
         | `Record_now ->
           ignore
             (Runtime.record exec.rt ~kind:Event.Req_end ~resource:0
-               ~payload:(response_digest resp) []))
+               ~payload:(response_digest resp) []);
+          note_progress t)
       | Runtime.Record | Runtime.Native ->
         (* Promoted mid-request: finish it as the new primary. *)
         ignore
           (Runtime.record exec.rt ~kind:Event.Req_end ~resource:0
-             ~payload:(response_digest resp) []));
+             ~payload:(response_digest resp) []);
+        note_progress t);
       Obs.Metric.incr t.c_requests
     | Event.Ckpt_mark ->
       Runtime.complete exec.rt e;
@@ -520,7 +609,9 @@ let timer_record_iteration t exec (spec : Api.timer_spec) =
     ignore
       (Runtime.record exec.rt ~kind:Event.Timer_fire ~resource:0
          ~payload:spec.t_name []);
-    spec.t_callback ()
+    spec.t_callback ();
+    (* after the callback, so the proposal carries what it recorded *)
+    note_progress t
   end
 
 let timer_replay_iteration t exec (spec : Api.timer_spec) =
@@ -599,55 +690,6 @@ let spawn_flow_reporter t exec =
            end
          done))
 
-(* --- Proposer (primary) --- *)
-
-let spawn_proposer t exec =
-  ignore
-    (Engine.spawn t.eng ~node:t.node_id ~name:"rex.proposer" (fun () ->
-         (* Extraction cursor: the steady-state propose path costs
-            O(events and edges since the last proposal), independent of
-            how much trace has accumulated since the last checkpoint.
-            Recreated whenever its position disagrees with
-            [proposed_cut] — the first iteration, or after a failed
-            propose advanced the cursor without advancing the cut. *)
-         let cursor = ref None in
-         while current t exec && t.role_ = Primary do
-           Engine.sleep t.cfg.Config.propose_interval;
-           wake_flow t;
-           (* staleness re-check *)
-           if current t exec && t.role_ = Primary && not t.ckpt_flag then begin
-             let agree = agreement t in
-             if agree.Agreement.can_propose () then begin
-               let tr = Runtime.trace exec.rt in
-               let upto = Trace.end_cut tr in
-               let ckpt = t.ckpt_pending_proposal in
-               if (not (Trace.Cut.equal upto t.proposed_cut)) || ckpt <> None
-               then begin
-                 let cur =
-                   match !cursor with
-                   | Some c
-                     when Trace.Cut.equal (Trace.Delta.cursor_base c)
-                            t.proposed_cut -> c
-                   | Some _ | None ->
-                     let c = Trace.Delta.cursor tr ~base:t.proposed_cut in
-                     cursor := Some c;
-                     c
-                 in
-                 let delta = Trace.Delta.extract_next ~upto tr cur in
-                 let prop = { Proposal.delta; ckpt } in
-                 let encoded = Proposal.encode prop in
-                 if agree.Agreement.propose encoded then begin
-                   Queue.push (encoded, upto) t.inflight;
-                   t.proposed_cut <- upto;
-                   t.ckpt_pending_proposal <- None;
-                   Obs.Metric.incr t.c_proposals;
-                   Obs.Metric.add t.c_proposal_bytes (String.length encoded)
-                 end
-               end
-             end
-           end
-         done))
-
 (* --- Checkpoint policy timer (primary) --- *)
 
 let spawn_ckpt_policy t exec =
@@ -663,19 +705,22 @@ let spawn_ckpt_policy t exec =
 
 (* --- Building / rebuilding the execution context --- *)
 
+(* The delta goes into the trace as it is decoded, so an undecodable
+   value may leave part of it there: the replica stops as diverged. *)
 let apply_committed t exec instance value =
-  match Proposal.decode value with
+  match Proposal.apply (Runtime.trace exec.rt) value with
   | exception Codec.Decode_error msg ->
     Obs.Metric.incr t.c_decode_errors;
-    Logs.warn (fun m ->
-        m "rex[%d]: dropping undecodable committed value at instance %d: %s"
-          t.node_id instance msg)
-  | prop -> (
+    t.diverged <-
+      Some
+        (Fmt.str "rex[%d]: undecodable committed value at instance %d: %s"
+           t.node_id instance msg)
+  | result -> (
     t.committed_instance <- instance;
-    match Trace.Delta.apply_overlapping (Runtime.trace exec.rt) prop.delta with
-    | Ok () ->
-      t.committed_cut_ <- prop.Proposal.delta.upto;
-      (match prop.ckpt with
+    match result with
+    | Ok (upto, ckpt) ->
+      t.committed_cut_ <- upto;
+      (match ckpt with
       | Some (seq, cut) ->
         let have =
           match Checkpoint.Disk.latest t.disk with
@@ -804,11 +849,14 @@ let promote t =
              Runtime.feed_progress exec.rt;
              t.role_ <- Primary;
              t.proposed_cut <- Runtime.recorded_cut exec.rt;
+             t.cursor <- None;
+             t.progress <- false;
+             t.reconfiguring <- false;
              Queue.clear t.inflight;
              Frontend.Flow.reset t.flow;
-             spawn_proposer t exec;
              spawn_ckpt_policy t exec;
-             Logs.info (fun m -> m "rex[%d]: promoted to primary" t.node_id)
+             Logs.info (fun m -> m "rex[%d]: promoted to primary" t.node_id);
+             propose_ready t
            end
          | Some _ | None -> ()))
 
@@ -817,7 +865,8 @@ let primary_committed t exec instance upto =
   if Runtime.holds exec.rt upto then begin
     (* our own proposal: the trace already holds it *)
     t.committed_cut_ <- upto;
-    release_replies t
+    release_replies t;
+    propose_ready t
   end
   else
     (* a foreign commit while we believe we lead *)
@@ -836,14 +885,14 @@ let on_committed t instance value =
           primary_committed t exec instance upto
         | Some _ | None -> (
           Queue.clear t.inflight;
-          match Proposal.decode value with
+          match Proposal.upto value with
           | exception Codec.Decode_error msg ->
             Obs.Metric.incr t.c_decode_errors;
             Logs.warn (fun m ->
                 m "rex[%d]: dropping undecodable committed value at instance \
                    %d: %s"
                   t.node_id instance msg)
-          | prop -> primary_committed t exec instance prop.delta.upto)
+          | upto -> primary_committed t exec instance upto)
       end
       else apply_committed t exec instance value
 
@@ -938,6 +987,10 @@ let create ?make_agreement net rpc cfg ~node ~paxos_store ~disk factory =
       session =
         Session.Table.create obs ~stack:"rex" ~node ();
       proposed_cut = Trace.Cut.zero ~slots;
+      cursor = None;
+      progress = false;
+      proposing = false;
+      reconfiguring = false;
       inflight = Queue.create ();
       committed_cut_ = Trace.Cut.zero ~slots;
       committed_instance = 0;

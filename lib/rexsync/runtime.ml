@@ -35,7 +35,7 @@ type t = {
   versioned : (int, (unit -> int) * (int -> unit)) Hashtbl.t;
   mutable global_res_counter : int;
   slot_res_counter : int array;
-  mutable feed_waiters : Engine.waker list;
+  mutable feed_waiters : (int * Engine.waker) list;  (* parked replay slots *)
   mutable interrupted : bool;
   do_reduce_edges : bool;
   do_partial_order : bool;
@@ -303,17 +303,27 @@ let record t ~kind ~resource ?(version = 0) ?(payload = "") srcs =
 
 (* --- Replay path --- *)
 
+(* A parked replay slot can move on: its next event has arrived, or
+   replay is over. *)
+let can_move t slot =
+  t.interrupted || t.md <> Replay
+  || Trace.slot_end t.tr slot > Scoreboard.watermark t.sbd slot
+
+(* Wake only the slots a commit gave work: with a request or two per
+   commit, most slots have none. *)
 let feed_progress t =
   let ws =
     guarded t (fun () ->
         (* The trace just grew (a committed delta was applied); keep the
            residency gauges current on replicas that never record. *)
         refresh_gauges_locked t;
-        let ws = t.feed_waiters in
-        t.feed_waiters <- [];
-        ws)
+        let ready, parked =
+          List.partition (fun (slot, _) -> can_move t slot) t.feed_waiters
+        in
+        t.feed_waiters <- parked;
+        ready)
   in
-  List.iter Engine.wake ws
+  List.iter (fun (_, w) -> Engine.wake w) ws
 
 let interrupt_replay t =
   t.interrupted <- true;
@@ -342,7 +352,7 @@ let await_next t =
       Engine.park (fun w ->
           guarded t (fun () ->
               match probe () with
-              | `Park -> t.feed_waiters <- w :: t.feed_waiters
+              | `Park -> t.feed_waiters <- (slot, w) :: t.feed_waiters
               | `Interrupted | `Record_now | `Event _ -> Engine.wake w));
       loop ()
   in

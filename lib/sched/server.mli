@@ -25,8 +25,8 @@ val create :
   Rex_core.App.factory ->
   t
 (** [Config.workers] sizes the worker pool (min 1); [conflict] is the
-    app-level oracle ({!Exec} decodes the session envelopes).
-    [propose_interval] paces batching, as in the other stacks. *)
+    app-level oracle ({!Exec} decodes the session envelopes).  The
+    leader proposes on events, as SMR's does (DESIGN.md §18). *)
 
 val start : t -> unit
 val replay : t -> unit

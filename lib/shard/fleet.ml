@@ -22,7 +22,7 @@ type t = {
 }
 
 let default_config ~group:_ ~replicas =
-  R.Config.make ~workers:8 ~propose_interval:2e-4 ~replicas ()
+  R.Config.make ~workers:8 ~replicas ()
 
 (* Replicas in each group, the initial ones and every one added later. *)
 let replicas_per_group = 3

@@ -26,7 +26,8 @@ val create :
   Rex_core.App.factory ->
   t
 (** [Config.workers] is ignored: execution is sequential by design.
-    [propose_interval] paces batching. *)
+    The leader proposes on events, up to [Config.pipeline_depth]
+    instances open (DESIGN.md §18). *)
 
 val start : t -> unit
 val replay : t -> unit

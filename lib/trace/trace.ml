@@ -312,55 +312,39 @@ module Delta = struct
 
   let cursor_base c = Array.copy c.cur_base
 
-  let extract_next ?upto (tr : trace) (c : cursor) =
+  (* Check [upto] against the cursor and re-derive the edge indices if a
+     compaction shifted the vecs under it (at most once per checkpoint). *)
+  let check_next ~what ~upto (tr : trace) (c : cursor) =
     let slots = num_slots tr in
-    if Array.length c.cur_base <> slots then
-      invalid_arg "Delta.extract_next: arity";
+    if Array.length c.cur_base <> slots then invalid_arg (what ^ ": arity");
     let base = c.cur_base in
     if not (Cut.leq tr.base base) then
-      invalid_arg "Delta.extract_next: cursor base below trace horizon";
-    let upto = Option.value upto ~default:(end_cut tr) in
-    if not (Cut.leq base upto) || not (Cut.leq upto (end_cut tr)) then
-      invalid_arg "Delta.extract_next: cuts out of range";
+      invalid_arg (what ^ ": cursor base below trace horizon");
+    if not (Cut.leq base upto) || not (holds tr upto) then
+      invalid_arg (what ^ ": cuts out of range");
     if c.cur_gen <> tr.n_compactions then begin
-      (* A compaction shifted the vec indices under us (at most once per
-         checkpoint); re-derive edge positions from the absolute clocks. *)
       for s = 0 to slots - 1 do
         c.cur_edge_idx.(s) <- edge_lower_bound tr.slot_data.(s).edges base.(s)
       done;
       c.cur_gen <- tr.n_compactions
-    end;
-    let events = ref [] in
-    let edges = ref [] in
-    let stops = Array.make slots 0 in
-    for s = slots - 1 downto 0 do
-      let sd = tr.slot_data.(s) in
-      let lo = base.(s) - tr.base.(s)
-      and hi = Cut.watermark upto s - tr.base.(s) in
-      for i = hi - 1 downto lo do
-        events := Vec.get sd.events i :: !events
-      done;
-      (* Walk forward from the cached index: O(edges in this delta), no
-         search over the accumulated history. *)
-      let wm = Cut.watermark upto s in
-      let n = Vec.length sd.edges in
-      let j = ref c.cur_edge_idx.(s) in
-      while !j < n && (snd (Vec.get sd.edges !j)).Event.Id.clock <= wm do
-        incr j
-      done;
-      stops.(s) <- !j;
-      for i = !j - 1 downto c.cur_edge_idx.(s) do
-        edges := Vec.get sd.edges i :: !edges
-      done
-    done;
-    let d =
-      { base = Array.copy base; upto; events = !events; edges = !edges }
-    in
-    c.cur_base <- Cut.to_array upto;
-    Array.blit stops 0 c.cur_edge_idx 0 slots;
-    d
+    end
 
-  let is_empty d = d.events = [] && d.edges = []
+  (* The end of slot [s]'s edges up to [upto], walking forward from the
+     cursor's index: O(edges in this delta), no search over the
+     accumulated history. *)
+  let edge_stop (tr : trace) (c : cursor) ~upto s =
+    let edges = tr.slot_data.(s).edges in
+    let wm = Cut.watermark upto s in
+    let n = Vec.length edges in
+    let j = ref c.cur_edge_idx.(s) in
+    while !j < n && (snd (Vec.get edges !j)).Event.Id.clock <= wm do
+      incr j
+    done;
+    !j
+
+  let advance (c : cursor) ~upto stops =
+    c.cur_base <- Cut.to_array upto;
+    Array.blit stops 0 c.cur_edge_idx 0 (Array.length stops)
 
   (* Validate fully before mutating so a malformed delta leaves the trace
      untouched. *)
@@ -417,42 +401,29 @@ module Delta = struct
       List.iter (fun (src, dst) -> add_edge tr ~src ~dst) d.edges;
       Ok ()
 
-  (* Clock-aligned apply for recovery: a replica rebuilding its trace from
-     a checkpoint replays committed deltas whose ranges may partly overlap
-     what it already holds (or what the checkpoint subsumed).  Events at
-     or below the current end are skipped; gaps are an error. *)
-  let apply_overlapping (tr : trace) (d : t) =
-    if Cut.slots d.upto <> num_slots tr then Error "delta arity mismatch"
-    else begin
-      let before = end_cut tr in
-      let bad = ref None in
-      List.iter
-        (fun (e : Event.t) ->
-          if !bad = None then
-            let s = e.Event.id.slot in
-            if s < 0 || s >= num_slots tr then bad := Some "bad slot"
-            else if e.id.clock <= slot_end tr s then ()
-            else if e.id.clock = slot_end tr s + 1 then append tr e
-            else
-              bad :=
-                Some
-                  (Printf.sprintf "gap in slot %d: at %d, delta gives %d" s
-                     (slot_end tr s) e.id.clock))
-        d.events;
-      match !bad with
-      | Some msg -> Error msg
-      | None ->
-        List.iter
-          (fun ((src : Event.Id.t), (dst : Event.Id.t)) ->
-            (* Only edges whose destination was appended just now. *)
-            if
-              dst.clock > Cut.watermark before dst.slot
-              && contains tr dst && valid_src tr src
-              && src.slot <> dst.slot
-            then add_edge tr ~src ~dst)
-          d.edges;
-        Ok ()
-    end
+  (* Clock-aligned apply ([read_apply]): a replica rebuilding its trace
+     from a checkpoint replays committed deltas whose ranges may partly
+     overlap what it already holds (or what the checkpoint subsumed).
+     Events at or below the current end are skipped; gaps are an error. *)
+  exception Misaligned of string
+
+  let overlap_event (tr : trace) (e : Event.t) =
+    let s = e.Event.id.slot in
+    let last = slot_end tr s in
+    if e.id.clock = last + 1 then append tr e
+    else if e.id.clock > last then
+      raise
+        (Misaligned
+           (Printf.sprintf "gap in slot %d: at %d, delta gives %d" s last
+              e.id.clock))
+
+  (* Only edges whose destination was appended just now: [before] is the
+     trace's end before the delta. *)
+  let overlap_edge (tr : trace) before (src : Event.Id.t) (dst : Event.Id.t) =
+    if
+      dst.clock > before.(dst.slot)
+      && contains tr dst && valid_src tr src && src.slot <> dst.slot
+    then add_edge tr ~src ~dst
 
   (* Wire format v1 (magic 0xD7): slot-grouped with implied ids.
 
@@ -473,89 +444,158 @@ module Delta = struct
 
   let magic_v1 = 0xd7
 
+  let write_header b ~base ~upto =
+    Codec.write_byte b magic_v1;
+    Cut.write b base;
+    for s = 0 to Cut.slots base - 1 do
+      let n = Cut.watermark upto s - Cut.watermark base s in
+      if n < 0 then invalid_arg "Delta.write: upto below base";
+      Codec.write_uvarint b n
+    done
+
+  let write_edge b ~prev ((src : Event.Id.t), (dst : Event.Id.t)) =
+    let dd = dst.clock - prev in
+    if dd < 0 then invalid_arg "Delta.write: edge dst clocks decreasing";
+    Codec.write_uvarint b dd;
+    Codec.write_uvarint b src.slot;
+    Codec.write_varint b (dst.clock - src.clock);
+    dst.clock
+
+  (* Events and edges are written in list order, which must be
+     slot-ascending, as [extract] and [read] give them. *)
   let write b d =
     let slots = Cut.slots d.base in
     if Cut.slots d.upto <> slots then invalid_arg "Delta.write: cut arity";
-    Codec.write_byte b magic_v1;
-    Cut.write b d.base;
-    for s = 0 to slots - 1 do
-      let n = Cut.watermark d.upto s - Cut.watermark d.base s in
-      if n < 0 then invalid_arg "Delta.write: upto below base";
-      Codec.write_uvarint b n
-    done;
-    let next = Array.init slots (fun s -> Cut.watermark d.base s + 1) in
-    let ev_by_slot = Array.make slots [] in
+    write_header b ~base:d.base ~upto:d.upto;
+    let slot = ref 0 and next = ref (if slots = 0 then 0 else d.base.(0) + 1) in
+    let close_slot () =
+      if !next <> Cut.watermark d.upto !slot + 1 then
+        invalid_arg "Delta.write: events do not reach the upto cut";
+      incr slot;
+      if !slot < slots then next := Cut.watermark d.base !slot + 1
+    in
     List.iter
       (fun (e : Event.t) ->
         let s = e.id.slot in
-        if s < 0 || s >= slots then invalid_arg "Delta.write: bad event slot";
-        if e.id.clock <> next.(s) then
+        if s < !slot || s >= slots then invalid_arg "Delta.write: bad event slot";
+        while !slot < s do
+          close_slot ()
+        done;
+        if e.id.clock <> !next then
           invalid_arg "Delta.write: events not contiguous";
-        next.(s) <- next.(s) + 1;
-        ev_by_slot.(s) <- e :: ev_by_slot.(s))
+        incr next;
+        Event.write_body b e)
       d.events;
-    for s = 0 to slots - 1 do
-      if next.(s) <> Cut.watermark d.upto s + 1 then
-        invalid_arg "Delta.write: events do not reach the upto cut";
-      List.iter (Event.write_body b) (List.rev ev_by_slot.(s))
+    while !slot < slots do
+      close_slot ()
     done;
-    let ed_by_slot = Array.make slots [] in
-    let ed_count = Array.make slots 0 in
-    List.iter
-      (fun ((_, (dst : Event.Id.t)) as e) ->
-        let s = dst.slot in
-        if s < 0 || s >= slots then invalid_arg "Delta.write: bad edge slot";
-        ed_by_slot.(s) <- e :: ed_by_slot.(s);
-        ed_count.(s) <- ed_count.(s) + 1)
-      d.edges;
+    let counts = Array.make slots 0 in
+    ignore
+      (List.fold_left
+         (fun last (_, (dst : Event.Id.t)) ->
+           let s = dst.slot in
+           if s < last || s >= slots then invalid_arg "Delta.write: bad edge slot";
+           counts.(s) <- counts.(s) + 1;
+           s)
+         0 d.edges);
+    let rest = ref d.edges in
     for s = 0 to slots - 1 do
-      Codec.write_uvarint b ed_count.(s);
+      Codec.write_uvarint b counts.(s);
       let prev = ref (Cut.watermark d.base s) in
-      List.iter
-        (fun ((src : Event.Id.t), (dst : Event.Id.t)) ->
-          let dd = dst.clock - !prev in
-          if dd < 0 then invalid_arg "Delta.write: edge dst clocks decreasing";
-          Codec.write_uvarint b dd;
-          prev := dst.clock;
-          Codec.write_uvarint b src.slot;
-          Codec.write_varint b (dst.clock - src.clock))
-        (List.rev ed_by_slot.(s))
+      for _ = 1 to counts.(s) do
+        match !rest with
+        | e :: tl ->
+          prev := write_edge b ~prev:!prev e;
+          rest := tl
+        | [] -> assert false
+      done
     done
 
-  let read s =
+  let write_next b ~upto (tr : trace) (c : cursor) =
+    check_next ~what:"Delta.write_next" ~upto tr c;
+    let slots = num_slots tr in
+    let base = c.cur_base in
+    write_header b ~base ~upto;
+    for s = 0 to slots - 1 do
+      let events = tr.slot_data.(s).events in
+      for i = base.(s) - tr.base.(s) to Cut.watermark upto s - tr.base.(s) - 1 do
+        Event.write_body b (Vec.get events i)
+      done
+    done;
+    let stops = Array.make slots 0 in
+    for s = 0 to slots - 1 do
+      let edges = tr.slot_data.(s).edges in
+      let lo = c.cur_edge_idx.(s) and hi = edge_stop tr c ~upto s in
+      stops.(s) <- hi;
+      Codec.write_uvarint b (hi - lo);
+      let prev = ref base.(s) in
+      for i = lo to hi - 1 do
+        prev := write_edge b ~prev:!prev (Vec.get edges i)
+      done
+    done;
+    advance c ~upto stops
+
+  (* The one v1 decoder.  [event] and [edge] see each item as it is
+     decoded, slot-ascending; [base] sees the base cut first.  The cut
+     returned is the delta's upto, built in place of that base. *)
+  let decode s ~base ~event ~edge =
     let magic = Codec.read_byte s in
     if magic <> magic_v1 then
       raise (Codec.Decode_error (Printf.sprintf "Delta.read: bad magic 0x%02x" magic));
-    let base = Cut.read s in
-    let slots = Cut.slots base in
+    let cut = Cut.read s in
+    base cut;
+    let slots = Cut.slots cut in
     let counts = Array.make slots 0 in
     for sl = 0 to slots - 1 do
       counts.(sl) <- Codec.read_uvarint s
     done;
-    let upto = Array.mapi (fun sl b -> b + counts.(sl)) base in
-    let events = ref [] in
     for sl = 0 to slots - 1 do
-      let b = Cut.watermark base sl in
+      let b = cut.(sl) in
       for i = 1 to counts.(sl) do
-        events := Event.read_body s ~slot:sl ~clock:(b + i) :: !events
-      done
+        event (Event.read_body s ~slot:sl ~clock:(b + i))
+      done;
+      cut.(sl) <- b + counts.(sl)
     done;
-    let edges = ref [] in
     for sl = 0 to slots - 1 do
       let n = Codec.read_uvarint s in
-      let prev = ref (Cut.watermark base sl) in
+      let prev = ref (cut.(sl) - counts.(sl)) in
       for _ = 1 to n do
         let dd = Codec.read_uvarint s in
         prev := !prev + dd;
         let src_slot = Codec.read_uvarint s in
         let diff = Codec.read_varint s in
-        edges :=
-          ( { Event.Id.slot = src_slot; clock = !prev - diff },
-            { Event.Id.slot = sl; clock = !prev } )
-          :: !edges
+        edge
+          { Event.Id.slot = src_slot; clock = !prev - diff }
+          { Event.Id.slot = sl; clock = !prev }
       done
     done;
-    { base; upto; events = List.rev !events; edges = List.rev !edges }
+    cut
+
+  let read s =
+    let base = ref [||] and events = ref [] and edges = ref [] in
+    let upto =
+      decode s
+        ~base:(fun c -> base := Array.copy c)
+        ~event:(fun e -> events := e :: !events)
+        ~edge:(fun src dst -> edges := (src, dst) :: !edges)
+    in
+    { base = !base; upto; events = List.rev !events; edges = List.rev !edges }
+
+  let read_upto s = decode s ~base:ignore ~event:ignore ~edge:(fun _ _ -> ())
+
+  let read_apply s (tr : trace) =
+    let before = ref [||] in
+    match
+      decode s
+        ~base:(fun c ->
+          if Cut.slots c <> num_slots tr then
+            raise (Misaligned "delta arity mismatch");
+          before := end_cut tr)
+        ~event:(overlap_event tr)
+        ~edge:(fun src dst -> overlap_edge tr !before src dst)
+    with
+    | upto -> Ok upto
+    | exception Misaligned msg -> Error msg
 
   let wire_size d =
     let b = Codec.counting_sink () in

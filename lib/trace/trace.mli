@@ -163,35 +163,44 @@ module Delta : sig
       is below the trace's horizon or beyond its end. *)
 
   val cursor_base : cursor -> Cut.t
-  (** The cut the next {!extract_next} will use as its delta base. *)
-
-  val extract_next : ?upto:Cut.t -> trace -> cursor -> t
-  (** Like {!extract} with [base = cursor_base c], in O(events + edges of
-      the returned delta) — no per-call search over the accumulated
-      history.  Advances the cursor to [upto] (default: the trace end). *)
+  (** The cut the next {!write_next} will use as its delta base. *)
 
   val apply : trace -> t -> (unit, string) result
   (** Append the delta; fails (leaving the trace unchanged) unless
       [delta.base] equals the trace's current end. *)
 
-  val apply_overlapping : trace -> t -> (unit, string) result
-  (** Clock-aligned apply for checkpoint recovery: events at or below the
-      trace's current end are skipped, later ones appended; a gap is an
-      error (the trace may then be partly extended). *)
-
-  val is_empty : t -> bool
-
   val write : Codec.sink -> t -> unit
   (** Compact wire format (v1): events grouped by slot with ids implied by
       position, edge clocks delta-encoded.  Only well-formed deltas (as
-      {!extract} produces: per-slot contiguous events reaching [upto],
-      per-slot nondecreasing edge destinations) can be written; raises
-      [Invalid_argument] otherwise. *)
+      {!extract} and {!read} produce: events and edges slot-ascending,
+      per-slot contiguous events reaching [upto], per-slot nondecreasing
+      edge destinations) can be written; raises [Invalid_argument]
+      otherwise. *)
+
+  val write_next : Codec.sink -> upto:Cut.t -> trace -> cursor -> unit
+  (** [write_next b ~upto tr c] writes the bytes of
+      [write b (extract ~upto tr ~base:(cursor_base c))] straight from the
+      trace's slot vectors, with no event or edge list, in O(events +
+      edges of the delta): no search over the accumulated history.  It
+      then advances the cursor to [upto]. *)
 
   val read : Codec.source -> t
   (** Decodes the v1 format; a first byte other than its magic raises
       {!Codec.Decode_error}.  Decoding normalizes event and edge order to
       slot-ascending, which is how {!extract} emits them. *)
+
+  val read_upto : Codec.source -> Cut.t
+  (** Decodes a v1 delta, as strictly as {!read}, and returns only its
+      [upto]. *)
+
+  val read_apply : Codec.source -> trace -> (Cut.t, string) result
+  (** Applies the delta {!read} would return as it is decoded, with no
+      {!t} built, and returns its [upto].  The apply is clock-aligned, for
+      checkpoint recovery: events at or below the trace's current end are
+      skipped, later ones appended, and only edges into appended events
+      added; a gap is an [Error].  A decode error raises
+      {!Codec.Decode_error} as {!read} does.  Either may leave the trace
+      partly extended. *)
 
   val wire_size : t -> int
   (** Encoded size in bytes, computed with a counting sink — no buffer is

@@ -151,7 +151,7 @@ let client_node = 3
 
 let mk_smr ?(seed = 42) () =
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas () in
+  let cfg = R.Config.make ~replicas () in
   let s =
     L.create_log ~seed ~replicas (fun net rpc ~node ~paxos_store ->
         Smr.create net rpc cfg ~node ~paxos_store (Apps.Kyoto.factory ()))
@@ -251,7 +251,7 @@ let lease_read_on_primary () =
    speculative cut, so a query right after an acked write sees it. *)
 let rex_reads_latest () =
   let cfg =
-    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:2 ~propose_interval:2e-4 ()
+    R.Config.make ~replicas:[ 0; 1; 2 ] ~workers:2 ()
   in
   let cluster = R.Cluster.launch ~seed:11 cfg (Apps.Kyoto.factory ()) in
   let eng = R.Cluster.engine cluster in

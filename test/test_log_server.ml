@@ -235,15 +235,15 @@ let smr_add_replica_under_load () =
 let suite =
   [
     Alcotest.test_case "golden smr run" `Quick
-      (golden "smr" smr memcache_op "2bbab76f9b23a2222d56a76772880413");
+      (golden "smr" smr memcache_op "4fa5a0733544f0d7dd09fbf84904ad7f");
     Alcotest.test_case "golden cbase run" `Quick
       (golden "cbase" (sched Sched.Exec.Cbase) memcache_op
-         "04415169154bc27cc0c2b34de65114fc");
+         "875688b394de1c870a6238e3e23a1886");
     Alcotest.test_case "golden early run" `Quick
       (golden "early" (sched Sched.Exec.Early) memcache_op
-         "2d703d2d7921a61ca93acefab1e8dfcc");
+         "776fa890303a740db28c1cafdcad0bc2");
     Alcotest.test_case "golden eve run" `Quick
-      (golden "eve" eve lock_op "43355c616f9f20e49336a7cf6ccf5b1f");
+      (golden "eve" eve lock_op "a2de86e209a021e9e0ece92d174e8fd8");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
       (forged_ticks_dropped smr);
     Alcotest.test_case "cbase drops forged timer ticks" `Quick

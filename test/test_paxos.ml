@@ -289,7 +289,7 @@ let msg_roundtrip () =
           prior = [ (6, "u") ];
         };
       Msg.Accepted { ballot = { round = 3; replica = 1 }; instance = 7 };
-      Msg.Commit { instance = 7; value = "v" };
+      Msg.Commit { instance = 7; ballot = { round = 3; replica = 1 } };
       Msg.Heartbeat
         { ballot = { round = 3; replica = 1 }; committed_upto = 7; hb_seq = 42 };
       Msg.Learn { from_instance = 4 };
@@ -842,6 +842,51 @@ let recovery_deliver_parks_across_recampaign () =
          | None -> Hashtbl.replace seen inst v))
     delivered
 
+(* A Commit names an instance and a ballot, not the value.  A follower
+   commits the value it accepted at that ballot; one that missed the
+   Accept, or accepted at another ballot, does nothing, and learns the
+   value by catch-up once a heartbeat shows it behind.  Node 0 plays the
+   leader by hand; node 1 is the follower under test. *)
+let commit_without_accept_is_learned () =
+  let eng = Engine.create ~seed:5 ~num_nodes:2 () in
+  let net = Net.create eng in
+  let port = Net.port "paxos" in
+  let sent = ref [] in
+  Net.register net ~node:0 ~port (fun ~src:_ payload ->
+      sent := Paxos.Msg.decode payload :: !sent);
+  let ctx =
+    { rep = Obj.magic (); store = Paxos.Store.create (); delivered = []; became_leader = 0 }
+  in
+  ctx.rep <-
+    mk_replica net (Paxos.Replica.default_config ~me:1 ~peers:[ 0; 1 ] ()) ctx.store ctx;
+  let b = { Paxos.Ballot.round = 1; replica = 0 } in
+  let b' = { Paxos.Ballot.round = 2; replica = 0 } in
+  let step msg =
+    Net.send net ~src:0 ~dst:1 ~port (Paxos.Msg.encode msg);
+    Engine.run ~until:(Engine.clock eng +. 1e-3) eng
+  in
+  let committed () = Paxos.Replica.committed_upto ctx.rep in
+  step (Paxos.Msg.Accept { ballot = b; instance = 1; value = "a"; prior = [] });
+  step (Paxos.Msg.Commit { instance = 1; ballot = b });
+  Alcotest.(check (list (pair int string))) "accepted value committed"
+    [ (1, "a") ] ctx.delivered;
+  (* Instance 2's Accept is lost. *)
+  step (Paxos.Msg.Commit { instance = 2; ballot = b });
+  Alcotest.(check int) "no value, no commit" 1 (committed ());
+  (* Instance 2 accepted at [b], committed at [b']: not the same value. *)
+  step (Paxos.Msg.Accept { ballot = b; instance = 2; value = "b"; prior = [] });
+  step (Paxos.Msg.Commit { instance = 2; ballot = b' });
+  Alcotest.(check int) "other ballot, no commit" 1 (committed ());
+  sent := [];
+  step (Paxos.Msg.Heartbeat { ballot = b; committed_upto = 2; hb_seq = 1 });
+  Alcotest.(check bool) "behind: asks to learn from 2" true
+    (List.exists
+       (function Paxos.Msg.Learn { from_instance = 2 } -> true | _ -> false)
+       !sent);
+  step (Paxos.Msg.Learn_reply { entries = [ (2, "b") ] });
+  Alcotest.(check (list (pair int string))) "learned by catch-up"
+    [ (2, "b"); (1, "a") ] ctx.delivered
+
 let suite =
   suite
   @ [
@@ -853,4 +898,6 @@ let suite =
       Alcotest.test_case "reconfig: survives leader crash" `Quick reconfig_survives_leader_crash;
       Alcotest.test_case "recovery deliver parks across a re-campaign" `Quick
         recovery_deliver_parks_across_recampaign;
+      Alcotest.test_case "value-less commit: missed Accept is learned" `Quick
+        commit_without_accept_is_learned;
     ]

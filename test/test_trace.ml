@@ -317,8 +317,12 @@ let delta_extract_from_based_trace () =
   Alcotest.(check int) "all edges shipped" 2 (List.length d.Trace.Delta.edges);
   (* Apply onto a mirror with the same base. *)
   let m = Trace.create ~base ~slots:2 () in
-  (match Trace.Delta.apply_overlapping m d with
-  | Ok () -> ()
+  (match
+     Trace.Delta.read_apply
+       (Codec.source (Codec.encode (Fun.flip Trace.Delta.write) d))
+       m
+   with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "mirror edges" 2 (Trace.edge_count m);
   Alcotest.(check int) "incoming across the base" 1
@@ -462,16 +466,23 @@ let compact_repeated_and_rejects () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "arity mismatch must be rejected"
 
+(* What the cursor writes is what a one-shot extraction encodes to. *)
+let encode_delta d = Codec.encode (Fun.flip Trace.Delta.write) d
+
+let write_next t cur =
+  let b = Codec.sink () in
+  Trace.Delta.write_next b ~upto:(Trace.end_cut t) t cur;
+  Codec.contents b
+
 let cursor_matches_extract () =
   let t = Trace.create ~slots:2 () in
   let cur = Trace.Delta.cursor t ~base:(Trace.end_cut t) in
   let step_and_check n =
     let base = Trace.Delta.cursor_base cur in
-    let d_plain = Trace.Delta.extract t ~base in
-    let d_cur = Trace.Delta.extract_next t cur in
-    Alcotest.(check bool)
-      (Printf.sprintf "step %d: cursor delta equals plain extract" n)
-      true (d_plain = d_cur)
+    let plain = encode_delta (Trace.Delta.extract t ~base) in
+    Alcotest.(check string)
+      (Printf.sprintf "step %d: cursor bytes equal plain extract's" n)
+      plain (write_next t cur)
   in
   Trace.append t (mk_event 0 1);
   Trace.append t (mk_event 1 1);
@@ -530,9 +541,9 @@ let prop_cursor_matches_extract =
           (Array.map (fun w -> w / 2) (Trace.Cut.to_array (Trace.end_cut t)))
       in
       let cur = Trace.Delta.cursor t ~base:mid in
-      let d1 = Trace.Delta.extract_next t cur in
-      d1 = Trace.Delta.extract t ~base:mid
-      && Trace.Delta.is_empty (Trace.Delta.extract_next t cur))
+      let end_ = Trace.end_cut t in
+      write_next t cur = encode_delta (Trace.Delta.extract t ~base:mid)
+      && write_next t cur = encode_delta (Trace.Delta.extract t ~base:end_))
 
 let compaction_suite =
   [
@@ -629,7 +640,16 @@ let prop_v1_decode_fuzz =
       let t = build_random_trace spec in
       let d = Trace.Delta.extract t ~base:(Trace.Cut.zero ~slots:(Trace.num_slots t)) in
       let enc = Codec.encode (Fun.flip Trace.Delta.write) d in
-      let decode s = Codec.decode Trace.Delta.read s in
+      (* The fused decoder must be as strict, whatever it has applied. *)
+      let decode s =
+        (match
+           Trace.Delta.read_apply (Codec.source s)
+             (Trace.create ~slots:(Trace.num_slots t) ())
+         with
+        | Ok _ | Error _ -> ()
+        | exception Codec.Decode_error _ -> ());
+        Codec.decode Trace.Delta.read s
+      in
       let n = String.length enc in
       List.for_all
         (fun len ->
