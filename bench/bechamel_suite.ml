@@ -81,6 +81,7 @@ let test_paxos_msg =
                instance = 123456;
                value = String.make 256 'x';
                prior = [];
+               commits = [];
              }
          in
          ignore (Paxos.Msg.decode (Paxos.Msg.encode m))))

@@ -29,7 +29,11 @@
    parked on the stale leader — its reads still answer, and only a
    failed write would rotate them away.  The checker must flag at least
    one seed as non-linearizable — proof the oracle can see a stale
-   read. *)
+   read.
+
+   --pipeline-depth N deploys every group with [Config.pipeline_depth] N,
+   so up to N Paxos instances are open at once and commit notices ride
+   Accepts while an earlier instance is still in flight. *)
 
 module N = Check.Nemesis
 module Runner = Check.Runner
@@ -83,14 +87,14 @@ let write_repro path (seed : int) (o : Runner.outcome) =
   Printf.printf "   reproducer written to %s\n%!" path
 
 (* One (stack, app, nemesis) row: sweep seeds, shrink failures. *)
-let sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off ~reads ~quick
-    ~repro_out =
+let sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off ~reads
+    ~pipeline_depth ~quick ~repro_out =
   let base =
     Runner.default_config
       ~clients:(if quick then 2 else 3)
       ~ops_per_client:(if quick then 6 else 8)
-      ~dedup_off ~reads_via_query:reads ~stack ~app ~nemesis ~seed:base_seed
-      ()
+      ~dedup_off ~reads_via_query:reads ~pipeline_depth ~stack ~app ~nemesis
+      ~seed:base_seed ()
   in
   let t0 = Sys.time () in
   let sweep =
@@ -118,10 +122,10 @@ let sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off ~reads ~quick
 
 (* Determinism self-check: the same seed must replay byte-identically —
    the property every shrink/replay above leans on. *)
-let determinism_check ~stack ~app ~nemesis ~seed =
+let determinism_check ~stack ~app ~nemesis ~pipeline_depth ~seed =
   let cfg =
-    Runner.default_config ~clients:2 ~ops_per_client:4 ~stack ~app ~nemesis
-      ~seed ()
+    Runner.default_config ~clients:2 ~ops_per_client:4 ~pipeline_depth ~stack
+      ~app ~nemesis ~seed ()
   in
   let a = (Runner.run_one cfg).Runner.history_lines in
   let b = (Runner.run_one cfg).Runner.history_lines in
@@ -184,19 +188,21 @@ let lease_canary ~stack ~seeds ~base_seed ~quick =
 
 let run ?(quick = false) ?(stack = "rex") ?(app = "kv") ?(nemesis = "mixed")
     ?(seeds = 10) ?(base_seed = 1000) ?(dedup_off = false) ?(reads = false)
-    ?(lease_unsafe = false) ?repro_out () =
+    ?(lease_unsafe = false) ?(pipeline_depth = 1) ?repro_out () =
   if lease_unsafe then lease_canary ~stack ~seeds ~base_seed ~quick
   else begin
   let stacks = expand_stacks stack in
   let apps = expand_apps app in
   let nemeses = expand_nemeses nemesis in
   Printf.printf
-    "\n== Fault-schedule explorer: %s x %s x %s, %d seeds from %d%s%s ==\n%!"
+    "\n== Fault-schedule explorer: %s x %s x %s, %d seeds from %d%s%s%s ==\n%!"
     stack app nemesis seeds base_seed
     (if dedup_off then " (DEDUP OFF: expecting violations)" else "")
-    (if reads then " (reads via fast path)" else "");
+    (if reads then " (reads via fast path)" else "")
+    (if pipeline_depth > 1 then Printf.sprintf " (pipeline depth %d)" pipeline_depth
+     else "");
   determinism_check ~stack:(List.hd stacks) ~app:(List.hd apps)
-    ~nemesis:(List.hd nemeses) ~seed:base_seed;
+    ~nemesis:(List.hd nemeses) ~pipeline_depth ~seed:base_seed;
   let failures = ref [] in
   List.iter
     (fun stack ->
@@ -206,7 +212,7 @@ let run ?(quick = false) ?(stack = "rex") ?(app = "kv") ?(nemesis = "mixed")
             (fun nemesis ->
               let f =
                 sweep_one ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off
-                  ~reads ~quick ~repro_out
+                  ~reads ~pipeline_depth ~quick ~repro_out
               in
               List.iter
                 (fun (seed, o) ->

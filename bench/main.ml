@@ -410,6 +410,14 @@ let check_cmd =
              stale-leader fault, asserting the checker flags the stale \
              reads.")
   in
+  let depth_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "pipeline-depth" ] ~docv:"N"
+          ~doc:
+            "Deploy every group with up to $(docv) Paxos instances open at \
+             once (Config.pipeline_depth).")
+  in
   let open_loop_arg =
     Arg.(
       value & flag
@@ -420,11 +428,12 @@ let check_cmd =
              at-least-once canary the checker must flag.")
   in
   let run quick stack app nemesis seeds base_seed dedup_off reads lease_unsafe
-      repro_out open_loop () =
+      pipeline_depth repro_out open_loop () =
+    if pipeline_depth < 1 then Harness.fail "check: --pipeline-depth must be >= 1";
     if open_loop then Load_bench.open_loop_check ~quick ()
     else
       Check_bench.run ~quick ~stack ~app ~nemesis ~seeds ~base_seed ~dedup_off
-        ~reads ~lease_unsafe ?repro_out ()
+        ~reads ~lease_unsafe ~pipeline_depth ?repro_out ()
   in
   Cmd.v
     (Cmd.info "check"
@@ -435,7 +444,7 @@ let check_cmd =
        Term.(
          const run $ quick_arg $ stack_arg $ capp_arg $ nemesis_arg $ seeds_arg
          $ base_seed_arg $ dedup_off_arg $ reads_arg $ lease_unsafe_arg
-         $ repro_out_arg $ open_loop_arg))
+         $ depth_arg $ repro_out_arg $ open_loop_arg))
 
 (* --- `load`: the open-loop session-fleet engine + overload control. --- *)
 

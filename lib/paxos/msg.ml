@@ -11,6 +11,7 @@ type t =
       instance : int;
       value : string;
       prior : (int * string) list;
+      commits : (int * Ballot.t) list;
     }
   | Accepted of { ballot : Ballot.t; instance : int }
   | Commit of { instance : int; ballot : Ballot.t }
@@ -41,7 +42,7 @@ let write b = function
   | Nack { ballot } ->
     Codec.write_byte b 2;
     Ballot.write b ballot
-  | Accept { ballot; instance; value; prior } ->
+  | Accept { ballot; instance; value; prior; commits } ->
     Codec.write_byte b 3;
     Ballot.write b ballot;
     Codec.write_uvarint b instance;
@@ -50,7 +51,12 @@ let write b = function
       (fun b (i, v) ->
         Codec.write_uvarint b i;
         Codec.write_string b v)
-      prior
+      prior;
+    Codec.write_list b
+      (fun b (i, bal) ->
+        Codec.write_uvarint b i;
+        Ballot.write b bal)
+      commits
   | Accepted { ballot; instance } ->
     Codec.write_byte b 4;
     Ballot.write b ballot;
@@ -111,7 +117,13 @@ let read s =
           let v = Codec.read_string s in
           (i, v))
     in
-    Accept { ballot; instance; value; prior }
+    let commits =
+      Codec.read_list s (fun s ->
+          let i = Codec.read_uvarint s in
+          let bal = Ballot.read s in
+          (i, bal))
+    in
+    Accept { ballot; instance; value; prior; commits }
   | 4 ->
     let ballot = Ballot.read s in
     let instance = Codec.read_uvarint s in
@@ -169,9 +181,9 @@ let pp ppf = function
     Fmt.pf ppf "promise(%a,%d acc,upto %d)" Ballot.pp ballot
       (List.length accepted) committed_upto
   | Nack { ballot } -> Fmt.pf ppf "nack(%a)" Ballot.pp ballot
-  | Accept { ballot; instance; prior; _ } ->
-    Fmt.pf ppf "accept(%a,i%d,+%d prior)" Ballot.pp ballot instance
-      (List.length prior)
+  | Accept { ballot; instance; prior; commits; _ } ->
+    Fmt.pf ppf "accept(%a,i%d,+%d prior,+%d commits)" Ballot.pp ballot instance
+      (List.length prior) (List.length commits)
   | Accepted { ballot; instance } ->
     Fmt.pf ppf "accepted(%a,i%d)" Ballot.pp ballot instance
   | Commit { instance; _ } -> Fmt.pf ppf "commit(i%d)" instance

@@ -17,6 +17,10 @@ type t =
           (** piggybacked not-yet-committed proposals from earlier
               instances (Rex §3.1): an acceptor that missed them accepts
               them first, preserving the no-holes invariant *)
+      commits : (int * Ballot.t) list;
+          (** commit notices, each read as a {!Commit}: the leader opened
+              this instance while closing those, and sends them here
+              instead of in a Commit of their own *)
     }  (** 2a *)
   | Accepted of { ballot : Ballot.t; instance : int }  (** 2b *)
   | Commit of { instance : int; ballot : Ballot.t }

@@ -118,6 +118,8 @@ type t = {
   mutable recovery_queue : (int * string) list;
       (* uncommitted proposals to re-drive before leading *)
   inflight : (int, inflight) Hashtbl.t;
+  mutable held : (int * Ballot.t) list;
+      (* commit notices not sent yet, newest first (see "Commit notices") *)
   mutable delivered : int;
   mutable stopped : bool;
   (* lease state, follower side: one outstanding grant at a time *)
@@ -254,11 +256,33 @@ let broadcast t msg =
   let payload = Msg.encode msg in
   List.iter (fun dst -> send_payload t dst payload) t.peers
 
+(* --- Commit notices ---
+
+   A leader that closes an instance usually opens the next one in the
+   same handler run: the owner's [on_committed] proposes again.  Each
+   link is FIFO, so a Commit sent just before that Accept would hold the
+   Accept back to its own arrival.  The Commit is therefore held until
+   the callbacks return; an Accept sent meanwhile carries it, and only a
+   commit that opened nothing is sent on its own.  A membership change
+   sends what is held first, so the notices always go to the peers they
+   are owed to (DESIGN.md §18). *)
+
+let take_commits t =
+  let held = t.held in
+  t.held <- [];
+  List.rev held
+
+let flush_commits t =
+  List.iter
+    (fun (instance, ballot) -> broadcast t (Msg.Commit { instance; ballot }))
+    (take_commits t)
+
 (* A committed config entry takes effect when it is delivered — i.e. the
    old config's quorums are retired only after the new config commits.
    A replica configured out of the group demotes itself and stops
    campaigning (it keeps answering Learn so stragglers can catch up). *)
 let apply_config t new_peers =
+  flush_commits t;
   t.peers <- new_peers;
   Store.set_group t.st new_peers;
   if not (List.mem t.cfg.me new_peers) && t.role <> Follower then begin
@@ -303,6 +327,16 @@ let observe_ballot t (b : Ballot.t) =
     end
   end
 
+(* Ballots name their proposer and a leader proposes one value per
+   instance, so the value we accepted at [ballot] is the chosen one.
+   Without it, the heartbeat's catch-up brings it. *)
+let commit_noticed t instance ballot =
+  match Store.accepted t.st instance with
+  | Some (b, value) when Ballot.compare b ballot = 0 ->
+    Store.commit t.st instance value;
+    deliver t
+  | Some _ | None -> ()
+
 let request_catch_up t from upto =
   if Store.committed_upto t.st < upto then
     send t from (Msg.Learn { from_instance = Store.committed_upto t.st + 1 })
@@ -345,7 +379,8 @@ and start_accept t ~instance ~value ~recovery =
       t.inflight []
     |> List.sort compare
   in
-  broadcast t (Msg.Accept { ballot = t.ballot; instance; value; prior });
+  let commits = take_commits t in
+  broadcast t (Msg.Accept { ballot = t.ballot; instance; value; prior; commits });
   check_quorum t instance
 
 and check_quorum t instance =
@@ -360,7 +395,8 @@ and check_quorum t instance =
       Obs.Span.complete sp ~cat:"paxos" ~pid:t.cfg.me ~name:"commit"
         ~ts:fi.fi_started ~dur:lat ();
     Store.commit t.st fi.fi_instance fi.fi_value;
-    broadcast t (Msg.Commit { instance = fi.fi_instance; ballot = fi.fi_ballot });
+    (* sent by [flush_commits] below, unless an Accept takes it first *)
+    t.held <- (fi.fi_instance, fi.fi_ballot) :: t.held;
     if fi.fi_recovery then begin
       t.recovery_queue <-
         List.filter (fun (i, _) -> i <> fi.fi_instance) t.recovery_queue;
@@ -371,7 +407,8 @@ and check_quorum t instance =
          may go on to lead. *)
       if Ballot.compare t.ballot fi.fi_ballot = 0 then drive_next_proposal t
     end
-    else deliver t
+    else deliver t;
+    flush_commits t
   | Some _ | None -> ()
 
 let campaign t =
@@ -519,7 +556,8 @@ let handle t ~src msg =
         t.pre_votes <- Some (b, src :: yes);
         tally_pre_votes t
       | Some _ | None -> ())
-    | Msg.Accept { ballot; instance; value; prior } ->
+    | Msg.Accept { ballot; instance; value; prior; commits } ->
+      List.iter (fun (i, b) -> commit_noticed t i b) commits;
       if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
         Store.set_promised t.st ballot;
         observe_ballot t ballot;
@@ -557,15 +595,7 @@ let handle t ~src msg =
         Obs.Metric.incr t.c_acks;
         check_quorum t instance
       | Some _ | None -> ())
-    | Msg.Commit { instance; ballot } -> (
-      (* Ballots name their proposer and a leader proposes one value per
-         instance, so the value we accepted at this ballot is the chosen
-         one.  Without it, the heartbeat's catch-up brings it. *)
-      match Store.accepted t.st instance with
-      | Some (b, value) when Ballot.compare b ballot = 0 ->
-        Store.commit t.st instance value;
-        deliver t
-      | Some _ | None -> ())
+    | Msg.Commit { instance; ballot } -> commit_noticed t instance ballot
     | Msg.Heartbeat { ballot; committed_upto; hb_seq } ->
       if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
         Store.set_promised t.st ballot;
@@ -644,6 +674,7 @@ let create net cfg st cbs =
       lead_after_catchup = None;
       recovery_queue = [];
       inflight = Hashtbl.create 4;
+      held = [];
       delivered = Store.committed_upto st;
       stopped = false;
       grant_ballot = Ballot.zero;
@@ -744,6 +775,7 @@ let start t =
                           instance = fi.fi_instance;
                           value = fi.fi_value;
                           prior = [];
+                          commits = [];
                         }))
                t.inflight
            end

@@ -24,7 +24,8 @@ type t = {
           pipelining.  Rex reads it, and so does the log-order core
           for a stack with the event-driven batcher *)
   paxos_sync_latency : float;
-      (** modeled acceptor fsync before promises/accepts (0 disables) *)
+      (** modeled acceptor fsync before promises/accepts (0 disables);
+          every stack's Paxos reads it *)
   lease_duration : float;
       (** leader-lease length on each follower's clock:
           4 × [heartbeat_period]; [<= 0.] disables the lease read path.

@@ -358,7 +358,7 @@ let start t =
         (match t.exec.batcher with
         | Periodic _ -> 1
         | Event_driven -> cfg.Config.pipeline_depth);
-      sync_latency = 0.;
+      sync_latency = cfg.Config.paxos_sync_latency;
       lease_duration = cfg.Config.lease_duration;
       lease_drift_bound = cfg.Config.lease_drift_bound;
     }

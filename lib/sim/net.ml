@@ -163,8 +163,14 @@ let messages_sent t = Obs.Metric.value t.c_msgs
 let bytes_sent t = Obs.Metric.value t.c_bytes
 let messages_dropped t = Obs.Metric.value t.c_drops
 
+(* A message to a node the engine does not have yet is dropped, like one
+   to a node with no handler. *)
 let deliver t ~src ~dst p ~sent payload =
-  if Engine.node_alive t.eng dst && dst < Array.length p.p_handlers then
+  if
+    dst < Array.length p.p_handlers
+    && dst < Engine.num_nodes t.eng
+    && Engine.node_alive t.eng dst
+  then
     match p.p_handlers.(dst) with
     | None -> ()
     | Some h ->

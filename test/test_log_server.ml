@@ -232,18 +232,47 @@ let smr_add_replica_under_load () =
     Alcotest.(check bool) "one digest" true (a = b && b = c && c = d)
   | ds -> Alcotest.failf "%d live replicas" (List.length ds)
 
+(* [Config.paxos_sync_latency] reaches the log-order stacks' Paxos: a
+   follower syncs before it answers an Accept, so an SMR write cannot be
+   answered sooner than the sync latency. *)
+let smr_pays_sync_latency () =
+  let write_latency sync =
+    let replicas = [ 0; 1; 2 ] in
+    let cfg = R.Config.make ~workers:4 ~replicas ~paxos_sync_latency:sync () in
+    let cluster = R.Cluster.create_log ~seed:7 ~replicas (smr cfg) in
+    R.Cluster.start cluster;
+    R.Cluster.run ~until:1.0 cluster;
+    ignore (R.Cluster.await_primary cluster);
+    let eng = R.Cluster.engine cluster in
+    let took = ref None in
+    ignore
+      (Engine.spawn eng ~node:3 ~name:"sync.client" (fun () ->
+           let cl = R.Cluster.client cluster in
+           (* the first call finds the leader *)
+           ignore (R.Client.call cl "SET k a");
+           let t0 = Engine.clock eng in
+           if R.Client.call cl "SET k b" <> None then
+             took := Some (Engine.clock eng -. t0)));
+    R.Cluster.run_for cluster 1.0;
+    match !took with
+    | Some dt -> dt
+    | None -> Alcotest.failf "no answer at sync latency %g" sync
+  in
+  Alcotest.(check bool) "no sync: under 1 ms" true (write_latency 0. < 1e-3);
+  Alcotest.(check bool) "1 ms sync: at least 1 ms" true (write_latency 1e-3 >= 1e-3)
+
 let suite =
   [
     Alcotest.test_case "golden smr run" `Quick
-      (golden "smr" smr memcache_op "4fa5a0733544f0d7dd09fbf84904ad7f");
+      (golden "smr" smr memcache_op "70bd3d5321ecdc34dc46557d762a5932");
     Alcotest.test_case "golden cbase run" `Quick
       (golden "cbase" (sched Sched.Exec.Cbase) memcache_op
-         "875688b394de1c870a6238e3e23a1886");
+         "2ace2600e8548219527c6e2b71beb5ac");
     Alcotest.test_case "golden early run" `Quick
       (golden "early" (sched Sched.Exec.Early) memcache_op
-         "776fa890303a740db28c1cafdcad0bc2");
+         "cef0595aa8d9bc120f391081575a43a2");
     Alcotest.test_case "golden eve run" `Quick
-      (golden "eve" eve lock_op "a2de86e209a021e9e0ece92d174e8fd8");
+      (golden "eve" eve lock_op "ee45b0103915dea52effba4e39093b7f");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
       (forged_ticks_dropped smr);
     Alcotest.test_case "cbase drops forged timer ticks" `Quick
@@ -253,4 +282,6 @@ let suite =
     Alcotest.test_case "smr rolling restart" `Quick smr_rolling_restart;
     Alcotest.test_case "smr adds a replica under load" `Quick
       smr_add_replica_under_load;
+    Alcotest.test_case "smr pays the paxos sync latency" `Quick
+      smr_pays_sync_latency;
   ]

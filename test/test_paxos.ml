@@ -287,6 +287,7 @@ let msg_roundtrip () =
           instance = 7;
           value = "v";
           prior = [ (6, "u") ];
+          commits = [ (5, { round = 3; replica = 1 }); (6, { round = 2; replica = 0 }) ];
         };
       Msg.Accepted { ballot = { round = 3; replica = 1 }; instance = 7 };
       Msg.Commit { instance = 7; ballot = { round = 3; replica = 1 } };
@@ -866,7 +867,7 @@ let commit_without_accept_is_learned () =
     Engine.run ~until:(Engine.clock eng +. 1e-3) eng
   in
   let committed () = Paxos.Replica.committed_upto ctx.rep in
-  step (Paxos.Msg.Accept { ballot = b; instance = 1; value = "a"; prior = [] });
+  step (Paxos.Msg.Accept { ballot = b; instance = 1; value = "a"; prior = []; commits = [] });
   step (Paxos.Msg.Commit { instance = 1; ballot = b });
   Alcotest.(check (list (pair int string))) "accepted value committed"
     [ (1, "a") ] ctx.delivered;
@@ -874,7 +875,7 @@ let commit_without_accept_is_learned () =
   step (Paxos.Msg.Commit { instance = 2; ballot = b });
   Alcotest.(check int) "no value, no commit" 1 (committed ());
   (* Instance 2 accepted at [b], committed at [b']: not the same value. *)
-  step (Paxos.Msg.Accept { ballot = b; instance = 2; value = "b"; prior = [] });
+  step (Paxos.Msg.Accept { ballot = b; instance = 2; value = "b"; prior = []; commits = [] });
   step (Paxos.Msg.Commit { instance = 2; ballot = b' });
   Alcotest.(check int) "other ballot, no commit" 1 (committed ());
   sent := [];
@@ -886,6 +887,139 @@ let commit_without_accept_is_learned () =
   step (Paxos.Msg.Learn_reply { entries = [ (2, "b") ] });
   Alcotest.(check (list (pair int string))) "learned by catch-up"
     [ (2, "b"); (1, "a") ] ctx.delivered
+
+(* --- Commit notices: a commit rides the next Accept --- *)
+
+(* Nodes 0 and 1 run Paxos; node 2 only records what reaches it on the
+   Paxos port, so the leader's messages can be counted.  Whenever the
+   leader commits one of its values, its [on_committed] proposes the next
+   ones of [values], up to [depth] open instances, in the same handler
+   run. *)
+let chained_cluster ~seed ~depth values =
+  let eng = Engine.create ~seed ~cores_per_node:4 ~num_nodes:3 () in
+  let net = Net.create eng in
+  let port = Net.port "paxos" in
+  let seen = ref [] in
+  Net.register net ~node:2 ~port (fun ~src:_ payload ->
+      seen := Paxos.Msg.decode payload :: !seen);
+  let reps = Array.make 2 (Obj.magic ()) in
+  let delivered = Array.make 2 [] in
+  let queue = Queue.of_seq (List.to_seq values) in
+  let propose_queued r =
+    while
+      (not (Queue.is_empty queue))
+      && Paxos.Replica.can_propose r
+      && Paxos.Replica.propose r (Queue.peek queue)
+    do
+      ignore (Queue.pop queue)
+    done
+  in
+  for i = 0 to 1 do
+    let cbs =
+      {
+        Paxos.Replica.on_committed =
+          (fun inst v ->
+            delivered.(i) <- (inst, v) :: delivered.(i);
+            if Paxos.Replica.is_leader reps.(i) then propose_queued reps.(i));
+        on_become_leader = (fun () -> ());
+        on_new_leader = (fun _ -> ());
+      }
+    in
+    let cfg =
+      Paxos.Replica.default_config ~max_inflight:depth ~me:i ~peers:[ 0; 1; 2 ] ()
+    in
+    reps.(i) <- Paxos.Replica.create net cfg (Paxos.Store.create ()) cbs;
+    Paxos.Replica.start reps.(i)
+  done;
+  Engine.run ~until:1.0 eng;
+  let l =
+    match List.filter (fun i -> Paxos.Replica.is_leader reps.(i)) [ 0; 1 ] with
+    | [ l ] -> l
+    | _ -> Alcotest.fail "no single leader"
+  in
+  seen := [];
+  ignore (Engine.spawn eng ~node:l (fun () -> propose_queued reps.(l)));
+  Engine.run ~until:(Engine.clock eng +. 0.05) eng;
+  (l, delivered, List.rev !seen)
+
+let commits_seen seen =
+  List.filter_map
+    (function Paxos.Msg.Commit { instance; _ } -> Some instance | _ -> None)
+    seen
+
+let notices_seen seen =
+  List.concat_map
+    (function
+      | Paxos.Msg.Accept { commits; _ } -> List.map fst commits | _ -> [])
+    seen
+
+(* Each commit but the last opens the next instance in the same handler
+   run: its notice rides that Accept and no Commit goes out.  The last
+   commit has nothing queued behind it and still sends a Commit. *)
+let commit_rides_next_accept () =
+  let values = List.init 5 (Printf.sprintf "c%d") in
+  let l, delivered, seen = chained_cluster ~seed:5 ~depth:1 values in
+  let instances = List.map fst (List.rev delivered.(l)) in
+  Alcotest.(check (list string)) "leader delivered" values
+    (List.map snd (List.rev delivered.(l)));
+  let last = List.nth instances 4 in
+  Alcotest.(check (list int)) "one Commit, for the last instance" [ last ]
+    (commits_seen seen);
+  Alcotest.(check (list int)) "the others rode on Accepts"
+    (List.filteri (fun k _ -> k < 4) instances)
+    (notices_seen seen);
+  Alcotest.(check (list (pair int string))) "the follower learned them all"
+    (List.rev delivered.(l)) (List.rev delivered.(1 - l))
+
+(* At depth 2 an Accept may open while the other instance is still in
+   flight: whatever rides where, every instance reaches the followers. *)
+let pipelined_notices_reach_followers () =
+  let values = List.init 12 (Printf.sprintf "d%d") in
+  let l, delivered, seen = chained_cluster ~seed:9 ~depth:2 values in
+  let committed = List.rev delivered.(l) in
+  Alcotest.(check (list string)) "leader delivered" values (List.map snd committed);
+  Alcotest.(check (list (pair int string))) "the follower learned them all"
+    committed (List.rev delivered.(1 - l));
+  Alcotest.(check (list int)) "node 2 was told of every commit exactly once"
+    (List.map fst committed)
+    (List.sort compare (commits_seen seen @ notices_seen seen));
+  Alcotest.(check bool) "some rode on Accepts" true (notices_seen seen <> [])
+
+(* A notice is read as a Commit: it commits the value the follower
+   accepted at the notice's ballot, before the Accept's own value is
+   taken, and is ignored where the follower holds another ballot.
+   Node 0 plays the leader by hand; node 1 is the follower under test. *)
+let notice_needs_matching_ballot () =
+  let eng = Engine.create ~seed:5 ~num_nodes:2 () in
+  let net = Net.create eng in
+  let port = Net.port "paxos" in
+  Net.register net ~node:0 ~port (fun ~src:_ _ -> ());
+  let ctx =
+    { rep = Obj.magic (); store = Paxos.Store.create (); delivered = []; became_leader = 0 }
+  in
+  ctx.rep <-
+    mk_replica net (Paxos.Replica.default_config ~me:1 ~peers:[ 0; 1 ] ()) ctx.store ctx;
+  let b = { Paxos.Ballot.round = 1; replica = 0 } in
+  let b' = { Paxos.Ballot.round = 2; replica = 0 } in
+  let step msg =
+    Net.send net ~src:0 ~dst:1 ~port (Paxos.Msg.encode msg);
+    Engine.run ~until:(Engine.clock eng +. 1e-3) eng
+  in
+  let accept ?(commits = []) instance value =
+    step (Paxos.Msg.Accept { ballot = b; instance; value; prior = []; commits })
+  in
+  accept 1 "a";
+  accept 2 "b" ~commits:[ (1, b) ];
+  Alcotest.(check (list (pair int string))) "instance 1 committed by notice"
+    [ (1, "a") ] ctx.delivered;
+  accept 3 "c" ~commits:[ (2, b') ];
+  Alcotest.(check int) "other ballot: notice ignored" 1
+    (Paxos.Replica.committed_upto ctx.rep);
+  Alcotest.(check bool) "the Accept itself was taken" true
+    (Paxos.Store.accepted ctx.store 3 = Some (b, "c"));
+  accept 4 "d" ~commits:[ (2, b); (3, b) ];
+  Alcotest.(check (list (pair int string))) "two notices on one Accept"
+    [ (3, "c"); (2, "b"); (1, "a") ] ctx.delivered
 
 let suite =
   suite
@@ -900,4 +1034,10 @@ let suite =
         recovery_deliver_parks_across_recampaign;
       Alcotest.test_case "value-less commit: missed Accept is learned" `Quick
         commit_without_accept_is_learned;
+      Alcotest.test_case "commit notice rides the next Accept" `Quick
+        commit_rides_next_accept;
+      Alcotest.test_case "commit notices at pipeline depth 2" `Quick
+        pipelined_notices_reach_followers;
+      Alcotest.test_case "commit notice needs the accepted ballot" `Quick
+        notice_needs_matching_ballot;
     ]

@@ -348,6 +348,23 @@ let net_crashed_node_drops () =
                 Net.send net ~src:0 ~dst:1 ~port:(Net.port "c") "x"))));
   check_int "no delivery to dead node" 0 !got
 
+(* A message to a node id the engine has not added yet is dropped, even
+   with a handler registered for that id; once the node is added, the
+   next message gets through. *)
+let net_drops_to_unadded_node () =
+  let eng = Engine.create ~seed:1 ~num_nodes:3 () in
+  let net = Net.create eng in
+  let port = Net.port "c" in
+  let got = ref [] in
+  Net.register net ~node:3 ~port (fun ~src:_ m -> got := m :: !got);
+  Net.send net ~src:0 ~dst:3 ~port "early";
+  Engine.run eng;
+  Alcotest.(check (list string)) "dropped before add_node" [] !got;
+  check_int "new node id" 3 (Engine.add_node eng);
+  Net.send net ~src:0 ~dst:3 ~port "late";
+  Engine.run eng;
+  Alcotest.(check (list string)) "delivered after add_node" [ "late" ] !got
+
 let rpc_roundtrip () =
   let answer = ref None in
   ignore
@@ -784,6 +801,8 @@ let suite =
     Alcotest.test_case "net partition" `Quick net_partition_drops;
     Alcotest.test_case "net FIFO per pair" `Quick net_fifo_per_pair;
     Alcotest.test_case "net drops to dead node" `Quick net_crashed_node_drops;
+    Alcotest.test_case "net drops to a node not added yet" `Quick
+      net_drops_to_unadded_node;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc timeout" `Quick rpc_timeout;
     QCheck_alcotest.to_alcotest prop_rpc_drops_malformed_frames;
