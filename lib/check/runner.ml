@@ -389,7 +389,7 @@ let deploy_sharded history_of cfg =
         R.Config.make ~workers:4 ~replicas
           ?checkpoint_interval:
             (Option.map Option.some cfg.checkpoint_interval)
-          ~lease_unsafe:cfg.lease_unsafe ())
+          ~pipeline_depth:cfg.pipeline_depth ~lease_unsafe:cfg.lease_unsafe ())
       (fun ~map ~group ->
         Shard.Partition.factory ~map ~group (factory_for cfg))
   in

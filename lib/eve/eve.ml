@@ -13,9 +13,6 @@ let default_config ?(workers = 8) ?(miss_rate = 0.) ~replicas () =
 (* The most requests the mixer packs into one batch. *)
 let batch_max = 64
 
-(* How often the leader's mixer forms a batch. *)
-let mix_interval = 2e-4
-
 type stats = {
   requests_executed : int;
   replies_sent : int;
@@ -376,10 +373,9 @@ let executor cfg conflict_keys (env : L.env) =
       gate_read = gate_read e;
       applied = (fun () -> if e.executing then -1 else e.applied);
       form_batch = form_batch e;
-      (* Periodic: the per-batch snapshot and parallel mix need batches,
-         which a batcher that proposes on every arrival would shrink to
-         one or two requests. *)
-      batcher = L.Periodic mix_interval;
+      (* The per-batch snapshot and parallel mix need batches: the next
+         one gathers what arrived while this one ran. *)
+      await_execution = true;
     } )
 
 let create net rpc cfg ~node ~paxos_store ~conflict_keys factory =

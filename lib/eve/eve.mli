@@ -28,7 +28,10 @@
 
     This is the mix-execute-verify executor of {!Rex_core.Log_server},
     which owns Paxos and the frontend; the mixer is the core's batcher,
-    running on the leader only.  The same {!Rex_core.App.factory}
+    running on the leader only.  Its batches await execution: the leader
+    proposes a batch when a request reaches it idle, and otherwise right
+    after the running batch's verdict, so a batch holds what arrived
+    while the one before it ran.  The same {!Rex_core.App.factory}
     applications run unchanged: their synchronization wrappers take the
     native path. *)
 
@@ -36,7 +39,7 @@ type config = {
   base : Rex_core.Config.t;
       (** replicas, [workers] (executor threads per replica), election,
           lease and admission settings (the admission queue-depth probe
-          is the mixer's pending queue); the mixer runs every 0.2 ms *)
+          is the mixer's pending queue) *)
   miss_rate : float;  (** P(mixer misses a true conflict) *)
 }
 

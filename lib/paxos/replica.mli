@@ -132,7 +132,6 @@ val current_ballot : t -> Ballot.t
 val committed_upto : t -> int
 val next_instance : t -> int
 val committed_value : t -> int -> string option
-val in_flight : t -> bool
 val store : t -> Store.t
 
 val replay_committed : Store.t -> (int -> string -> unit) -> unit

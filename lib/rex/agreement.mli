@@ -4,11 +4,11 @@
     sequence of trace deltas, only that they do — the paper notes the
     approach "can also be applied to other replication protocols, such as
     primary/backup replication and its variations (e.g., chain
-    replication)" (§7).  {!Server} is written against this interface;
-    {!of_paxos} wraps the default multi-instance Paxos, and {!Chain}
-    provides a chain-replicated log. *)
+    replication)" (§7).  {!Server} and {!Log_server} are written against
+    this interface; {!of_paxos} builds the default multi-instance Paxos,
+    and {!Chain} provides a chain-replicated log. *)
 
-type callbacks = {
+type callbacks = Paxos.Replica.callbacks = {
   on_committed : int -> string -> unit;
       (** fired in sequence order, exactly once per slot per process
           lifetime *)
@@ -23,6 +23,10 @@ type t = {
   propose : string -> bool;
       (** submit the next value; false when not leader or window full *)
   can_propose : unit -> bool;
+      (** [propose] would take a value now: this replica leads, its
+          window has room and no membership change holds it *)
+  next_instance : unit -> int;
+      (** the sequence number the next [propose] takes *)
   is_leader : unit -> bool;
   leader_hint : unit -> int option;
   committed_upto : unit -> int;
@@ -43,10 +47,17 @@ type t = {
           [Paxos.Replica.propose_reconfig]) *)
   reconfig : int list -> live:(unit -> bool) -> release:(unit -> unit) -> bool;
       (** propose a single-replica membership change through the log,
-          once no value is open ({!Paxos.Replica.reconfig_when_idle}):
-          the caller holds its proposer until [release] runs, or until
-          [live] turns false; protocols without reconfiguration return
-          [false] *)
+          once no value is open ({!Paxos.Replica.reconfig_when_idle}),
+          and run [release] once it is delivered; [false] while another
+          change is under way and in protocols without reconfiguration.
+          The change holds the proposer: [can_propose] is false from the
+          call until [release] runs, or until the next term begins if
+          [live] turns false first *)
 }
 
-val of_paxos : Paxos.Replica.t -> t
+val of_paxos :
+  Sim.Net.t -> Config.t -> node:int -> Paxos.Store.t -> callbacks -> t
+(** Multi-instance Paxos as the agree stage of replica [node], over
+    [cfg]'s replicas, heartbeat, [pipeline_depth] (open instances),
+    [paxos_sync_latency] and lease settings.  Every stack's Paxos is
+    built here.  A new term ([on_become_leader]) starts with no hold. *)

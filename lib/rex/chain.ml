@@ -375,10 +375,11 @@ let make ?(window = 8) ?(heartbeat_period = 10e-3) net ~node ~vm_node ~store
   let can_propose () =
     is_head m && m.leadership_announced && pending () < m.window
   in
+  let next_instance () = contiguous m + 1 in
   let propose v =
     if not (can_propose ()) then false
     else begin
-      let seq = contiguous m + 1 in
+      let seq = next_instance () in
       Paxos.Store.set_accepted m.st seq
         { Paxos.Ballot.round = m.view_id; replica = 0 }
         v;
@@ -395,6 +396,7 @@ let make ?(window = 8) ?(heartbeat_period = 10e-3) net ~node ~vm_node ~store
     Agreement.start;
     propose;
     can_propose;
+    next_instance;
     is_leader = (fun () -> is_head m && m.leadership_announced);
     leader_hint = (fun () -> match m.chain with h :: _ -> Some h | [] -> None);
     committed_upto = (fun () -> Paxos.Store.committed_upto m.st);

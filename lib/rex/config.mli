@@ -21,8 +21,9 @@ type t = {
   pipeline_depth : int;
       (** concurrent consensus instances; 1 = the paper's
           single-active-instance design, >1 = the §3.1 piggyback
-          pipelining.  Rex reads it, and so does the log-order core
-          for a stack with the event-driven batcher *)
+          pipelining.  Every stack's Paxos reads it
+          ({!Agreement.of_paxos}); Eve's batches await execution, so
+          its leader keeps one of its own instances open at most *)
   paxos_sync_latency : float;
       (** modeled acceptor fsync before promises/accepts (0 disables);
           every stack's Paxos reads it *)

@@ -4,14 +4,12 @@ type callback = string option -> unit
 
 type item = Request of string * callback option | Tick of (unit -> unit)
 
-type batcher = Periodic of float | Event_driven
-
 type executor = {
   deliver : int -> item list -> unit;
   gate_read : string -> unit;
   applied : unit -> int;
   form_batch : (string * callback) Queue.t -> (string * callback) list;
-  batcher : batcher;
+  await_execution : bool;
 }
 
 type env = {
@@ -41,15 +39,15 @@ type 'x t = {
   timers : Api.timer_spec array;
   state : 'x;
   exec : executor;
-  pax : Paxos.Replica.t option ref;
+  agree : Agreement.t option ref;
   mutable front : Frontend.t option;
   mutable leader : bool;
   mutable leader_epoch : int;
   queue : (string * callback) Queue.t;
   mutable inflight : proposal list;  (* ours, uncommitted, oldest first *)
   mutable proposing : bool;  (* guards [propose_ready] against re-entry *)
-  mutable reconfiguring : bool;  (* a membership change holds the batcher *)
   exec_queue : (int * item list) Queue.t;
+  mutable delivering : bool;  (* the executor is running a batch *)
   mutable exec_waiters : Engine.waker list;
 }
 
@@ -67,52 +65,55 @@ let frontend t =
   | None -> invalid_arg "Log_server.frontend: not registered"
 
 let peers t =
-  match !(t.pax) with
-  | Some p -> Paxos.Replica.peers p
+  match !(t.agree) with
+  | Some a -> a.Agreement.peers ()
   | None -> t.env.cfg.Config.replicas
-
-let event_driven t = t.exec.batcher = Event_driven
 
 (* Propose one batch from the queue; [false] if the executor formed an
    empty one.  The callbacks are registered before [propose] runs: in a
    one-replica group the instance commits inside it. *)
-let propose_batch t pax =
+let propose_batch t agree =
   match t.exec.form_batch t.queue with
   | [] -> false
   | items ->
     let value = Frontend.encode_batch (List.map fst items) in
     let p =
-      { p_instance = Paxos.Replica.next_instance pax; p_value = value;
+      { p_instance = agree.Agreement.next_instance (); p_value = value;
         p_cbs = List.map snd items }
     in
     t.inflight <- t.inflight @ [ p ];
-    if not (Paxos.Replica.propose pax value) then begin
+    if not (agree.Agreement.propose value) then begin
       t.inflight <- List.filter (fun q -> q != p) t.inflight;
       List.iter (fun cb -> cb None) p.p_cbs
     end;
     true
 
-(* The event-driven batcher: propose while requests are queued and
-   Paxos has room for another instance ([pipeline_depth]).  It runs on
-   an arrival, a timer's tick and the commit of one of our instances,
-   never on a clock of its own. *)
+(* A stack whose batches wait for execution proposes only while none of
+   its instances is open and its executor has run every committed batch. *)
+let batch_may_start t =
+  (not t.exec.await_execution)
+  || (t.inflight = [] && (not t.delivering) && Queue.is_empty t.exec_queue)
+
+(* Propose while requests are queued and the agree stage takes another
+   value: up to [pipeline_depth] instances, or one batch at a time for a
+   stack that awaits execution.  It runs on an arrival, a timer's tick,
+   the commit of one of our instances, the end of each executed batch
+   and the end of a membership change, never on a clock of its own. *)
 let propose_ready t =
-  if not t.proposing then begin
+  match !(t.agree) with
+  | Some agree when not t.proposing ->
     t.proposing <- true;
-    (match !(t.pax) with
-    | Some pax ->
-      while
-        t.leader
-        && (not t.reconfiguring)
-        && (not (Queue.is_empty t.queue))
-        && Paxos.Replica.can_propose pax
-        && propose_batch t pax
-      do
-        ()
-      done
-    | None -> ());
+    while
+      t.leader
+      && (not (Queue.is_empty t.queue))
+      && agree.Agreement.can_propose ()
+      && batch_may_start t
+      && propose_batch t agree
+    do
+      ()
+    done;
     t.proposing <- false
-  end
+  | _ -> ()
 
 (* Clients may not forge ticks: a reserved-prefix request is dropped
    before it reaches the queue the batcher proposes from. *)
@@ -120,26 +121,19 @@ let submit t request cb =
   if (not t.leader) || is_tick request then cb None
   else begin
     Queue.push (request, cb) t.queue;
-    if event_driven t then propose_ready t
+    propose_ready t
   end
 
-(* Under load the event-driven batcher always has an instance open, so a
-   membership change holds it ([reconfiguring]) until the config entry is
-   delivered ([Paxos.Replica.reconfig_when_idle]).  A deposed leader
-   drops the change. *)
+(* The agree stage holds the proposer until the config entry is
+   delivered (see [Agreement.reconfig]); a deposed leader drops the
+   change. *)
 let reconfig t members =
-  match !(t.pax) with
-  | Some p
-    when t.leader && (not t.reconfiguring)
-         && not (Paxos.Replica.reconfig_pending p) ->
-    t.reconfiguring <- true;
+  match !(t.agree) with
+  | Some a when t.leader ->
     let epoch = t.leader_epoch in
-    Paxos.Replica.reconfig_when_idle p members
+    a.Agreement.reconfig members
       ~live:(fun () -> t.leader && t.leader_epoch = epoch)
-      ~release:(fun () ->
-        t.reconfiguring <- false;
-        if event_driven t then propose_ready t);
-    true
+      ~release:(fun () -> propose_ready t)
   | Some _ | None -> false
 
 let take n q =
@@ -165,7 +159,10 @@ let executor_loop t () =
   let rec loop () =
     match Queue.take_opt t.exec_queue with
     | Some (instance, items) ->
+      t.delivering <- true;
       t.exec.deliver instance items;
+      t.delivering <- false;
+      propose_ready t;
       loop ()
     | None ->
       Engine.park (fun w -> t.exec_waiters <- w :: t.exec_waiters);
@@ -213,7 +210,7 @@ let on_committed t instance value =
       | Some _ | None -> List.map (fun _ -> None) reqs
     in
     Queue.push (instance, List.map2 (item_of t) reqs cbs) t.exec_queue;
-    if own <> None && event_driven t then propose_ready t;
+    if own <> None then propose_ready t;
     wake_executor t
 
 let replay t = Paxos.Replica.replay_committed t.pstore (on_committed t)
@@ -222,23 +219,6 @@ let spawn_leader_fibers t =
   t.leader_epoch <- t.leader_epoch + 1;
   let epoch = t.leader_epoch in
   let live () = t.leader && t.leader_epoch = epoch in
-  (* The periodic batcher: every [period], one batch if no instance is open. *)
-  (match t.exec.batcher with
-  | Event_driven -> ()
-  | Periodic period ->
-    ignore
-      (Engine.spawn t.env.eng ~node:t.env.node ~name:(t.stack ^ ".batcher")
-         (fun () ->
-           while live () do
-             Engine.sleep period;
-             if live () && t.inflight = [] && (not t.reconfiguring)
-                && not (Queue.is_empty t.queue)
-             then begin
-               let pax = Option.get !(t.pax) in
-               if Paxos.Replica.is_leader pax && not (Paxos.Replica.in_flight pax)
-               then ignore (propose_batch t pax)
-             end
-           done)));
   (* Timers become proposed pseudo-requests, so every replica runs the
      callback at the same log position. *)
   Array.iteri
@@ -253,7 +233,7 @@ let spawn_leader_fibers t =
                  Queue.push
                    (Printf.sprintf "%s%d" timer_prefix idx, fun _ -> ())
                    t.queue;
-                 if event_driven t then propose_ready t
+                 propose_ready t
                end
              done)))
     t.timers
@@ -273,8 +253,10 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
   let inner = factory api in
   let app = Session.wrap ~table:session ~dedup_in_execute:true inner in
   let timers = Array.of_list (Api.seal api) in
-  let pax = ref None in
-  let leader_hint () = Option.bind !pax Paxos.Replica.leader_hint in
+  let agree = ref None in
+  let leader_hint () =
+    Option.bind !agree (fun a -> a.Agreement.leader_hint ())
+  in
   let env =
     {
       eng;
@@ -298,15 +280,15 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
       timers;
       state;
       exec;
-      pax;
+      agree;
       front = None;
       leader = false;
       leader_epoch = 0;
       queue = Queue.create ();
       inflight = [];
       proposing = false;
-      reconfiguring = false;
       exec_queue = Queue.create ();
+      delivering = false;
       exec_waiters = [];
     }
   in
@@ -321,13 +303,13 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
              r_lease_valid =
                (fun () ->
                  t.leader
-                 && match !pax with
-                    | Some p -> Paxos.Replica.holds_lease p
+                 && match !agree with
+                    | Some a -> a.Agreement.lease_valid ()
                     | None -> false);
              r_read_index =
                (fun () ->
-                 match !pax with
-                 | Some p -> Paxos.Replica.read_index p
+                 match !agree with
+                 | Some a -> a.Agreement.read_index ()
                  | None -> 0);
              (* The leader replies to a write only after executing it
                 locally, so once the executor's gate opens leader state
@@ -348,48 +330,32 @@ let create net rpc cfg ~node ~paxos_store ~stack build factory =
   t
 
 let start t =
-  let cfg = t.env.cfg in
-  let pax_cfg =
-    {
-      Paxos.Replica.me = t.env.node;
-      peers = cfg.Config.replicas;
-      heartbeat_period = cfg.Config.heartbeat_period;
-      max_inflight =
-        (match t.exec.batcher with
-        | Periodic _ -> 1
-        | Event_driven -> cfg.Config.pipeline_depth);
-      sync_latency = cfg.Config.paxos_sync_latency;
-      lease_duration = cfg.Config.lease_duration;
-      lease_drift_bound = cfg.Config.lease_drift_bound;
-    }
+  let agree =
+    Agreement.of_paxos t.env.net t.env.cfg ~node:t.env.node t.pstore
+      {
+        Agreement.on_committed = (fun i v -> on_committed t i v);
+        on_become_leader =
+          (fun () ->
+            t.leader <- true;
+            spawn_leader_fibers t);
+        on_new_leader =
+          (fun _ ->
+            if t.leader then begin
+              t.leader <- false;
+              (* Our uncommitted proposal may still commit, but a deposed
+                 leader no longer answers for it: dropping its callbacks
+                 releases the frontend's in-flight entries, so client
+                 retries can be served by the new leader. *)
+              let open_ = t.inflight in
+              t.inflight <- [];
+              List.iter (fun p -> List.iter (fun cb -> cb None) p.p_cbs) open_;
+              Queue.iter (fun (_, cb) -> cb None) t.queue;
+              Queue.clear t.queue
+            end);
+      }
   in
-  let cbs =
-    {
-      Paxos.Replica.on_committed = (fun i v -> on_committed t i v);
-      on_become_leader =
-        (fun () ->
-          t.leader <- true;
-          spawn_leader_fibers t);
-      on_new_leader =
-        (fun _ ->
-          if t.leader then begin
-            t.leader <- false;
-            t.reconfiguring <- false;
-            (* Our uncommitted proposal may still commit, but a deposed
-               leader no longer answers for it: dropping its callbacks
-               releases the frontend's in-flight entries, so client
-               retries can be served by the new leader. *)
-            let open_ = t.inflight in
-            t.inflight <- [];
-            List.iter (fun p -> List.iter (fun cb -> cb None) p.p_cbs) open_;
-            Queue.iter (fun (_, cb) -> cb None) t.queue;
-            Queue.clear t.queue
-          end);
-    }
-  in
-  let pax = Paxos.Replica.create t.env.net pax_cfg t.pstore cbs in
-  t.pax := Some pax;
-  Paxos.Replica.start pax;
+  t.agree := Some agree;
+  agree.Agreement.start ();
   ignore
     (Engine.spawn t.env.eng ~node:t.env.node ~name:(t.stack ^ ".executor")
        (executor_loop t))

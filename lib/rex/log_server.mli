@@ -2,17 +2,22 @@
     (SMR, the CBASE/early sched stacks and Eve; DESIGN.md §7, §12).
 
     The core owns everything those stacks have in common: the replica's
-    session-wrapped app and {!Session.Table.t}, Paxos, the {!Frontend}
-    registration (leases, read index, admission over the proposal
-    queue), the batcher that turns the queue into proposals, the timer
-    fibers that propose ticks, the [on_new_leader] flush, decoding each
-    committed batch and pairing it with the leader's reply callbacks,
-    and handing committed batches to the stack in log order (also on
-    {!replay}).
+    session-wrapped app and {!Session.Table.t}, the agree stage
+    ({!Agreement.of_paxos}), the {!Frontend} registration (leases, read
+    index, admission over the proposal queue), the batcher that turns
+    the queue into proposals, the timer fibers that propose ticks, the
+    [on_new_leader] flush, decoding each committed batch and pairing it
+    with the leader's reply callbacks, and handing committed batches to
+    the stack in log order (also on {!replay}).
+
+    The batcher has no clock of its own.  The leader proposes whenever
+    requests are queued and the agree stage takes another value: on an
+    arrival, a timer's tick, the commit of one of its instances, the end
+    of each executed batch and the end of a membership change.
 
     A stack supplies an {!executor}: what it does with a committed
     batch, how it gates a local read, how far it has applied, how it
-    forms a batch and which {!batcher} proposes its batches.  A deposed
+    forms a batch and whether its batches await execution.  A deposed
     leader answers [None] for every request of every instance it still
     had open.
 
@@ -30,18 +35,6 @@ type item =
   | Tick of (unit -> unit)
       (** an application timer callback, due at this log position *)
 
-(** When the leader proposes. *)
-type batcher =
-  | Periodic of float
-      (** a leader fiber proposes one batch every period, with one
-          instance open at most (Eve: its per-batch snapshot and
-          parallel mix need full batches) *)
-  | Event_driven
-      (** no fiber: propose on an arrival, a timer's tick and the commit
-          of one of the leader's instances, whenever requests are queued
-          and fewer than [cfg.pipeline_depth] instances are open (SMR,
-          CBASE, early) *)
-
 type executor = {
   deliver : int -> item list -> unit;
       (** run committed instance [i]'s batch; called on the core's
@@ -55,7 +48,13 @@ type executor = {
   form_batch : (string * callback) Queue.t -> (string * callback) list;
       (** take the next proposal's requests from the leader's queue, in
           the order they will execute; requests left behind stay queued *)
-  batcher : batcher;
+  await_execution : bool;
+      (** [true]: propose a batch only while none of the leader's
+          instances is open and the executor has run every committed
+          batch, so requests that arrive during a batch join the next
+          one (Eve, whose per-batch snapshot and verify need full
+          batches); [false]: propose while fewer than
+          [cfg.pipeline_depth] instances are open (SMR, CBASE, early) *)
 }
 
 (** What a stack's executor is built from. *)
@@ -108,16 +107,16 @@ val session_table : 'x t -> Session.Table.t
 val frontend : 'x t -> Frontend.t
 
 val peers : 'x t -> int list
-(** Current membership ({!Paxos.Replica.peers}; the configured replicas
+(** Current membership (the agree stage's [peers]; the configured replicas
     before {!start}). *)
 
 val reconfig : 'x t -> int list -> bool
 (** Propose a new membership through the log
-    ({!Paxos.Replica.propose_reconfig}: one replica added or removed).
-    The leader holds its batcher, proposes the config entry once its
-    open instances have committed, and releases the batcher once the
-    entry is delivered; [false] on a non-leader or while a change is
-    already under way.  A newcomer catches up through Paxos [Learn] over
+    ([Agreement.t]'s [reconfig]: one replica added or removed).  The agree
+    stage holds the batcher, proposes the config entry once the open
+    instances have committed, and releases the batcher once the entry
+    is delivered; [false] on a non-leader or while a change is already
+    under way.  A newcomer catches up through Paxos [Learn] over
     the log, which this core never truncates. *)
 
 val submit : 'x t -> string -> callback -> unit

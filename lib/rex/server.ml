@@ -69,7 +69,6 @@ type t = {
   (* a request or timer callback completed beyond [proposed_cut] *)
   mutable progress : bool;
   mutable proposing : bool;  (* guards [propose_ready] against re-entry *)
-  mutable reconfiguring : bool;  (* a membership change holds the proposer *)
   (* the primary's proposals not yet seen committed, oldest first: the
      encoded value and its delta's upto *)
   inflight : (string * Trace.Cut.t) Queue.t;
@@ -317,7 +316,6 @@ let propose_ready t =
     t.proposing <- true;
     if
       current t exec && t.role_ = Primary && (not t.ckpt_flag)
-      && (not t.reconfiguring)
       && (t.progress || t.ckpt_pending_proposal <> None)
       && agree.Agreement.can_propose ()
     then propose t exec agree;
@@ -328,23 +326,15 @@ let note_progress t =
   t.progress <- true;
   propose_ready t
 
-(* Paxos takes a config entry only while no instance is open, and a
-   loaded primary always has one open, so the change holds the proposer
-   until the entry is delivered ([Paxos.Replica.reconfig_when_idle]). *)
+(* The agree stage holds the proposer until the config entry is
+   delivered (see [Agreement.reconfig]). *)
 let reconfig t new_peers =
-  t.role_ = Primary && (not t.reconfiguring)
+  t.role_ = Primary
   &&
   let g = t.gen in
-  t.reconfiguring <- true;
-  let ok =
-    (agreement t).Agreement.reconfig new_peers
-      ~live:(fun () -> t.role_ = Primary && t.gen = g)
-      ~release:(fun () ->
-        t.reconfiguring <- false;
-        propose_ready t)
-  in
-  if not ok then t.reconfiguring <- false;
-  ok
+  (agreement t).Agreement.reconfig new_peers
+    ~live:(fun () -> t.role_ = Primary && t.gen = g)
+    ~release:(fun () -> propose_ready t)
 
 (* --- Checkpoint: secondary barrier --- *)
 
@@ -851,7 +841,6 @@ let promote t =
              t.proposed_cut <- Runtime.recorded_cut exec.rt;
              t.cursor <- None;
              t.progress <- false;
-             t.reconfiguring <- false;
              Queue.clear t.inflight;
              Frontend.Flow.reset t.flow;
              spawn_ckpt_policy t exec;
@@ -990,7 +979,6 @@ let create ?make_agreement net rpc cfg ~node ~paxos_store ~disk factory =
       cursor = None;
       progress = false;
       proposing = false;
-      reconfiguring = false;
       inflight = Queue.create ();
       committed_cut_ = Trace.Cut.zero ~slots;
       committed_instance = 0;
@@ -1167,26 +1155,7 @@ let start t =
   let agree =
     match t.make_agreement with
     | Some make -> make t cbs
-    | None ->
-      let pax_cfg =
-        {
-          Paxos.Replica.me = t.node_id;
-          peers = t.cfg.Config.replicas;
-          heartbeat_period = t.cfg.Config.heartbeat_period;
-          max_inflight = t.cfg.Config.pipeline_depth;
-          sync_latency = t.cfg.Config.paxos_sync_latency;
-          lease_duration = t.cfg.Config.lease_duration;
-          lease_drift_bound = t.cfg.Config.lease_drift_bound;
-        }
-      in
-      let pax_cbs =
-        {
-          Paxos.Replica.on_committed = cbs.Agreement.on_committed;
-          on_become_leader = cbs.Agreement.on_become_leader;
-          on_new_leader = cbs.Agreement.on_new_leader;
-        }
-      in
-      Agreement.of_paxos (Paxos.Replica.create t.net pax_cfg t.pstore pax_cbs)
+    | None -> Agreement.of_paxos t.net t.cfg ~node:t.node_id t.pstore cbs
   in
   t.agree <- Some agree;
   ignore

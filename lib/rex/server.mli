@@ -48,8 +48,9 @@ val create :
   disk:Checkpoint.Disk.t ->
   App.factory ->
   t
-(** [make_agreement] substitutes the agree stage (default: multi-instance
-    Paxos per the paper; see {!Chain} for chain replication, §7). *)
+(** [make_agreement] substitutes the agree stage (default:
+    {!Agreement.of_paxos}, multi-instance Paxos per the paper; see
+    {!Chain} for chain replication, §7). *)
 
 val start : t -> unit
 

@@ -74,7 +74,7 @@ let executor ~mode ~conflict (env : L.env) =
         (fun request -> Exec.park_until_quiet exec (conflict request));
       applied = (fun () -> !applied);
       form_batch = L.take batch_max;
-      batcher = L.Event_driven;
+      await_execution = false;
     } )
 
 let create net rpc cfg ~node ~paxos_store ~mode ~conflict factory =

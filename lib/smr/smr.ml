@@ -37,7 +37,7 @@ let serial (env : L.env) =
       gate_read = ignore;
       applied = (fun () -> !applied);
       form_batch = L.take batch_max;
-      batcher = L.Event_driven;
+      await_execution = false;
     } )
 
 let create net rpc cfg ~node ~paxos_store factory =

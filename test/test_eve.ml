@@ -199,6 +199,61 @@ let enveloped_rollback_restores_sessions () =
         !acked)
     servers
 
+let paxos_proposals eng =
+  Obs.Registry.fold (Obs.registry (Engine.obs eng)) ~init:0
+    ~f:(fun acc (key : Obs.Registry.key) inst ->
+      match inst with
+      | Obs.Registry.Counter c
+        when key.subsystem = "paxos" && key.name = "proposals" ->
+        acc + Obs.Metric.value c
+      | _ -> acc)
+
+(* An idle leader proposes a request as it arrives: no batcher clock
+   delays it. *)
+let lone_request_proposed_at_arrival () =
+  let eng, _, primary = mk_cluster () in
+  let before = ref 0 and after = ref 0 and reply = ref None in
+  ignore
+    (Engine.spawn eng ~node:3 (fun () ->
+         before := paxos_proposals eng;
+         Eve.submit primary "INC a" (fun r -> reply := r);
+         after := paxos_proposals eng));
+  Engine.run ~until:(Engine.clock eng +. 0.1) eng;
+  Alcotest.(check int) "proposed in the instant of its arrival" (!before + 1)
+    !after;
+  Alcotest.(check (option string)) "answered" (Some "1") !reply
+
+(* Batches wait for execution: a request that arrives while the leader
+   runs a batch is proposed when that batch's verdict is in and its
+   replies are sent, in the same virtual instant, and not before. *)
+let no_batch_proposed_while_one_executes () =
+  let eng, _, primary = mk_cluster () in
+  let batches () = (Eve.stats primary).Eve.batches in
+  let mid_batch = ref None and at_verdict = ref None and after_verdict = ref 0 in
+  ignore
+    (Engine.spawn eng ~node:3 (fun () ->
+         let b0 = batches () in
+         Eve.submit primary "INC a" (fun _ ->
+             at_verdict := Some (Engine.now (), paxos_proposals eng);
+             Engine.schedule eng ~at:(Engine.now ()) (fun () ->
+                 after_verdict := paxos_proposals eng));
+         while batches () = b0 do
+           Engine.sleep 5e-6
+         done;
+         let p = paxos_proposals eng in
+         Eve.submit primary "INC b" ignore;
+         mid_batch := Some (Engine.now (), p, paxos_proposals eng)));
+  Engine.run ~until:(Engine.clock eng +. 0.1) eng;
+  match (!mid_batch, !at_verdict) with
+  | Some (t_mid, p_mid, p_submitted), Some (t_verdict, p_verdict) ->
+    Alcotest.(check bool) "the second request arrived mid-batch" true
+      (t_mid < t_verdict);
+    Alcotest.(check int) "not proposed at arrival" p_mid p_submitted;
+    Alcotest.(check int) "not proposed before the verdict" p_mid p_verdict;
+    Alcotest.(check int) "proposed right after the verdict" (p_mid + 1)
+      !after_verdict
+  | _ -> Alcotest.fail "the first batch never ran"
+
 let response_digest_covers_every_response () =
   let responses = Array.init 64 string_of_int in
   let d = Eve.response_digest responses in
@@ -232,4 +287,8 @@ let suite =
     Alcotest.test_case "response digest covers every response" `Quick
       response_digest_covers_every_response;
     Alcotest.test_case "rejects background timers" `Quick rejects_background_timers;
+    Alcotest.test_case "lone request proposed at arrival" `Quick
+      lone_request_proposed_at_arrival;
+    Alcotest.test_case "no batch proposed while one executes" `Quick
+      no_batch_proposed_while_one_executes;
   ]

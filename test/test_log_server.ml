@@ -272,7 +272,7 @@ let suite =
       (golden "early" (sched Sched.Exec.Early) memcache_op
          "cef0595aa8d9bc120f391081575a43a2");
     Alcotest.test_case "golden eve run" `Quick
-      (golden "eve" eve lock_op "ee45b0103915dea52effba4e39093b7f");
+      (golden "eve" eve lock_op "7df23c54e62705eb2e1d83f6771c7d83");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
       (forged_ticks_dropped smr);
     Alcotest.test_case "cbase drops forged timer ticks" `Quick

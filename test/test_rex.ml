@@ -910,6 +910,7 @@ let hand_driven_primary () =
           Queue.push v proposed;
           true);
       can_propose = (fun () -> true);
+      next_instance = (fun () -> 0);
       is_leader = (fun () -> true);
       leader_hint = (fun () -> Some 0);
       committed_upto = (fun () -> 0);
@@ -1094,6 +1095,58 @@ let add_replica_under_load () =
   Alcotest.(check int) "four live replicas" 4 (List.length (all_digests cluster));
   check_digests_equal "digests converge incl newcomer" cluster
 
+(* A membership change holds the proposer in the agree stage itself:
+   [can_propose] is false from the [reconfig] call until its [release]
+   runs.  A hold whose caller went away ([live] false) outlasts the
+   change, and the next term starts without it. *)
+let reconfig_holds_agree_stage () =
+  let replicas = [ 0; 1; 2; 3; 4 ] in
+  let cluster =
+    R.Cluster.create ~seed:5 (R.Config.make ~workers:2 ~replicas ()) (test_app ())
+  in
+  R.Cluster.start cluster;
+  let p = R.Cluster.await_primary cluster in
+  let leader = R.Server.node p in
+  let agree = R.Server.agreement in
+  let can_propose s = (agree s).R.Agreement.can_propose () in
+  Alcotest.(check bool) "proposes before the change" true (can_propose p);
+  let released = ref false in
+  let removed = List.find (( <> ) leader) replicas in
+  let members = List.filter (( <> ) removed) replicas in
+  Alcotest.(check bool) "change started" true
+    ((agree p).R.Agreement.reconfig members
+       ~live:(fun () -> true)
+       ~release:(fun () -> released := true));
+  Alcotest.(check bool) "held at once" false (can_propose p);
+  Alcotest.(check bool) "a second change is refused" false
+    ((agree p).R.Agreement.reconfig replicas ~live:(fun () -> true)
+       ~release:ignore);
+  R.Cluster.run_for cluster 0.5e-3;
+  Alcotest.(check bool) "still waiting" false !released;
+  Alcotest.(check bool) "held while the change waits" false (can_propose p);
+  R.Cluster.run_for cluster 0.05;
+  Alcotest.(check bool) "released" true !released;
+  Alcotest.(check (list int)) "change delivered" members
+    ((agree p).R.Agreement.peers ());
+  Alcotest.(check bool) "proposes after release" true (can_propose p);
+  (* Every member is left holding by a change whose caller is gone. *)
+  List.iter
+    (fun s ->
+      if List.mem (R.Server.node s) members then
+        ignore
+          ((agree s).R.Agreement.reconfig replicas
+             ~live:(fun () -> false)
+             ~release:ignore))
+    (R.Cluster.live cluster);
+  R.Cluster.run_for cluster 0.01;
+  Alcotest.(check bool) "an abandoned change keeps its hold" false
+    (can_propose p);
+  R.Cluster.crash cluster leader;
+  let p' = R.Cluster.await_primary cluster in
+  Alcotest.(check bool) "a new leader" true (R.Server.node p' <> leader);
+  Alcotest.(check bool) "the new term starts with no hold" true
+    (can_propose p')
+
 (* A parked intake fiber wakes when the last fresh report goes stale,
    with no report or tick to wake it. *)
 let flow_park_wakes_at_staleness () =
@@ -1125,6 +1178,8 @@ let suite =
         lone_request_answered;
       Alcotest.test_case "add a replica under a closed loop" `Quick
         add_replica_under_load;
+      Alcotest.test_case "reconfig holds the agree stage" `Quick
+        reconfig_holds_agree_stage;
       Alcotest.test_case "flow park wakes at staleness" `Quick
         flow_park_wakes_at_staleness;
     ]
