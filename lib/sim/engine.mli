@@ -96,7 +96,9 @@ val spawn : t -> node:int -> ?name:string -> (unit -> unit) -> tid
 val spawn_immediate : t -> node:int -> ?name:string -> (unit -> unit) -> unit
 (** Start a fiber and run it synchronously up to its first suspension
     point, with no start jitter.  [Net] uses this so that message handlers
-    observe deliveries in FIFO order. *)
+    observe deliveries in FIFO order.  The fiber takes its tid now, but
+    the engine keeps no record of it unless it suspends: a handler that
+    runs to completion costs one record and one effect handler frame. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in time order until the queue drains or virtual time
@@ -172,6 +174,11 @@ val wake : waker -> unit
 val busy_time : t -> int -> float
 (** Total core-seconds consumed on a node so far; sample it twice to derive
     utilization over a window. *)
+
+val suspended_fibers : t -> int
+(** Fibers that have suspended ({!work}, {!sleep}, {!park}, {!yield}) and
+    not finished.  A fiber that runs to completion without suspending,
+    as most message deliveries do, is never counted. *)
 
 (** {1 Low-level scheduling (used by [Net])} *)
 

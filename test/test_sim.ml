@@ -348,6 +348,38 @@ let net_crashed_node_drops () =
                 Net.send net ~src:0 ~dst:1 ~port:(Net.port "c") "x"))));
   check_int "no delivery to dead node" 0 !got
 
+(* A delivery runs in a fiber whose tid is minted on arrival, but the
+   engine lists it among its suspended fibers only once it suspends: a
+   handler that runs to completion leaves the list as it was, and the
+   handlers that park are killed by a crash in tid order. *)
+let net_handler_fibers () =
+  let eng = Engine.create ~num_nodes:2 () in
+  let net = Net.create eng in
+  let port = Net.port "h" in
+  let parked = ref [] and killed = ref [] and listed = ref [] in
+  Net.register net ~node:1 ~port (fun ~src:_ p ->
+      if p = "park" then begin
+        let me = Engine.self () in
+        parked := me :: !parked;
+        try Engine.park (fun _ -> ()) with Engine.Killed -> killed := me :: !killed
+      end
+      else listed := (Engine.suspended_fibers eng, List.length !parked) :: !listed);
+  ignore
+    (Engine.spawn eng ~node:0 (fun () ->
+         List.iter
+           (Net.send net ~src:0 ~dst:1 ~port)
+           [ "park"; "run"; "park"; "run"; "park" ]));
+  Engine.run ~until:1.0 eng;
+  check_int "only the parked handlers are listed" 3 (Engine.suspended_fibers eng);
+  Alcotest.(check (list (pair int int)))
+    "a running handler is not listed" [ (2, 2); (1, 1) ] !listed;
+  Engine.crash_node eng 1;
+  Engine.run eng;
+  let tids = List.rev !parked in
+  Alcotest.(check (list int)) "killed in tid order" tids (List.rev !killed);
+  Alcotest.(check (list int)) "tids ascend" (List.sort compare tids) tids;
+  check_int "none left" 0 (Engine.suspended_fibers eng)
+
 (* A message to a node id the engine has not added yet is dropped, even
    with a handler registered for that id; once the node is added, the
    next message gets through. *)
@@ -801,6 +833,8 @@ let suite =
     Alcotest.test_case "net partition" `Quick net_partition_drops;
     Alcotest.test_case "net FIFO per pair" `Quick net_fifo_per_pair;
     Alcotest.test_case "net drops to dead node" `Quick net_crashed_node_drops;
+    Alcotest.test_case "net handler fibers listed only when suspended" `Quick
+      net_handler_fibers;
     Alcotest.test_case "net drops to a node not added yet" `Quick
       net_drops_to_unadded_node;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
