@@ -31,9 +31,11 @@
    one seed as non-linearizable — proof the oracle can see a stale
    read.
 
-   --pipeline-depth N deploys every group with [Config.pipeline_depth] N,
-   so up to N Paxos instances are open at once and commit notices ride
-   Accepts while an earlier instance is still in flight. *)
+   --pipeline-depth N deploys every group with [Config.pipeline_depth] N
+   ([Config.default_pipeline_depth], 2, unless given), so up to N Paxos
+   instances are open at once and commit notices ride Accepts while an
+   earlier instance is still in flight; 1 is the paper's single open
+   instance. *)
 
 module N = Check.Nemesis
 module Runner = Check.Runner
@@ -188,7 +190,8 @@ let lease_canary ~stack ~seeds ~base_seed ~quick =
 
 let run ?(quick = false) ?(stack = "rex") ?(app = "kv") ?(nemesis = "mixed")
     ?(seeds = 10) ?(base_seed = 1000) ?(dedup_off = false) ?(reads = false)
-    ?(lease_unsafe = false) ?(pipeline_depth = 1) ?repro_out () =
+    ?(lease_unsafe = false)
+    ?(pipeline_depth = Rex_core.Config.default_pipeline_depth) ?repro_out () =
   if lease_unsafe then lease_canary ~stack ~seeds ~base_seed ~quick
   else begin
   let stacks = expand_stacks stack in
@@ -199,7 +202,8 @@ let run ?(quick = false) ?(stack = "rex") ?(app = "kv") ?(nemesis = "mixed")
     stack app nemesis seeds base_seed
     (if dedup_off then " (DEDUP OFF: expecting violations)" else "")
     (if reads then " (reads via fast path)" else "")
-    (if pipeline_depth > 1 then Printf.sprintf " (pipeline depth %d)" pipeline_depth
+    (if pipeline_depth <> Rex_core.Config.default_pipeline_depth then
+       Printf.sprintf " (pipeline depth %d)" pipeline_depth
      else "");
   determinism_check ~stack:(List.hd stacks) ~app:(List.hd apps)
     ~nemesis:(List.hd nemeses) ~pipeline_depth ~seed:base_seed;

@@ -412,11 +412,12 @@ let check_cmd =
   in
   let depth_arg =
     Arg.(
-      value & opt int 1
+      value & opt int Rex_core.Config.default_pipeline_depth
       & info [ "pipeline-depth" ] ~docv:"N"
           ~doc:
             "Deploy every group with up to $(docv) Paxos instances open at \
-             once (Config.pipeline_depth).")
+             once (Config.pipeline_depth); 1 is the paper's single open \
+             instance.")
   in
   let open_loop_arg =
     Arg.(

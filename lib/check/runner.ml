@@ -38,7 +38,8 @@ type config = {
 
 let default_config ?(clients = 3) ?(ops_per_client = 8) ?(dedup_off = false)
     ?(reads_via_query = false) ?(lease_unsafe = false) ?read_ratio
-    ?(checkpoint_interval = None) ?(pipeline_depth = 1) ?(horizon = 3.0)
+    ?(checkpoint_interval = None)
+    ?(pipeline_depth = R.Config.default_pipeline_depth) ?(horizon = 3.0)
     ?(max_steps = 5_000_000)
     ~stack ~app ~nemesis ~seed () =
   {

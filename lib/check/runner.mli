@@ -62,7 +62,8 @@ type config = {
           clients parked on a stale leader whose reads still answer *)
   checkpoint_interval : float option;  (** Rex/Sharded only *)
   pipeline_depth : int;
-      (** [Config.pipeline_depth] of the deployed group (1 by default) *)
+      (** [Config.pipeline_depth] of the deployed group
+          ([Config.default_pipeline_depth] unless set) *)
   horizon : float;  (** fault window; healing and drain follow *)
   max_steps : int;  (** checker search budget *)
 }

@@ -121,7 +121,6 @@ type t = {
   mutable held : (int * Ballot.t) list;
       (* commit notices not sent yet, newest first (see "Commit notices") *)
   mutable delivered : int;
-  mutable stopped : bool;
   (* lease state, follower side: one outstanding grant at a time *)
   mutable grant_ballot : Ballot.t;  (* whose heartbeats we granted to *)
   mutable grant_until : float;  (* local-clock expiry of that grant *)
@@ -496,158 +495,156 @@ let tally_pre_votes t =
 (* --- Message handling --- *)
 
 let handle t ~src msg =
-  if not t.stopped then begin
-    match msg with
-    | Msg.Prepare { ballot } ->
-      (* Lease fencing: every member counted in a live lease quorum must
-         refuse foreign candidates, or a new leader could commit writes
-         while the old one still serves lease-protected local reads.  A
-         follower with an active grant Nacks anyone but the grant holder;
-         a leader holding the lease Nacks everyone (its implicit grant to
-         itself).  Quorum intersection then blocks any Prepare majority
-         until the lease has provably expired. *)
-      let fenced =
-        (grant_active t
-        && ballot.Ballot.replica <> t.grant_ballot.Ballot.replica)
-        || (t.role = Leader && ballot.Ballot.replica <> t.cfg.me
-           && holds_lease t)
+  match msg with
+  | Msg.Prepare { ballot } ->
+    (* Lease fencing: every member counted in a live lease quorum must
+       refuse foreign candidates, or a new leader could commit writes
+       while the old one still serves lease-protected local reads.  A
+       follower with an active grant Nacks anyone but the grant holder;
+       a leader holding the lease Nacks everyone (its implicit grant to
+       itself).  Quorum intersection then blocks any Prepare majority
+       until the lease has provably expired. *)
+    let fenced =
+      (grant_active t
+      && ballot.Ballot.replica <> t.grant_ballot.Ballot.replica)
+      || (t.role = Leader && ballot.Ballot.replica <> t.cfg.me
+         && holds_lease t)
+    in
+    if (not fenced) && Ballot.compare ballot (Store.promised t.st) > 0
+    then begin
+      (* Promising a new leader invalidates any stale grant record. *)
+      if ballot.Ballot.replica <> t.grant_ballot.Ballot.replica then begin
+        t.grant_ballot <- Ballot.zero;
+        t.grant_until <- neg_infinity
+      end;
+      Store.set_promised t.st ballot;
+      observe_ballot t ballot;
+      followed t;
+      if t.cfg.sync_latency > 0. then Engine.sleep t.cfg.sync_latency;
+      send t src
+        (Msg.Promise
+           {
+             ballot;
+             accepted = Store.accepted_above t.st (Store.committed_upto t.st);
+             committed_upto = Store.committed_upto t.st;
+           })
+    end
+    else send t src (Msg.Nack { ballot = Store.promised t.st })
+  | Msg.Promise { ballot; accepted; committed_upto } ->
+    if
+      t.role = Candidate
+      && Ballot.compare ballot t.ballot = 0
+      && not (List.exists (fun (f, _, _) -> f = src) t.campaign_promises)
+    then begin
+      t.campaign_promises <-
+        (src, accepted, committed_upto) :: t.campaign_promises;
+      tally_promises t
+    end
+  | Msg.Nack { ballot } -> observe_ballot t ballot
+  | Msg.Pre_vote { ballot } ->
+    (* Yes only if we too have lost the leader.  Answering changes
+       nothing here: no promise, and the silence timer keeps running. *)
+    let granted = t.role <> Leader && leader_silent t in
+    send t src (Msg.Pre_vote_reply { ballot; granted })
+  | Msg.Pre_vote_reply { ballot; granted } -> (
+    match t.pre_votes with
+    | Some (b, yes)
+      when granted && Ballot.compare b ballot = 0 && not (List.mem src yes)
+      ->
+      t.pre_votes <- Some (b, src :: yes);
+      tally_pre_votes t
+    | Some _ | None -> ())
+  | Msg.Accept { ballot; instance; value; prior; commits } ->
+    List.iter (fun (i, b) -> commit_noticed t i b) commits;
+    if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
+      Store.set_promised t.st ballot;
+      observe_ballot t ballot;
+      followed t;
+      (* Take the piggybacked chain first, then the new instance, but
+         never leave a hole: each instance needs its predecessor
+         committed or accepted. *)
+      let contiguous i =
+        i <= Store.committed_upto t.st + 1 || Store.accepted t.st (i - 1) <> None
       in
-      if (not fenced) && Ballot.compare ballot (Store.promised t.st) > 0
-      then begin
-        (* Promising a new leader invalidates any stale grant record. *)
-        if ballot.Ballot.replica <> t.grant_ballot.Ballot.replica then begin
-          t.grant_ballot <- Ballot.zero;
-          t.grant_until <- neg_infinity
-        end;
-        Store.set_promised t.st ballot;
-        observe_ballot t ballot;
-        followed t;
+      List.iter
+        (fun (i, v) ->
+          if
+            Store.committed t.st i = None
+            && Store.accepted t.st i = None
+            && contiguous i
+          then begin
+            Store.set_accepted t.st i ballot v;
+            send t src (Msg.Accepted { ballot; instance = i })
+          end)
+        (List.sort compare prior);
+      if contiguous instance then begin
+        Store.set_accepted t.st instance ballot value;
         if t.cfg.sync_latency > 0. then Engine.sleep t.cfg.sync_latency;
-        send t src
-          (Msg.Promise
-             {
-               ballot;
-               accepted = Store.accepted_above t.st (Store.committed_upto t.st);
-               committed_upto = Store.committed_upto t.st;
-             })
+        send t src (Msg.Accepted { ballot; instance })
       end
-      else send t src (Msg.Nack { ballot = Store.promised t.st })
-    | Msg.Promise { ballot; accepted; committed_upto } ->
-      if
-        t.role = Candidate
-        && Ballot.compare ballot t.ballot = 0
-        && not (List.exists (fun (f, _, _) -> f = src) t.campaign_promises)
-      then begin
-        t.campaign_promises <-
-          (src, accepted, committed_upto) :: t.campaign_promises;
-        tally_promises t
-      end
-    | Msg.Nack { ballot } -> observe_ballot t ballot
-    | Msg.Pre_vote { ballot } ->
-      (* Yes only if we too have lost the leader.  Answering changes
-         nothing here: no promise, and the silence timer keeps running. *)
-      let granted = t.role <> Leader && leader_silent t in
-      send t src (Msg.Pre_vote_reply { ballot; granted })
-    | Msg.Pre_vote_reply { ballot; granted } -> (
-      match t.pre_votes with
-      | Some (b, yes)
-        when granted && Ballot.compare b ballot = 0 && not (List.mem src yes)
-        ->
-        t.pre_votes <- Some (b, src :: yes);
-        tally_pre_votes t
-      | Some _ | None -> ())
-    | Msg.Accept { ballot; instance; value; prior; commits } ->
-      List.iter (fun (i, b) -> commit_noticed t i b) commits;
-      if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
-        Store.set_promised t.st ballot;
-        observe_ballot t ballot;
-        followed t;
-        (* Take the piggybacked chain first, then the new instance, but
-           never leave a hole: each instance needs its predecessor
-           committed or accepted. *)
-        let contiguous i =
-          i <= Store.committed_upto t.st + 1 || Store.accepted t.st (i - 1) <> None
+    end
+    else send t src (Msg.Nack { ballot = Store.promised t.st })
+  | Msg.Accepted { ballot; instance } -> (
+    match Hashtbl.find_opt t.inflight instance with
+    | Some fi
+      when Ballot.compare fi.fi_ballot ballot = 0
+           && not (List.mem src fi.fi_acks) ->
+      fi.fi_acks <- src :: fi.fi_acks;
+      Obs.Metric.incr t.c_acks;
+      check_quorum t instance
+    | Some _ | None -> ())
+  | Msg.Commit { instance; ballot } -> commit_noticed t instance ballot
+  | Msg.Heartbeat { ballot; committed_upto; hb_seq } ->
+    if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
+      Store.set_promised t.st ballot;
+      observe_ballot t ballot;
+      followed t;
+      if lease_on t then begin
+        (* Grant (or renew) the lease: promise, on our clock, not to
+           promise anyone else for [lease_duration] from receipt. *)
+        t.grant_ballot <- ballot;
+        t.grant_until <- local_now t +. t.cfg.lease_duration;
+        Obs.Metric.incr t.c_lease_grants;
+        send t src (Msg.Lease_grant { ballot; hb_seq })
+      end;
+      request_catch_up t src committed_upto
+    end
+    else send t src (Msg.Nack { ballot = Store.promised t.st })
+  | Msg.Lease_grant { ballot; hb_seq } ->
+    if t.role = Leader && Ballot.compare ballot t.ballot = 0 then begin
+      match Hashtbl.find_opt t.hb_sent hb_seq with
+      | Some sent ->
+        Obs.Metric.incr t.c_lease_renewals;
+        let newer =
+          match Hashtbl.find_opt t.grants src with
+          | Some cur -> sent > cur
+          | None -> true
         in
-        List.iter
-          (fun (i, v) ->
-            if
-              Store.committed t.st i = None
-              && Store.accepted t.st i = None
-              && contiguous i
-            then begin
-              Store.set_accepted t.st i ballot v;
-              send t src (Msg.Accepted { ballot; instance = i })
-            end)
-          (List.sort compare prior);
-        if contiguous instance then begin
-          Store.set_accepted t.st instance ballot value;
-          if t.cfg.sync_latency > 0. then Engine.sleep t.cfg.sync_latency;
-          send t src (Msg.Accepted { ballot; instance })
-        end
-      end
-      else send t src (Msg.Nack { ballot = Store.promised t.st })
-    | Msg.Accepted { ballot; instance } -> (
-      match Hashtbl.find_opt t.inflight instance with
-      | Some fi
-        when Ballot.compare fi.fi_ballot ballot = 0
-             && not (List.mem src fi.fi_acks) ->
-        fi.fi_acks <- src :: fi.fi_acks;
-        Obs.Metric.incr t.c_acks;
-        check_quorum t instance
-      | Some _ | None -> ())
-    | Msg.Commit { instance; ballot } -> commit_noticed t instance ballot
-    | Msg.Heartbeat { ballot; committed_upto; hb_seq } ->
-      if Ballot.compare ballot (Store.promised t.st) >= 0 then begin
-        Store.set_promised t.st ballot;
-        observe_ballot t ballot;
-        followed t;
-        if lease_on t then begin
-          (* Grant (or renew) the lease: promise, on our clock, not to
-             promise anyone else for [lease_duration] from receipt. *)
-          t.grant_ballot <- ballot;
-          t.grant_until <- local_now t +. t.cfg.lease_duration;
-          Obs.Metric.incr t.c_lease_grants;
-          send t src (Msg.Lease_grant { ballot; hb_seq })
-        end;
-        request_catch_up t src committed_upto
-      end
-      else send t src (Msg.Nack { ballot = Store.promised t.st })
-    | Msg.Lease_grant { ballot; hb_seq } ->
-      if t.role = Leader && Ballot.compare ballot t.ballot = 0 then begin
-        match Hashtbl.find_opt t.hb_sent hb_seq with
-        | Some sent ->
-          Obs.Metric.incr t.c_lease_renewals;
-          let newer =
-            match Hashtbl.find_opt t.grants src with
-            | Some cur -> sent > cur
-            | None -> true
-          in
-          if newer then Hashtbl.replace t.grants src sent
-        | None -> ()  (* send-time record already pruned: too old to use *)
-      end
-    | Msg.Learn { from_instance } ->
-      let upto =
-        min (Store.committed_upto t.st) (from_instance + learn_batch - 1)
-      in
-      if upto >= from_instance then
-        send t src
-          (Msg.Learn_reply
-             { entries = Store.committed_range t.st ~from_i:from_instance ~upto })
-    | Msg.Learn_reply { entries } ->
-      List.iter (fun (i, v) -> Store.commit t.st i v) entries;
-      deliver t;
-      (match t.lead_after_catchup with
-      | Some target when Store.committed_upto t.st >= target ->
-        t.lead_after_catchup <- None;
-        if t.role = Candidate then drive_next_proposal t
-      | Some target ->
-        (* keep pulling until we reach the target *)
-        if entries <> [] then request_catch_up t src target
-      | None ->
-        (* There may be more to learn. *)
-        if entries <> [] then
-          request_catch_up t src (Store.committed_upto t.st + learn_batch))
-  end
+        if newer then Hashtbl.replace t.grants src sent
+      | None -> ()  (* send-time record already pruned: too old to use *)
+    end
+  | Msg.Learn { from_instance } ->
+    let upto =
+      min (Store.committed_upto t.st) (from_instance + learn_batch - 1)
+    in
+    if upto >= from_instance then
+      send t src
+        (Msg.Learn_reply
+           { entries = Store.committed_range t.st ~from_i:from_instance ~upto })
+  | Msg.Learn_reply { entries } ->
+    List.iter (fun (i, v) -> Store.commit t.st i v) entries;
+    deliver t;
+    (match t.lead_after_catchup with
+    | Some target when Store.committed_upto t.st >= target ->
+      t.lead_after_catchup <- None;
+      if t.role = Candidate then drive_next_proposal t
+    | Some target ->
+      (* keep pulling until we reach the target *)
+      if entries <> [] then request_catch_up t src target
+    | None ->
+      (* There may be more to learn. *)
+      if entries <> [] then
+        request_catch_up t src (Store.committed_upto t.st + learn_batch))
 
 let create net cfg st cbs =
   let eng = Net.engine net in
@@ -676,7 +673,6 @@ let create net cfg st cbs =
       inflight = Hashtbl.create 4;
       held = [];
       delivered = Store.committed_upto st;
-      stopped = false;
       grant_ballot = Ballot.zero;
       grant_until = neg_infinity;
       hb_seq = 0;
@@ -727,7 +723,7 @@ let start t =
          let tried = ref neg_infinity and retry = ref 0. in
          let slot = ref (phase ()) in
          Engine.sleep !slot;
-         while not t.stopped do
+         while true do
            (* move to the slot of the current membership *)
            let s = phase () in
            Engine.sleep (t.cfg.heartbeat_period +. (s -. !slot));
@@ -736,7 +732,7 @@ let start t =
              if t.last_contact >= !tried then leader_silent t
              else local_now t > !tried +. !retry
            in
-           if (not t.stopped) && t.role <> Leader && is_member t && lost then begin
+           if t.role <> Leader && is_member t && lost then begin
              tried := local_now t;
              retry := detection_delay t *. (1. +. Rng.float t.rng 1.);
              pre_vote t;
@@ -751,9 +747,9 @@ let start t =
      treat a repeat Accept idempotently and re-ack; [fi_acks] dedups. *)
   ignore
     (Engine.spawn eng ~node:t.cfg.me ~name:"paxos.heartbeat" (fun () ->
-         while not t.stopped do
+         while true do
            Engine.sleep t.cfg.heartbeat_period;
-           if (not t.stopped) && t.role = Leader then begin
+           if t.role = Leader then begin
              t.hb_seq <- t.hb_seq + 1;
              Hashtbl.replace t.hb_sent t.hb_seq (local_now t);
              (* keep a bounded window of send-time records *)
@@ -781,10 +777,8 @@ let start t =
            end
          done))
 
-let stop t = t.stopped <- true
-
 let propose t value =
-  if t.stopped || not (can_propose t) then false
+  if not (can_propose t) then false
   else begin
     start_accept t ~instance:(next_instance t) ~value ~recovery:false;
     true
@@ -806,8 +800,7 @@ let valid_transition current proposed =
 
 let propose_reconfig t new_peers =
   if
-    t.stopped
-    || not (can_propose t)
+    (not (can_propose t))
     || in_flight t (* no app entry may straddle the config switch *)
     || not (valid_transition t.peers new_peers)
   then false

@@ -62,9 +62,6 @@ val create : Sim.Net.t -> config -> Store.t -> callbacks -> t
     and heartbeat fibers. *)
 
 val start : t -> unit
-val stop : t -> unit
-(** Stops fibers and ignores further messages (a clean local halt; the
-    node itself may stay alive). *)
 
 val propose : t -> string -> bool
 (** Propose a value for the next free instance.  Returns [false] if this

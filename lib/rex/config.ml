@@ -32,11 +32,14 @@ let admission t ~queue_depth =
          ~max_per_client:t.admit_per_client ~queue_soft:t.admit_queue_soft
          ~queue_hard:t.admit_queue_hard ~queue_depth ())
 
+let default_pipeline_depth = 2
+
 let make ?(workers = 8) ?(checkpoint_interval = None)
     ?(flow_window = 20_000) ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)
     ?(reduce_edges = true) ?(partial_order = true)
     ?(check_versions = true) ?(record_cost = 5e-8)
-    ?(ckpt_byte_cost = 4e-8) ?(pipeline_depth = 1) ?(paxos_sync_latency = 0.)
+    ?(ckpt_byte_cost = 4e-8) ?(pipeline_depth = default_pipeline_depth)
+    ?(paxos_sync_latency = 0.)
     ?(lease_unsafe = false) ?(admit_global = 0) ?(admit_per_client = 0)
     ?(admit_queue_soft = 0) ?(admit_queue_hard = 0) ~replicas () =
   if replicas = [] then invalid_arg "Config.make: empty replica set";

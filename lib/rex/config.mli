@@ -19,11 +19,13 @@ type t = {
       (** modeled cost (seconds per byte) of serializing and writing a
           checkpoint on a secondary — the source of Fig. 10's dips *)
   pipeline_depth : int;
-      (** concurrent consensus instances; 1 = the paper's
-          single-active-instance design, >1 = the §3.1 piggyback
-          pipelining.  Every stack's Paxos reads it
-          ({!Agreement.of_paxos}); Eve's batches await execution, so
-          its leader keeps one of its own instances open at most *)
+      (** concurrent consensus instances, {!default_pipeline_depth} (2)
+          unless set: a request that arrives while one instance is open
+          is proposed at once in the second instead of waiting a Paxos
+          round.  1 is the paper's single-active-instance design (§3.1).
+          Every stack's Paxos reads it ({!Agreement.of_paxos}); Eve's
+          batches await execution, so its leader keeps one of its own
+          instances open at most *)
   paxos_sync_latency : float;
       (** modeled acceptor fsync before promises/accepts (0 disables);
           every stack's Paxos reads it *)
@@ -55,6 +57,10 @@ val admission :
   t -> queue_depth:(unit -> int) -> Frontend.admission option
 (** The {!Frontend.admission} record for these knobs over the stack's own
     [queue_depth] probe; [None] when every knob is 0. *)
+
+val default_pipeline_depth : int
+(** 2: {!make}'s [pipeline_depth] when none is given, and the checker's
+    ([Check.Runner.default_config], [bench check --pipeline-depth]). *)
 
 val make :
   ?workers:int ->

@@ -13,7 +13,10 @@
     The batcher has no clock of its own.  The leader proposes whenever
     requests are queued and the agree stage takes another value: on an
     arrival, a timer's tick, the commit of one of its instances, the end
-    of each executed batch and the end of a membership change.
+    of each executed batch and the end of a membership change.  At the
+    default [Config.pipeline_depth] of 2 a request that arrives while
+    one instance is open goes out at once in a second one; at depth 1
+    it waits for that instance's commit.
 
     A stack supplies an {!executor}: what it does with a committed
     batch, how it gates a local read, how far it has applied, how it
@@ -54,7 +57,8 @@ type executor = {
           batch, so requests that arrive during a batch join the next
           one (Eve, whose per-batch snapshot and verify need full
           batches); [false]: propose while fewer than
-          [cfg.pipeline_depth] instances are open (SMR, CBASE, early) *)
+          [cfg.pipeline_depth] instances are open (SMR, CBASE, early;
+          2 by default) *)
 }
 
 (** What a stack's executor is built from. *)

@@ -9,7 +9,9 @@
    so its run uses the lock server.  The digest covers every replica's
    app and session-table digests, every client answer, the final
    virtual clock, and the commit, message, byte and event counters.  A
-   pinned value changes only when the simulated behaviour is meant to. *)
+   pinned value changes only when the simulated behaviour is meant to.
+   SMR, CBASE and early are pinned at pipeline depth 1, the paper's one
+   open instance, and at the default depth. *)
 
 open Sim
 module R = Rex_core
@@ -35,9 +37,9 @@ let eve cfg net rpc ~node ~paxos_store =
   Eve.create net rpc ecfg ~node ~paxos_store ~conflict_keys:lock_path
     (Apps.Lock_server.factory ())
 
-let deploy stack =
+let deploy ?pipeline_depth stack =
   let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers:4 ~replicas () in
+  let cfg = R.Config.make ~workers:4 ?pipeline_depth ~replicas () in
   let cluster = R.Cluster.create_log ~seed:7 ~replicas (stack cfg) in
   R.Cluster.start cluster;
   R.Cluster.run ~until:1.0 cluster;
@@ -72,8 +74,8 @@ let counter_sum eng qualified =
         acc + Obs.Metric.value c
       | _ -> acc)
 
-let golden_digest stack op =
-  let cluster, first_leader = deploy stack in
+let golden_digest ?pipeline_depth stack op =
+  let cluster, first_leader = deploy ?pipeline_depth stack in
   let eng = R.Cluster.engine cluster in
   let answers = Buffer.create 4096 in
   for c = 0 to 2 do
@@ -113,8 +115,9 @@ let golden_digest stack op =
     [ "paxos/commits"; "net/messages"; "net/bytes"; "sim/events_dispatched" ];
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let golden name stack op expected () =
-  Alcotest.(check string) (name ^ " digest") expected (golden_digest stack op)
+let golden ?pipeline_depth name stack op expected () =
+  Alcotest.(check string) (name ^ " digest") expected
+    (golden_digest ?pipeline_depth stack op)
 
 (* Timer ticks travel through the log as "\x00TIMER:<index>" requests.
    A client that sends those bytes itself must be answered [Dropped]:
@@ -261,16 +264,64 @@ let smr_pays_sync_latency () =
   Alcotest.(check bool) "no sync: under 1 ms" true (write_latency 0. < 1e-3);
   Alcotest.(check bool) "1 ms sync: at least 1 ms" true (write_latency 1e-3 >= 1e-3)
 
+(* SMR over the lock server, which registers no timer, so every proposal
+   in the run below comes from a submitted request. *)
+let lock_smr cfg net rpc ~node ~paxos_store =
+  Smr.create net rpc cfg ~node ~paxos_store (Apps.Lock_server.factory ())
+
+(* The leader proposes while fewer than [pipeline_depth] of its
+   instances are open.  Request [b] is submitted 10 us after [a], while
+   [a]'s instance is open: at depth 2 it is proposed in the same virtual
+   instant, at depth 1 it waits for [a]'s instance to commit. *)
+let proposes_while_instance_open () =
+  let timeline depth =
+    let cluster, leader = deploy ~pipeline_depth:depth lock_smr in
+    let eng = R.Cluster.engine cluster in
+    let s = R.Cluster.await_primary cluster in
+    let proposals () = counter_sum eng "paxos/proposals" in
+    let commits () = counter_sum eng "paxos/commits" in
+    let result = ref None in
+    ignore
+      (Engine.spawn eng ~node:leader (fun () ->
+           let p0 = proposals () and c0 = commits () in
+           R.Log_server.submit s "CREATE /a 1" ignore;
+           let with_a = proposals () - p0 in
+           Engine.sleep 10e-6;
+           R.Log_server.submit s "CREATE /b 2" ignore;
+           let with_b = proposals () - p0 in
+           (* poll each microsecond: [b]'s proposal against [a]'s commit *)
+           let b_at = ref None and a_at = ref None in
+           while !b_at = None || !a_at = None do
+             if !b_at = None && proposals () >= p0 + 2 then b_at := Some (Engine.now ());
+             if !a_at = None && commits () > c0 then a_at := Some (Engine.now ());
+             Engine.sleep 1e-6
+           done;
+           result := Some (with_a, with_b, !b_at < !a_at)));
+    R.Cluster.run_for cluster 0.01;
+    Option.get !result
+  in
+  Alcotest.(check (triple int int bool))
+    "depth 2: b proposed at once, before a commits" (1, 2, true) (timeline 2);
+  Alcotest.(check (triple int int bool))
+    "depth 1: b waits for a's commit" (1, 1, false) (timeline 1)
+
 let suite =
   [
     Alcotest.test_case "golden smr run" `Quick
-      (golden "smr" smr memcache_op "70bd3d5321ecdc34dc46557d762a5932");
+      (golden ~pipeline_depth:1 "smr" smr memcache_op
+         "70bd3d5321ecdc34dc46557d762a5932");
     Alcotest.test_case "golden cbase run" `Quick
-      (golden "cbase" (sched Sched.Exec.Cbase) memcache_op
+      (golden ~pipeline_depth:1 "cbase" (sched Sched.Exec.Cbase) memcache_op
          "2ace2600e8548219527c6e2b71beb5ac");
     Alcotest.test_case "golden early run" `Quick
-      (golden "early" (sched Sched.Exec.Early) memcache_op
+      (golden ~pipeline_depth:1 "early" (sched Sched.Exec.Early) memcache_op
          "cef0595aa8d9bc120f391081575a43a2");
+    Alcotest.test_case "golden smr run at the default depth" `Quick
+      (golden "smr" smr memcache_op "10c1ee7e235e1a14c1151206f8128722");
+    Alcotest.test_case "golden cbase run at the default depth" `Quick
+      (golden "cbase" (sched Sched.Exec.Cbase) memcache_op "c84636556b465e7ae4d47d635b5305e1");
+    Alcotest.test_case "golden early run at the default depth" `Quick
+      (golden "early" (sched Sched.Exec.Early) memcache_op "4f42508dddbb34c5540afb724853a24b");
     Alcotest.test_case "golden eve run" `Quick
       (golden "eve" eve lock_op "7df23c54e62705eb2e1d83f6771c7d83");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
@@ -284,4 +335,6 @@ let suite =
       smr_add_replica_under_load;
     Alcotest.test_case "smr pays the paxos sync latency" `Quick
       smr_pays_sync_latency;
+    Alcotest.test_case "smr proposes while an instance is open at depth 2" `Quick
+      proposes_while_instance_open;
   ]

@@ -1062,6 +1062,46 @@ let lone_request_answered () =
     (Printf.sprintf "answered in %.3f ms, under 0.5 ms" (!took *. 1e3))
     true (!took < 0.5e-3)
 
+(* The primary proposes a cut once it holds reply-bearing progress and
+   the agree stage takes another instance.  Request [b] is submitted
+   while the cut holding [a]'s completion is in flight: at depth 2 [b]'s
+   cut is proposed as soon as [b] completes, before [a] is answered; at
+   depth 1 it waits for [a]'s cut to commit. *)
+let cut_proposed_while_previous_in_flight () =
+  let timeline depth =
+    let cluster =
+      R.Cluster.create ~seed:3
+        (R.Config.make ~workers:4 ~pipeline_depth:depth ~replicas:[ 0; 1; 2 ] ())
+        (test_app ~work:1e-5 ())
+    in
+    R.Cluster.start cluster;
+    let p = R.Cluster.await_primary cluster in
+    quiesce cluster;
+    let eng = R.Cluster.engine cluster in
+    let proposals () = (R.Server.stats p).R.Server.proposals_sent in
+    let result = ref None in
+    ignore
+      (Engine.spawn eng ~node:(R.Server.node p) (fun () ->
+           let p0 = proposals () in
+           let a_at = ref None and b_at = ref None in
+           R.Server.submit p "INC a" (fun _ -> a_at := Some (Engine.now ()));
+           while proposals () = p0 do
+             Engine.sleep 1e-6
+           done;
+           R.Server.submit p "INC b" ignore;
+           while !b_at = None || !a_at = None do
+             if !b_at = None && proposals () >= p0 + 2 then b_at := Some (Engine.now ());
+             Engine.sleep 1e-6
+           done;
+           result := Some (!b_at < !a_at)));
+    R.Cluster.run_for cluster 0.01;
+    Option.get !result
+  in
+  Alcotest.(check bool) "depth 2: b's cut proposed before a is answered" true
+    (timeline 2);
+  Alcotest.(check bool) "depth 1: b's cut waits for a's commit" false
+    (timeline 1)
+
 (* A closed loop keeps the primary proposing in the commit that closes
    its open instance, and Paxos takes a config entry only while none is
    open: the change holds the proposer until the entry is delivered.
@@ -1176,6 +1216,8 @@ let suite =
   @ [
       Alcotest.test_case "lone request answered without a tick" `Quick
         lone_request_answered;
+      Alcotest.test_case "a cut is proposed while the previous is in flight"
+        `Quick cut_proposed_while_previous_in_flight;
       Alcotest.test_case "add a replica under a closed loop" `Quick
         add_replica_under_load;
       Alcotest.test_case "reconfig holds the agree stage" `Quick
