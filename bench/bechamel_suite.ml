@@ -162,53 +162,30 @@ let test_steady_state =
 
 (* --- Open-loop load engine series (EXPERIMENTS.md §14) --- *)
 
-(* The timer-queue comparison behind the fleet-size claim: seed n timers
-   spread over 10 s and drain them all.  ns/run divided by n is the
-   per-event cost — flat for the hierarchical wheel (amortized O(1)),
-   growing with log n (and a worse constant) for the binary heap.  One
-   deterministic rng stream so both structures get identical times. *)
-let wheel_sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]
+(* The fleet-size claim: build one whole schedule, [n] sessions at
+   0.4 req/s each (the kv-reads benchmark's ratio) over 5 s, so about
+   2n arrivals.  ns/run over [gen_arrivals n] is the cost per arrival,
+   the creation of the generator included. *)
+let gen_sizes = [ 2_000; 20_000; 200_000; 1_000_000 ]
 
-let timer_times n =
-  let rng = Sim.Rng.create 7 in
-  Array.init n (fun _ -> Sim.Rng.float rng 10.0)
+let gen_schedule n =
+  let g =
+    Load.Gen.create ~sessions:n ~duration:5.0
+      ~profile:(Load.Arrivals.Steady (0.4 *. float_of_int n))
+      ~keys:4096 ~theta:0.99 ~read_ratio:0.95 ~seed:7 ()
+  in
+  Load.Gen.pull g ~until:5.0 ignore
 
-let tests_wheel_drain =
+let gen_name n = Printf.sprintf "gen pull %dk sessions" (n / 1000)
+let gen_arrivals =
+  lazy (List.map (fun n -> (gen_name n, gen_schedule n)) gen_sizes)
+
+let tests_gen_pull =
   List.map
     (fun n ->
-      let times = timer_times n in
-      Test.make
-        ~name:(Printf.sprintf "wheel add+drain %dk timers" (n / 1000))
-        (Staged.stage (fun () ->
-             let w = Load.Wheel.create ~now:0. () in
-             Array.iter (fun at -> Load.Wheel.add w ~at ()) times;
-             let fired = ref 0 in
-             for tick = 1 to 100 do
-               fired :=
-                 !fired
-                 + Load.Wheel.pop_until w
-                     ~now:(0.1 *. float_of_int tick)
-                     (fun _ () -> ())
-             done;
-             assert (!fired = n))))
-    wheel_sizes
-
-let tests_pqueue_drain =
-  List.map
-    (fun n ->
-      let times = timer_times n in
-      Test.make
-        ~name:(Printf.sprintf "pqueue add+drain %dk timers" (n / 1000))
-        (Staged.stage (fun () ->
-             let q = Sim.Pqueue.create () in
-             Array.iter (fun at -> Sim.Pqueue.add q ~priority:at ()) times;
-             let fired = ref 0 in
-             while not (Sim.Pqueue.is_empty q) do
-               Sim.Pqueue.pop_value q;
-               incr fired
-             done;
-             assert (!fired = n))))
-    wheel_sizes
+      Test.make ~name:(gen_name n)
+        (Staged.stage (fun () -> ignore (gen_schedule n))))
+    gen_sizes
 
 (* --- Simulator substrate series ---
 
@@ -417,7 +394,7 @@ let tests =
     test_paxos_msg;
   ]
   @ tests_last_consistent @ tests_extract_tail @ tests_apply_window
-  @ [ test_steady_state ] @ tests_wheel_drain @ tests_pqueue_drain
+  @ [ test_steady_state ] @ tests_gen_pull
   @ tests_sim_sleep
   @ [ test_net_send; test_rpc_call; test_engine_now; test_engine_self;
       test_mutex_pair ]
@@ -441,7 +418,12 @@ let run () =
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-45s %12.1f ns/run\n%!" name est
+          | Some [ est ] -> (
+            Printf.printf "%-45s %12.1f ns/run" name est;
+            match List.assoc_opt name (Lazy.force gen_arrivals) with
+            | Some n ->
+              Printf.printf " %8.1f ns/arrival (%d)\n%!" (est /. float n) n
+            | None -> print_newline ())
           | Some _ | None -> Printf.printf "%-45s (no estimate)\n%!" name)
         stats)
     tests

@@ -98,4 +98,5 @@ let run ?(scale = 0.1) () =
     Printf.printf "%.1f\t%.0f\t%s\n%!" t
       (float_of_int !replies /. bucket)
       annotate
-  done
+  done;
+  Harness.note_run ~label:"fig10" eng

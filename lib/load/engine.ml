@@ -187,9 +187,9 @@ let run b ~node ?timeline ~target cfg =
         alldone.c_broadcast ();
         m.m_unlock ()
       | Some at ->
-        (* never sleep less than a wheel tick: an arrival due in the past
+        (* never sleep less than a tick: an arrival due in the past
            fires on the next tick, and a zero sleep would spin *)
-        E.sleep (Float.max (t_start +. at -. E.now ()) Gen.wheel_tick);
+        E.sleep (Float.max (t_start +. at -. E.now ()) Gen.tick);
         loop ()
     in
     loop ()

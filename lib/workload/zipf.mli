@@ -21,4 +21,12 @@ val pmf : t -> int -> float
 (** Analytic probability of rank [i], from adjacent CDF entries; the
     reference distribution for the chi-square goodness-of-fit test. *)
 
+val cdf : t -> int -> float
+(** The CDF table's entry for rank [i]: the probability of a rank [<= i]. *)
+
+val index_of : t -> float -> int
+(** The first rank whose CDF value is [>= u], for [u] in [\[0, 1)]: a
+    binary search bracketed by a guide table, O(1) expected. *)
+
 val sample : t -> Sim.Rng.t -> int
+(** [index_of t] of one uniform draw from [rng]. *)

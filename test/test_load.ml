@@ -1,12 +1,11 @@
 (* Tests for the open-loop load engine (lib/load) and the checker that
-   survives it (lib/check Window + Sample): timing-wheel ordering,
-   statistical validity of the arrival and key processes (fixed seeds),
-   generator determinism across pull slicings and backends, windowed-vs-
-   full checker equivalence on generated histories (including seeded
+   survives it (lib/check Window + Sample): the generator's ordering
+   contract and golden traces, statistical validity of the arrival and
+   key processes (fixed seeds), generator determinism across pull
+   slicings and backends, windowed-vs-full checker equivalence on generated histories (including seeded
    non-linearizable ones), and the sampling recorder's bounded-memory
    accounting. *)
 
-module W = Load.Wheel
 module Gen = Load.Gen
 module A = Load.Arrivals
 module H = Check.History
@@ -16,92 +15,6 @@ module Spec = Check.Spec
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* --- Timing wheel --- *)
-
-let wheel_orders_timers () =
-  let w = W.create ~tick:1e-3 ~now:0. () in
-  let times = [ 0.5; 0.0017; 0.25; 0.0013; 3.7; 0.25; 1.0 ] in
-  List.iteri (fun i at -> W.add w ~at (i, at)) times;
-  check_int "length" (List.length times) (W.length w);
-  let fired = ref [] in
-  let n = W.pop_until w ~now:10. (fun _due v -> fired := v :: !fired) in
-  check_int "all fired" (List.length times) n;
-  check_int "drained" 0 (W.length w);
-  let fired = List.rev !fired in
-  (* due-time order, ties by insertion order *)
-  let expect =
-    List.stable_sort
-      (fun (_, a) (_, b) -> compare a b)
-      (List.mapi (fun i at -> (i, at)) times)
-  in
-  Alcotest.(check (list (pair int (float 0.))))
-    "time order, ties stable" expect fired
-
-let wheel_pop_until_partial () =
-  let w = W.create ~tick:1e-3 ~now:0. () in
-  List.iter (fun at -> W.add w ~at at) [ 0.1; 0.2; 0.3; 0.4 ];
-  let fired = ref [] in
-  let n1 = W.pop_until w ~now:0.25 (fun _ v -> fired := v :: !fired) in
-  check_int "first slice" 2 n1;
-  (match W.next_due w with
-  | None -> Alcotest.fail "next_due empty with timers pending"
-  | Some d -> check_bool "next_due never over-estimates" true (d <= 0.3));
-  let n2 = W.pop_until w ~now:10. (fun _ v -> fired := v :: !fired) in
-  check_int "second slice" 2 n2;
-  Alcotest.(check (list (float 0.)))
-    "order across slices" [ 0.1; 0.2; 0.3; 0.4 ] (List.rev !fired)
-
-(* A timer parked on a higher level before the cursor moved can be due
-   sooner than one added later on a lower level: next_due must see it. *)
-let wheel_next_due_across_levels () =
-  let w = W.create ~tick:1e-3 ~now:0. () in
-  W.add w ~at:0.300 "first";
-  check_int "nothing due yet" 0 (W.pop_until w ~now:0.100 (fun _ _ -> ()));
-  W.add w ~at:0.350 "second";
-  Alcotest.(check (option (float 0.))) "earliest across levels" (Some 0.300)
-    (W.next_due w)
-
-let wheel_rearm_during_pop () =
-  (* A callback re-arming its own next timer (the session pattern) fires
-     again within the same pop when due inside the window. *)
-  let w = W.create ~tick:1e-3 ~now:0. () in
-  let count = ref 0 in
-  let rec arm at =
-    W.add w ~at (fun due -> incr count; if due < 0.01 then arm (due +. 0.002))
-  in
-  arm 0.001;
-  let fired = W.pop_until w ~now:1.0 (fun due f -> f due) in
-  check_bool "re-armed timers fired in the same pop" true (fired >= 5);
-  check_int "callback count matches" fired !count
-
-let wheel_far_future_cascades () =
-  (* Beyond the top level's span: clamped and re-cascaded, not lost. *)
-  let w = W.create ~tick:1e-3 ~slots:4 ~levels:2 ~now:0. () in
-  List.iter (fun at -> W.add w ~at at) [ 5.0; 0.002; 1000.0 ];
-  let fired = ref [] in
-  ignore (W.pop_until w ~now:2000. (fun _ v -> fired := v :: !fired));
-  Alcotest.(check (list (float 0.)))
-    "clamped timers survive cascade" [ 0.002; 5.0; 1000.0 ] (List.rev !fired)
-
-let prop_wheel_sorted =
-  QCheck.Test.make ~name:"wheel fires in due-time order" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 80) (float_range 0. 50.))
-    (fun times ->
-      let w = W.create ~tick:1e-2 ~now:0. () in
-      List.iter (fun at -> W.add w ~at at) times;
-      let fired = ref [] in
-      (* pop in several slices to exercise cascading *)
-      List.iter
-        (fun now ->
-          ignore (W.pop_until w ~now (fun _ v -> fired := v :: !fired)))
-        [ 1.; 7.; 13.; 50.; 60. ];
-      let fired = List.rev !fired in
-      List.length fired = List.length times
-      && fst
-           (List.fold_left
-              (fun (ok, last) v -> (ok && v >= last, v))
-              (true, neg_infinity) fired))
 
 (* --- Arrival statistics (fixed seeds: these are deterministic) --- *)
 
@@ -159,6 +72,43 @@ let zipf_chi_square () =
   check_bool "hottest rank is rank 0" true
     (Array.for_all (fun c -> c <= obs.(0)) obs)
 
+(* The guide table only brackets the search: at every CDF value, every
+   guide boundary j/n, one ulp either side of each, and both ends of
+   [0, 1), [index_of] returns the first rank whose CDF value is >= u, as
+   a full binary search does.  Uniform tables of 6 and 10 ranks hold
+   draws that float rounding puts outside their bracket. *)
+let zipf_guide_exact () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun theta ->
+          let z = Workload.Zipf.create ~n ~theta in
+          let cdf = Workload.Zipf.cdf z in
+          let rec search u lo hi =
+            if lo >= hi then lo
+            else
+              let mid = (lo + hi) / 2 in
+              if cdf mid >= u then search u lo mid else search u (mid + 1) hi
+          in
+          let bad = ref 0 in
+          let probe u =
+            if Workload.Zipf.index_of z u <> search u 0 (n - 1) then incr bad
+          in
+          probe 0.;
+          probe (Float.pred 1.0);
+          let around c =
+            List.iter
+              (fun u -> if u >= 0. && u < 1. then probe u)
+              [ c; Float.pred c; Float.succ c ]
+          in
+          for i = 0 to n - 1 do
+            around (cdf i);
+            around (float_of_int i /. float_of_int n)
+          done;
+          check_int (Printf.sprintf "n=%d theta=%g mismatches" n theta) 0 !bad)
+        [ 0.; 0.5; 0.99; 1.5 ])
+    [ 1; 2; 3; 6; 10; 4096; 100_000 ]
+
 let ramp_rate_rises () =
   let g =
     Gen.create ~sessions:200 ~duration:4.0
@@ -199,6 +149,146 @@ let gen_slicing_invariant () =
   let a = collect 1e-3 and b = collect 0.37 in
   check_int "same count" (List.length a) (List.length b);
   check_bool "same trace under different slicings" true (a = b)
+
+(* --- Generator goldens ---
+
+   Digests of whole traces and of the next_due sequence, pinned at the
+   commit before the due-tick arrays replaced the timer wheel: the arrays
+   must reproduce the wheel's order bit for bit, its boundary-tick quirk
+   included (see gen.ml). *)
+
+let add_ev buf (e : Gen.ev) =
+  Buffer.add_int64_le buf (Int64.bits_of_float e.Gen.at);
+  Buffer.add_int32_le buf (Int32.of_int e.Gen.session);
+  Buffer.add_int32_le buf (Int32.of_int e.Gen.seq);
+  Buffer.add_int32_le buf (Int32.of_int e.Gen.key);
+  Buffer.add_char buf (if e.Gen.read then 'r' else 'w')
+
+(* The trace pulled in [step]-second slices ([None]: one pull). *)
+let trace_digest mk ~duration step =
+  let g = mk () in
+  let buf = Buffer.create 4096 in
+  (match step with
+  | None -> ()
+  | Some step ->
+    let t = ref 0. in
+    while !t < duration do
+      t := !t +. step;
+      ignore (Gen.pull g ~until:!t (add_ev buf))
+    done);
+  ignore (Gen.pull g ~until:duration (add_ev buf));
+  check_bool "drained" true (Gen.finished g);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The dispatcher's loop in Load.Engine, without the engine: pull to
+   now, sleep to next_due (never less than a tick). *)
+let next_due_digest mk =
+  let g = mk () in
+  let buf = Buffer.create 4096 in
+  let rec loop rel =
+    ignore (Gen.pull g ~until:rel (add_ev buf));
+    match Gen.next_due g with
+    | None -> ()
+    | Some at ->
+      Buffer.add_int64_le buf (Int64.bits_of_float at);
+      loop (rel +. Float.max (at -. rel) Gen.tick)
+  in
+  loop 0.;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_gens =
+  let gen ~sessions ~duration profile ~seed () =
+    Gen.create ~sessions ~duration ~profile ~keys:4096 ~theta:0.99
+      ~read_ratio:0.5 ~seed ()
+  in
+  [
+    ( "steady 20k sessions 8k req/s", 2.0,
+      gen ~sessions:20_000 ~duration:2.0 (A.Steady 8000.) ~seed:1,
+      ("bd67c3e9e05de1b66747092a0f280652", "5d3f7b33f36606d3bcdd76487b4e8d87") );
+    ( "steady 2k sessions 1.5k req/s", 3.0,
+      gen ~sessions:2_000 ~duration:3.0 (A.Steady 1500.) ~seed:2,
+      ("7646a73941d50d4686b314f8bc60475b", "7b8f4813be1472910f57b705c8627d5f") );
+    ( "burst", 2.0,
+      gen ~sessions:300 ~duration:2.0
+        (A.Burst { base = 200.; peak = 2000.; period = 0.5; duty = 0.3 })
+        ~seed:3,
+      ("5114c8f055da10c37b88e5a42fc605e5", "bc2121e52a6bdf8eb7610afb0482e97b") );
+    ( "ramp", 4.0,
+      gen ~sessions:200 ~duration:4.0
+        (A.Ramp { lo = 100.; hi = 900.; over = 4.0 })
+        ~seed:4,
+      ("8e63766b43b6c57f9df6fd06c8299b97", "367ebae8b686f66445d47f2f97f91ebb") );
+    ( "diurnal", 4.0,
+      gen ~sessions:500 ~duration:4.0
+        (A.Diurnal { base = 100.; peak = 1000.; period = 2.0 })
+        ~seed:5,
+      ("6076534da87a88b308cc94a824d1c565", "44ce8e008e8076528b7230f22349460e") );
+    (* gaps around 100 s: most arrivals are filed more than 2^16 ticks
+       ahead *)
+    ( "steady 50 sessions 0.5 req/s", 400.,
+      gen ~sessions:50 ~duration:400. (A.Steady 0.5) ~seed:6,
+      ("7fc3dbd793205dfdfad76505bc258f20", "12864795af12a85857818df4f67615e0") );
+  ]
+
+let gen_golden_traces () =
+  List.iter
+    (fun (name, duration, mk, (trace, next_due)) ->
+      List.iter
+        (fun (slice, step) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s" name slice)
+            trace
+            (trace_digest mk ~duration step))
+        [ ("one pull", None); ("1 ms slices", Some 1e-3);
+          ("370 ms slices", Some 0.37) ];
+      Alcotest.(check string)
+        (name ^ ", next_due sequence")
+        next_due (next_due_digest mk))
+    golden_gens
+
+(* The ordering contract, event by event: pulled one tick at a time, an
+   arrival due in tick [k] and filed (its session's previous arrival
+   fired, or the generator was created) at tick [cur] fires at tick
+   [cur + 1] if [k <= cur], at [k + 1] if [k] is a 256-tick boundary
+   filed at least 256 ticks ahead, and at [k] otherwise; within a tick,
+   in due-time order.  The pinned case is the boundary rule at tick 512:
+   an arrival due early in the tick and filed at tick 256 or before
+   fires after one due later in the tick and filed within 256 ticks. *)
+let gen_boundary_rule () =
+  let tick_of at = int_of_float (Float.floor (at /. Gen.tick)) in
+  let sessions = 200 in
+  let g =
+    Gen.create ~sessions ~duration:1.0 ~profile:(A.Steady 1000.) ~keys:16
+      ~theta:0.5 ~read_ratio:0.5 ~seed:1 ()
+  in
+  let filed = Array.make sessions 0 in
+  let fired_512 = ref [] in
+  for k = 1 to 1000 do
+    let last = ref neg_infinity in
+    ignore
+      (Gen.pull g
+         ~until:((float_of_int k +. 0.5) *. Gen.tick)
+         (fun ev ->
+           let due = tick_of ev.Gen.at and cur = filed.(ev.Gen.session) in
+           let expect =
+             if due <= cur then cur + 1
+             else if due - cur >= 256 && due land 255 = 0 then due + 1
+             else due
+           in
+           check_int "fire tick" expect k;
+           check_bool "due-time order within a tick" true (ev.Gen.at >= !last);
+           last := ev.Gen.at;
+           if due = 512 then fired_512 := (ev.Gen.at, cur) :: !fired_512;
+           filed.(ev.Gen.session) <- k))
+  done;
+  check_bool "drained" true (Gen.finished g);
+  (* delivery order of the arrivals due in tick 512 *)
+  match List.rev !fired_512 with
+  | [ (late_at, late_filed); (early_at, early_filed) ] ->
+    check_bool "filed within 256 ticks, fires first" true (late_filed > 256);
+    check_bool "filed 256+ ticks ahead, fires second" true (early_filed <= 256);
+    check_bool "out of due-time order" true (early_at < late_at)
+  | l -> Alcotest.failf "%d arrivals due in tick 512" (List.length l)
 
 let engine_trace_cross_backend () =
   (* Same config, null target: the sim run and the real-domains run must
@@ -479,22 +569,18 @@ let sample_reject_accounting () =
 
 let suite =
   [
-    Alcotest.test_case "wheel: due-time order with ties" `Quick
-      wheel_orders_timers;
-    Alcotest.test_case "wheel: next_due across levels" `Quick
-      wheel_next_due_across_levels;
-    Alcotest.test_case "wheel: partial pops + next_due" `Quick
-      wheel_pop_until_partial;
-    Alcotest.test_case "wheel: re-arm during pop" `Quick wheel_rearm_during_pop;
-    Alcotest.test_case "wheel: far-future cascade" `Quick
-      wheel_far_future_cascades;
-    QCheck_alcotest.to_alcotest prop_wheel_sorted;
     Alcotest.test_case "poisson interarrival mean/variance" `Quick
       poisson_interarrivals;
     Alcotest.test_case "zipf chi-square vs pmf" `Quick zipf_chi_square;
+    Alcotest.test_case "zipf: guide table matches the full search" `Quick
+      zipf_guide_exact;
     Alcotest.test_case "ramp profile rate rises" `Quick ramp_rate_rises;
     Alcotest.test_case "gen: trace invariant under pull slicing" `Quick
       gen_slicing_invariant;
+    Alcotest.test_case "gen: golden traces and next_due" `Quick
+      gen_golden_traces;
+    Alcotest.test_case "gen: boundary-tick rule, pinned at tick 512" `Quick
+      gen_boundary_rule;
     Alcotest.test_case "engine: identical trace on sim and domains" `Quick
       engine_trace_cross_backend;
     Alcotest.test_case "window = full checker on random histories" `Quick
