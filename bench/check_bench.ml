@@ -32,7 +32,7 @@
    read.
 
    --pipeline-depth N deploys every group with [Config.pipeline_depth] N
-   ([Config.default_pipeline_depth], 2, unless given), so up to N Paxos
+   ([Config.default_pipeline_depth], 4, unless given), so up to N Paxos
    instances are open at once and commit notices ride Accepts while an
    earlier instance is still in flight; 1 is the paper's single open
    instance. *)

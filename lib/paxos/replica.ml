@@ -138,6 +138,7 @@ type t = {
   c_lease_grants : Obs.Metric.counter;
   c_lease_renewals : Obs.Metric.counter;
   c_lease_expiries : Obs.Metric.counter;
+  c_window_full : Obs.Metric.counter;
   h_commit : Obs.Histogram.t;
 }
 
@@ -161,11 +162,17 @@ let next_instance t =
 let in_flight t = Hashtbl.length t.inflight > 0
 let can_propose t =
   t.role = Leader
-  && Hashtbl.length t.inflight < t.cfg.max_inflight
   (* Proposal barrier: while a config entry is in flight, no app values
      may pipeline behind it — the entry's commit changes the quorum the
      followers would be acked against. *)
-  && not (reconfig_pending t)
+  && (not (reconfig_pending t))
+  &&
+  (* A leader refused only because [max_inflight] instances are open
+     counts in [paxos/window_full]: its callers ask only with a value
+     to propose. *)
+  let room = Hashtbl.length t.inflight < t.cfg.max_inflight in
+  if not room then Obs.Metric.incr t.c_window_full;
+  room
 let store t = t.st
 let now t = Engine.clock (Net.engine t.net)
 
@@ -690,6 +697,7 @@ let create net cfg st cbs =
         Obs.counter obs ~subsystem:"paxos" ~labels "lease_renewals";
       c_lease_expiries =
         Obs.counter obs ~subsystem:"paxos" ~labels "lease_expiries";
+      c_window_full = Obs.counter obs ~subsystem:"paxos" ~labels "window_full";
       h_commit = Obs.histogram obs ~subsystem:"paxos" ~labels "commit_latency";
     }
   in

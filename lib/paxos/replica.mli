@@ -103,6 +103,9 @@ val is_member : t -> bool
     of the group stops campaigning but keeps serving Learn requests. *)
 
 val can_propose : t -> bool
+(** Whether this replica leads, no config entry is in flight and fewer
+    than [max_inflight] instances are open.  A leader refused only
+    because the window is full counts one [paxos/window_full]. *)
 
 val is_leader : t -> bool
 

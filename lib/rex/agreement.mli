@@ -58,6 +58,7 @@ type t = {
 val of_paxos :
   Sim.Net.t -> Config.t -> node:int -> Paxos.Store.t -> callbacks -> t
 (** Multi-instance Paxos as the agree stage of replica [node], over
-    [cfg]'s replicas, heartbeat, [pipeline_depth] (open instances),
+    [cfg]'s replicas, heartbeat, [pipeline_depth] (open instances, 4
+    by default),
     [paxos_sync_latency] and lease settings.  Every stack's Paxos is
     built here.  A new term ([on_become_leader]) starts with no hold. *)

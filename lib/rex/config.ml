@@ -32,7 +32,7 @@ let admission t ~queue_depth =
          ~max_per_client:t.admit_per_client ~queue_soft:t.admit_queue_soft
          ~queue_hard:t.admit_queue_hard ~queue_depth ())
 
-let default_pipeline_depth = 2
+let default_pipeline_depth = 4
 
 let make ?(workers = 8) ?(checkpoint_interval = None)
     ?(flow_window = 20_000) ?(flow_staleness = 0.2) ?(heartbeat_period = 5e-3)

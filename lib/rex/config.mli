@@ -19,10 +19,11 @@ type t = {
       (** modeled cost (seconds per byte) of serializing and writing a
           checkpoint on a secondary — the source of Fig. 10's dips *)
   pipeline_depth : int;
-      (** concurrent consensus instances, {!default_pipeline_depth} (2)
-          unless set: a request that arrives while one instance is open
-          is proposed at once in the second instead of waiting a Paxos
-          round.  1 is the paper's single-active-instance design (§3.1).
+      (** concurrent consensus instances, {!default_pipeline_depth} (4)
+          unless set: a request that arrives while fewer than four
+          instances are open is proposed at once in another instead of
+          waiting a Paxos round.  1 is the paper's single-active-instance
+          design (§3.1); 2 was the default before 4.
           Every stack's Paxos reads it ({!Agreement.of_paxos}); Eve's
           batches await execution, so its leader keeps one of its own
           instances open at most *)
@@ -59,7 +60,7 @@ val admission :
     [queue_depth] probe; [None] when every knob is 0. *)
 
 val default_pipeline_depth : int
-(** 2: {!make}'s [pipeline_depth] when none is given, and the checker's
+(** 4: {!make}'s [pipeline_depth] when none is given, and the checker's
     ([Check.Runner.default_config], [bench check --pipeline-depth]). *)
 
 val make :

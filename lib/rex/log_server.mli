@@ -14,9 +14,9 @@
     requests are queued and the agree stage takes another value: on an
     arrival, a timer's tick, the commit of one of its instances, the end
     of each executed batch and the end of a membership change.  At the
-    default [Config.pipeline_depth] of 2 a request that arrives while
-    one instance is open goes out at once in a second one; at depth 1
-    it waits for that instance's commit.
+    default [Config.pipeline_depth] of 4 a request that arrives while
+    fewer than four instances are open goes out at once in another; at
+    depth 1 it waits for the open instance's commit.
 
     A stack supplies an {!executor}: what it does with a committed
     batch, how it gates a local read, how far it has applied, how it
@@ -58,7 +58,7 @@ type executor = {
           one (Eve, whose per-batch snapshot and verify need full
           batches); [false]: propose while fewer than
           [cfg.pipeline_depth] instances are open (SMR, CBASE, early;
-          2 by default) *)
+          4 by default) *)
 }
 
 (** What a stack's executor is built from. *)

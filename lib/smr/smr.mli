@@ -27,8 +27,9 @@ val create :
   t
 (** [Config.workers] is ignored: execution is sequential by design.
     The leader proposes on events, up to [Config.pipeline_depth]
-    instances open (2 by default, so a request that arrives during a
-    Paxos round is proposed at once; DESIGN.md §18). *)
+    instances open (4 by default, so a request that arrives during a
+    Paxos round is proposed at once unless four are open; DESIGN.md
+    §18). *)
 
 val start : t -> unit
 val replay : t -> unit

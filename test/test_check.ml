@@ -244,22 +244,33 @@ let replay_deterministic () =
 
 let shrink_preserves_failure () =
   (* The dedup-off canary fails under message loss; shrinking must keep
-     it failing and never grow the schedule. *)
-  let cfg =
-    Runner.default_config ~clients:3 ~ops_per_client:8 ~dedup_off:true
-      ~app:Runner.Counter ~stack:Runner.Rex ~nemesis:N.Drops ~seed:1001 ()
-  in
-  let o = Runner.run_one cfg in
-  Alcotest.(check bool) "canary fails before shrinking" false
-    (Runner.passed o);
-  let sched, o' = Runner.shrink cfg o.Runner.schedule o in
-  Alcotest.(check bool) "still failing after shrinking" false
-    (Runner.passed o');
-  Alcotest.(check bool) "schedule did not grow" true
-    (List.length sched.N.faults
-    <= List.length o.Runner.schedule.N.faults);
-  Alcotest.(check bool) "reproducer within 3 faults" true
-    (List.length sched.N.faults <= 3)
+     it failing and never grow the schedule.  The schedule is built, not
+     drawn: one drop fault at p = 0.5 over the whole ops window, so each
+     seed only varies which messages are lost. *)
+  List.iter
+    (fun seed ->
+      let cfg =
+        Runner.default_config ~clients:3 ~ops_per_client:8 ~dedup_off:true
+          ~app:Runner.Counter ~stack:Runner.Rex ~nemesis:N.Drops ~seed ()
+      in
+      let schedule =
+        {
+          N.horizon = cfg.Runner.horizon;
+          faults =
+            [ { N.kind = N.Drop 0.5; at = 0.; dur = cfg.Runner.horizon } ];
+        }
+      in
+      let o = Runner.run_one ~schedule cfg in
+      let check what =
+        Alcotest.(check bool) (Printf.sprintf "seed %d: %s" seed what)
+      in
+      check "canary fails before shrinking" false (Runner.passed o);
+      let sched, o' = Runner.shrink cfg o.Runner.schedule o in
+      check "still failing after shrinking" false (Runner.passed o');
+      check "schedule did not grow" true
+        (List.length sched.N.faults <= List.length o.Runner.schedule.N.faults);
+      check "reproducer within 3 faults" true (List.length sched.N.faults <= 3))
+    [ 1001; 1002; 1003; 1004; 1005 ]
 
 let clean_run_passes () =
   (* A fault-free schedule over a correct stack must pass: guards
@@ -463,15 +474,15 @@ let topo_noop_without_hooks () =
   let o = Runner.run_one (topo_cfg ~stack:Runner.Smr ~nemesis:N.Splits ~seed:75 ()) in
   Alcotest.(check bool) "split profile no-ops on smr" true (Runner.passed o)
 
-(* Leader kills with two instances in flight: the event-driven batcher
-   pairs each commit with its own callbacks, and a deposed leader
-   answers [None] for every open instance, so retries are served
+(* Leader kills with several instances in flight: the event-driven
+   batcher pairs each commit with its own callbacks, and a deposed
+   leader answers [None] for every open instance, so retries are served
    exactly once by the next leader. *)
-let leader_kill_pipelined stack () =
+let leader_kill_pipelined ~depth stack () =
   List.iter
     (fun seed ->
       let cfg =
-        Runner.default_config ~pipeline_depth:2 ~app:Runner.Counter ~stack
+        Runner.default_config ~pipeline_depth:depth ~app:Runner.Counter ~stack
           ~nemesis:N.Leader_kills ~seed ()
       in
       let o = Runner.run_one cfg in
@@ -482,11 +493,17 @@ let leader_kill_pipelined stack () =
 let suite =
   [
     Alcotest.test_case "leader kills at pipeline depth 2: smr" `Quick
-      (leader_kill_pipelined Runner.Smr);
+      (leader_kill_pipelined ~depth:2 Runner.Smr);
     Alcotest.test_case "leader kills at pipeline depth 2: cbase" `Quick
-      (leader_kill_pipelined Runner.Cbase);
+      (leader_kill_pipelined ~depth:2 Runner.Cbase);
     Alcotest.test_case "leader kills at pipeline depth 2: early" `Quick
-      (leader_kill_pipelined Runner.Early);
+      (leader_kill_pipelined ~depth:2 Runner.Early);
+    Alcotest.test_case "leader kills at pipeline depth 4: smr" `Quick
+      (leader_kill_pipelined ~depth:4 Runner.Smr);
+    Alcotest.test_case "leader kills at pipeline depth 4: cbase" `Quick
+      (leader_kill_pipelined ~depth:4 Runner.Cbase);
+    Alcotest.test_case "leader kills at pipeline depth 4: early" `Quick
+      (leader_kill_pipelined ~depth:4 Runner.Early);
     Alcotest.test_case "register: sequential" `Quick register_sequential;
     Alcotest.test_case "register: stale read" `Quick register_stale_read;
     Alcotest.test_case "register: concurrent writes" `Quick

@@ -11,7 +11,8 @@
    virtual clock, and the commit, message, byte and event counters.  A
    pinned value changes only when the simulated behaviour is meant to.
    SMR, CBASE and early are pinned at pipeline depth 1, the paper's one
-   open instance, and at the default depth. *)
+   open instance, at depth 2, the former default, and at the default
+   depth (4). *)
 
 open Sim
 module R = Rex_core
@@ -272,7 +273,8 @@ let lock_smr cfg net rpc ~node ~paxos_store =
 (* The leader proposes while fewer than [pipeline_depth] of its
    instances are open.  Request [b] is submitted 10 us after [a], while
    [a]'s instance is open: at depth 2 it is proposed in the same virtual
-   instant, at depth 1 it waits for [a]'s instance to commit. *)
+   instant, at depth 1 it waits for [a]'s instance to commit, and the
+   held proposal counts one [paxos/window_full]. *)
 let proposes_while_instance_open () =
   let timeline depth =
     let cluster, leader = deploy ~pipeline_depth:depth lock_smr in
@@ -280,15 +282,17 @@ let proposes_while_instance_open () =
     let s = R.Cluster.await_primary cluster in
     let proposals () = counter_sum eng "paxos/proposals" in
     let commits () = counter_sum eng "paxos/commits" in
-    let result = ref None in
+    let window_full () = counter_sum eng "paxos/window_full" in
+    let result = ref None and held = ref 0 in
     ignore
       (Engine.spawn eng ~node:leader (fun () ->
-           let p0 = proposals () and c0 = commits () in
+           let p0 = proposals () and c0 = commits () and w0 = window_full () in
            R.Log_server.submit s "CREATE /a 1" ignore;
            let with_a = proposals () - p0 in
            Engine.sleep 10e-6;
            R.Log_server.submit s "CREATE /b 2" ignore;
            let with_b = proposals () - p0 in
+           held := window_full () - w0;
            (* poll each microsecond: [b]'s proposal against [a]'s commit *)
            let b_at = ref None and a_at = ref None in
            while !b_at = None || !a_at = None do
@@ -298,12 +302,12 @@ let proposes_while_instance_open () =
            done;
            result := Some (with_a, with_b, !b_at < !a_at)));
     R.Cluster.run_for cluster 0.01;
-    Option.get !result
+    (Option.get !result, !held)
   in
-  Alcotest.(check (triple int int bool))
-    "depth 2: b proposed at once, before a commits" (1, 2, true) (timeline 2);
-  Alcotest.(check (triple int int bool))
-    "depth 1: b waits for a's commit" (1, 1, false) (timeline 1)
+  Alcotest.(check (pair (triple int int bool) int))
+    "depth 2: b proposed at once, before a commits" ((1, 2, true), 0) (timeline 2);
+  Alcotest.(check (pair (triple int int bool) int))
+    "depth 1: b waits for a's commit, held once" ((1, 1, false), 1) (timeline 1)
 
 let suite =
   [
@@ -316,12 +320,21 @@ let suite =
     Alcotest.test_case "golden early run" `Quick
       (golden ~pipeline_depth:1 "early" (sched Sched.Exec.Early) memcache_op
          "cef0595aa8d9bc120f391081575a43a2");
+    Alcotest.test_case "golden smr run at depth 2" `Quick
+      (golden ~pipeline_depth:2 "smr" smr memcache_op
+         "10c1ee7e235e1a14c1151206f8128722");
+    Alcotest.test_case "golden cbase run at depth 2" `Quick
+      (golden ~pipeline_depth:2 "cbase" (sched Sched.Exec.Cbase) memcache_op
+         "c84636556b465e7ae4d47d635b5305e1");
+    Alcotest.test_case "golden early run at depth 2" `Quick
+      (golden ~pipeline_depth:2 "early" (sched Sched.Exec.Early) memcache_op
+         "4f42508dddbb34c5540afb724853a24b");
     Alcotest.test_case "golden smr run at the default depth" `Quick
-      (golden "smr" smr memcache_op "10c1ee7e235e1a14c1151206f8128722");
+      (golden "smr" smr memcache_op "5ce23c5242218ed607368c197d38829b");
     Alcotest.test_case "golden cbase run at the default depth" `Quick
-      (golden "cbase" (sched Sched.Exec.Cbase) memcache_op "c84636556b465e7ae4d47d635b5305e1");
+      (golden "cbase" (sched Sched.Exec.Cbase) memcache_op "37b4cc2dd8c7863aeaca0100a44d8e57");
     Alcotest.test_case "golden early run at the default depth" `Quick
-      (golden "early" (sched Sched.Exec.Early) memcache_op "4f42508dddbb34c5540afb724853a24b");
+      (golden "early" (sched Sched.Exec.Early) memcache_op "652e779740631af6a9c74f0c93ca6dcd");
     Alcotest.test_case "golden eve run" `Quick
       (golden "eve" eve lock_op "7df23c54e62705eb2e1d83f6771c7d83");
     Alcotest.test_case "smr drops forged timer ticks" `Quick
